@@ -14,7 +14,7 @@ import time
 
 from . import __version__
 from .compositions import block_coloring, completions, zero_lower_bound
-from .core import SignFunction, is_transitive, monotone_violation, read_file, write_file
+from .core import EDGE_CAP, SignFunction, is_transitive, monotone_violation, read_file, write_file
 from .enumeration import SEARCH_EDGE_CAP, count_monotone, project, ramsey_number
 from .errors import (
     InvalidArgument,
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .geometry import render_svg, sweep_text, wiring_diagram
 from .paths import longest_mono_paths
-from .tower import TowerGroundSet
+from .tower import ELEMENT_CAP, TowerGroundSet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -98,7 +98,7 @@ def _cmd_path(args, start) -> int:
 
 
 def _cmd_tower(args, start) -> int:
-    build_cap = args.max_edges if args.max_edges is not None else 2 ** 21
+    build_cap = args.max_edges if args.max_edges is not None else EDGE_CAP
     ground = TowerGroundSet(args.r, args.n, max_elements=args.max_elements)
     coloring = ground.coloring(max_edges=build_cap)
     result = {
@@ -136,7 +136,7 @@ def _parse_verify_mode(spec: str) -> tuple[str, int, int]:
 
 
 def _cmd_comp(args, start) -> int:
-    build_cap = args.max_edges if args.max_edges is not None else 2 ** 21
+    build_cap = args.max_edges if args.max_edges is not None else EDGE_CAP
     ternary = block_coloring(args.r, args.h, max_edges=build_cap)
     result = {
         "n": ternary.n,
@@ -173,7 +173,7 @@ def _cmd_comp(args, start) -> int:
 def _cmd_count(args, start) -> int:
     search_cap = args.max_edges if args.max_edges is not None else SEARCH_EDGE_CAP
     report = count_monotone(args.r, args.n, max_edges=search_cap,
-                            workers=args.workers)
+                            max_nodes=args.max_nodes, workers=args.workers)
     result = {
         "count": report.count,
         "nodes": report.nodes,
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monotone colorings of ordered uniform hypergraphs",
         allow_abbrev=False,  # the ramsey --max flag must not clash with --max-*
     )
-    parser.add_argument("--max-elements", type=int, default=2 ** 20,
+    parser.add_argument("--max-elements", type=int, default=ELEMENT_CAP,
                         help="ground-set element cap (exit 3 beyond)")
     parser.add_argument("--max-edges", type=int, default=None,
                         help="edge-count cap: built colorings default to 2^21, "

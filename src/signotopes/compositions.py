@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import SignFunction, colex_rank, edges_colex
+from .core import EDGE_CAP, SignFunction, _check_vertex_cap, colex_layout
 from .errors import InvalidArgument, NoReduction, TooLarge
 
 #: Exhaustive completion is refused above this many 0 entries.
@@ -122,24 +122,17 @@ class TernaryColoring:
 
     def transversal_zero_positions(self) -> tuple[int, ...]:
         """Zero edges not contained in a single top-level block."""
-        out = []
-        for rank in self.zero_positions:
-            edge = _edge_cache(self.n, self.r)[rank]
-            blocks = {(v - 1) // self.m for v in edge}
-            if len(blocks) > 1:
-                out.append(rank)
-        return tuple(out)
+        zeros = np.asarray(self.zero_positions, dtype=np.int64)
+        blocks = (colex_layout(self.n, self.r).edges[zeros] - 1) // self.m
+        return tuple(zeros[blocks[:, 0] != blocks[:, -1]].tolist())
 
 
-def _edge_cache(n: int, r: int) -> list[tuple[int, ...]]:
-    return list(edges_colex(n, r))
-
-
-def block_coloring(r: int, h: int, max_edges: int = 2 ** 21) -> TernaryColoring:
+def block_coloring(r: int, h: int, max_edges: int = EDGE_CAP) -> TernaryColoring:
     """The recursive block coloring on r^h vertices."""
     if r < 3 or h < 1:
         raise InvalidArgument(f"need r >= 3 and h >= 1, got r={r}, h={h}")
     n = r ** h
+    _check_vertex_cap(r, n)
     if comb(n, r) > max_edges:
         raise TooLarge(f"{comb(n, r)} edges exceeds cap {max_edges}")
     if h == 1:
@@ -148,26 +141,22 @@ def block_coloring(r: int, h: int, max_edges: int = 2 ** 21) -> TernaryColoring:
 
     sub = block_coloring(r, h - 1, max_edges=max_edges)
     m = r ** (h - 1)
-    colors = np.empty(comb(n, r), dtype=np.int8)
-    zeros = []
-    for rank, edge in enumerate(edges_colex(n, r)):
-        blocks = [(v - 1) // m for v in edge]
+    edges = colex_layout(n, r).edges
+    shapes, which = np.unique((edges - 1) // m, axis=0, return_inverse=True)
+    colors = np.empty(len(edges), dtype=np.int8)
+    for s, blocks in enumerate(shapes.tolist()):
+        rows = which.reshape(-1) == s
         sigma = tuple(len(list(grp)) for _, grp in groupby(blocks))
         if len(sigma) == 1:
-            shift = blocks[0] * m
-            col = int(sub.fun.colors[colex_rank(tuple(v - shift for v in edge))])
+            inner = edges[rows] - blocks[0] * m
+            colors[rows] = sub.fun.colors[colex_layout(m, r).rank(inner)]
         elif len(sigma) == r:
-            offsets = [v - i * m for i, v in enumerate(edge)]
-            even = sum(offsets[1::2])
-            odd = sum(offsets[0::2])
-            col = 0 if even == odd else (-1 if even < odd else 1)
+            offsets = edges[rows] - np.arange(r) * m
+            colors[rows] = np.sign(offsets[:, 1::2].sum(axis=1) - offsets[:, 0::2].sum(axis=1))
         else:
-            col = sign(sigma)
-        colors[rank] = col
-        if col == 0:
-            zeros.append(rank)
+            colors[rows] = sign(sigma)
     fun = SignFunction(r, n, colors, ternary_allowed=True)
-    return TernaryColoring(fun, r, h, n, m, tuple(zeros))
+    return TernaryColoring(fun, r, h, n, m, tuple(np.flatnonzero(colors == 0).tolist()))
 
 
 def completions(

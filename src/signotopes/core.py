@@ -2,8 +2,13 @@
 
 Every edge (r-subset) is addressed by its colex rank, computed as
 ``sum(C(v_i - 1, i))`` over the increasing tuple ``(v_1, ..., v_r)``.
-The same indexing is used by the file format, the path DP, and the
-backtracking search, so there is exactly one edge order in the package.
+:func:`colex_layout` holds that order once per (n, k): the edge array,
+the deletion table (the faces of each k-subset, largest vertex deleted
+first) and a vectorized rank.  Colors are stored and written to files
+in this order, and the predicates, the path DP, the backtracking search,
+the constructions and the wiring code all read the layout, so there is
+exactly one edge order in the package.  The scalar :func:`colex_rank`
+and :func:`colex_unrank` serve single tuples, such as checked input.
 
 A coloring is *monotone* when, for every (r+1)-subset, the sequence of
 colors of its r-subsets (ordered by which element is deleted, largest
@@ -17,8 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
@@ -33,6 +37,9 @@ ZERO = 0
 #: Largest allowed vertex count for r >= 3; keeps the C(n, r+1) index
 #: tables in memory.  Raise it deliberately if you know what you are doing.
 VERTEX_CAP = 64
+
+#: Default cap on the number of edges a built coloring may have.
+EDGE_CAP = 2 ** 21
 
 _COLOR_TO_CHAR = {-1: "-", 1: "+", 0: "0"}
 _CHAR_TO_COLOR = {"-": -1, "+": 1, "0": 0}
@@ -71,7 +78,7 @@ def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
 
 
 def edges_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All r-subsets of [n] in colex order (rank order)."""
+    """All r-subsets of [n] in colex order, streamed: ``colex_layout(n, r).edges``."""
     if r == 0:
         yield ()
         return
@@ -80,48 +87,71 @@ def edges_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield rest + (v,)
 
 
-@lru_cache(maxsize=None)
-def _binom_table(max_v: int, max_k: int) -> np.ndarray:
-    """C(v, k) for 0 <= v <= max_v, 0 <= k <= max_k, as int64."""
-    t = np.zeros((max_v + 1, max_k + 1), dtype=np.int64)
-    for v in range(max_v + 1):
-        for k in range(min(v, max_k) + 1):
-            t[v, k] = comb(v, k)
-    return t
+class ColexLayout:
+    """The colex order of the k-subsets of [n] and the tables read off it.
 
+    The block of vertex v, ranks C(v-1, k) .. C(v, k) - 1, lists the
+    (k-1)-subsets of [v-1] in colex order with v appended, so both tables
+    are filled block by block from the (n-1, k-1) layout, without a sort:
 
-def _subset_ranks(sets: np.ndarray, n: int) -> np.ndarray:
-    """Colex ranks of each row of an (M, k) matrix of increasing tuples."""
-    k = sets.shape[1]
-    table = _binom_table(n, k)
-    ranks = np.zeros(len(sets), dtype=np.int64)
-    for j in range(k):
-        ranks += table[sets[:, j] - 1, j + 1]
-    return ranks
+    * ``edges[t]`` is the increasing k-tuple of rank t;
+    * ``deletion[t, j]`` is the rank of the (k-1)-subset left after
+      deleting the (k-j)-th smallest element of edge t, so the largest
+      element is deleted first and the smallest last.  Block v is
+      ``[arange(C(v-1, k-1)), D[:C(v-1, k-1)] + C(v-1, k-1)]`` with D the
+      (n-1, k-1) deletion table.
 
-
-@lru_cache(maxsize=None)
-def _link_index(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables driving the (r+1)-subset predicates.
-
-    Returns ``(sets, idx)`` where ``sets`` lists all (r+1)-subsets of [n]
-    in colex order and ``idx[t, j]`` is the colex rank of the r-subset
-    obtained from ``sets[t]`` by deleting its (r+1-j)-th smallest element,
-    i.e. row ``t`` of ``idx`` indexes the deletion color sequence.
+    Tables are read-only and computed on first use.
     """
-    m = comb(n, r + 1)
-    sets = np.fromiter(
-        (v for s in combinations(range(1, n + 1), r + 1) for v in s),
-        dtype=np.int64,
-        count=m * (r + 1),
-    ).reshape(m, r + 1)
-    if m:
-        sets = sets[np.argsort(_subset_ranks(sets, n))]
-    idx = np.zeros((m, r + 1), dtype=np.int64)
-    for j in range(r + 1):
-        keep = [col for col in range(r + 1) if col != r - j]
-        idx[:, j] = _subset_ranks(sets[:, keep], n)
-    return sets, idx
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+        self.size = comb(n, k)
+
+    def _blocks(self) -> Iterator[tuple[int, int, int, "ColexLayout"]]:
+        """(v, first rank, size) of the block of v, and the (n-1, k-1) layout."""
+        for v in range(self.k, self.n + 1) if self.k else ():
+            sub = colex_layout(self.n - 1, self.k - 1)
+            yield v, comb(v - 1, self.k), comb(v - 1, self.k - 1), sub
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        out = np.empty((self.size, self.k), dtype=np.int64)
+        for v, lo, width, sub in self._blocks():
+            out[lo:lo + width, :-1] = sub.edges[:width]
+            out[lo:lo + width, -1] = v
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def deletion(self) -> np.ndarray:
+        out = np.empty((self.size, self.k), dtype=np.int64)
+        for _, lo, width, sub in self._blocks():
+            out[lo:lo + width, 0] = np.arange(width)
+            out[lo:lo + width, 1:] = sub.deletion[:width] + width
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _binom(self) -> np.ndarray:
+        return np.array([[comb(v, j) for j in range(self.k + 1)] for v in range(self.n)])
+
+    def rank(self, sets) -> np.ndarray:
+        """Colex ranks of the rows of an (M, k) array of increasing tuples over [n]."""
+        return self._binom[np.asarray(sets) - 1, np.arange(1, self.k + 1)].sum(axis=-1)
+
+
+@lru_cache(maxsize=None)
+def colex_layout(n: int, k: int) -> ColexLayout:
+    """The shared layout of the k-subsets of [n]; every module reads this one."""
+    return ColexLayout(n, k)
+
+
+def _check_vertex_cap(r: int, n: int) -> None:
+    """Refuse r >= 3 colorings on more than VERTEX_CAP vertices."""
+    if r >= 3 and n > VERTEX_CAP:
+        raise TooLarge(f"n={n} exceeds vertex cap {VERTEX_CAP} for r={r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,8 +174,7 @@ class SignFunction:
             raise InvalidEdge(f"uniformity must be >= 2, got {self.r}")
         if self.n < self.r:
             raise InvalidEdge(f"need n >= r, got n={self.n}, r={self.r}")
-        if self.r >= 3 and self.n > VERTEX_CAP:
-            raise TooLarge(f"n={self.n} exceeds vertex cap {VERTEX_CAP} for r={self.r}")
+        _check_vertex_cap(self.r, self.n)
         colors = np.asarray(self.colors, dtype=np.int8).copy()
         if colors.shape != (comb(self.n, self.r),):
             raise InvalidEdge(
@@ -191,10 +220,8 @@ class SignFunction:
 
     def reversed_order(self) -> "SignFunction":
         """The coloring under the vertex relabeling i -> n+1-i."""
-        out = np.empty_like(self.colors)
-        for rank, edge in enumerate(edges_colex(self.n, self.r)):
-            mirror = tuple(self.n + 1 - v for v in reversed(edge))
-            out[rank] = self.colors[colex_rank(mirror)]
+        lay = colex_layout(self.n, self.r)
+        out = self.colors[lay.rank(self.n + 1 - lay.edges[:, ::-1])]
         return SignFunction(self.r, self.n, out, self.ternary_allowed)
 
     def __eq__(self, other) -> bool:
@@ -236,11 +263,9 @@ def link_sequence(c: SignFunction, subset: Sequence[int]) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _sign_change_counts(c: SignFunction) -> tuple[np.ndarray, np.ndarray]:
-    """(sets, #sign changes per (r+1)-subset), rows in colex order."""
-    sets, idx = _link_index(c.n, c.r)
-    seq = c.colors[idx]
-    return sets, (seq[:, 1:] != seq[:, :-1]).sum(axis=1)
+def _first_violation(bad: np.ndarray, r: int) -> tuple[int, ...] | None:
+    rows = np.flatnonzero(bad)
+    return colex_unrank(int(rows[0]), r + 1) if len(rows) else None
 
 
 def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
@@ -249,13 +274,8 @@ def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
     Returns None when the coloring is monotone.
     """
     _require_binary(c)
-    if c.n == c.r:
-        return None
-    sets, changes = _sign_change_counts(c)
-    bad = np.nonzero(changes > 1)[0]
-    if len(bad) == 0:
-        return None
-    return tuple(int(v) for v in sets[bad[0]])
+    seq = c.colors[colex_layout(c.n, c.r + 1).deletion]  # link_sequence of every row
+    return _first_violation((seq[:, 1:] != seq[:, :-1]).sum(axis=1) > 1, c.r)
 
 
 def is_monotone(c: SignFunction) -> bool:
@@ -264,16 +284,10 @@ def is_monotone(c: SignFunction) -> bool:
 
 def transitive_violation(c: SignFunction) -> tuple[int, ...] | None:
     _require_binary(c)
-    if c.n == c.r:
-        return None
-    sets, idx = _link_index(c.n, c.r)
-    seq = c.colors[idx]
+    seq = c.colors[colex_layout(c.n, c.r + 1).deletion]
     applies = seq[:, 0] == seq[:, -1]
     uniform = (seq == seq[:, :1]).all(axis=1)
-    bad = np.nonzero(applies & ~uniform)[0]
-    if len(bad) == 0:
-        return None
-    return tuple(int(v) for v in sets[bad[0]])
+    return _first_violation(applies & ~uniform, c.r)
 
 
 def is_transitive(c: SignFunction) -> bool:

@@ -16,19 +16,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
 from math import comb, factorial, log2
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (
-    SignFunction,
-    _link_index,
-    _require_binary,
-    colex_rank,
-    edges_colex,
-)
+from .core import SignFunction, _require_binary, colex_layout
 from .errors import InvalidArgument, TooLarge
 
 #: Default cap on the number of edges the backtracking search will handle.
@@ -37,28 +30,22 @@ SEARCH_EDGE_CAP = 64
 
 @lru_cache(maxsize=None)
 def _search_tables(r: int, n: int):
-    """Per-(r, n) tables: edges, per-rank constraints, per-rank path preds.
+    """Per-(r, n) tables: per-rank constraints and per-rank path preds.
 
-    ``constraints[k]`` lists, for every (r+1)-subset whose colex-largest
-    r-subset has rank k, the ranks of its r-subsets in deletion order
-    (largest element deleted first).  ``preds[k]`` lists the ranks of the
-    edges obtained from edge k by dropping its largest vertex and
-    prepending a smaller one — the windows that can precede it in a
-    monotone path.
+    ``constraints[k]`` lists the rows of the (r+1)-subset deletion table
+    whose last column, the colex-largest r-subset, is k: the ranks of the
+    r-subsets in deletion order (largest element deleted first).
+    ``preds[k]`` holds their first columns, edge k with its largest vertex
+    dropped and a smaller one prepended: the windows that can precede it
+    in a monotone path.
     """
-    edges = list(edges_colex(n, r))
-    constraints: list[list[tuple[int, ...]]] = [[] for _ in edges]
-    for s in combinations(range(1, n + 1), r + 1):
-        ranks = tuple(
-            colex_rank(s[:pos] + s[pos + 1:], n) for pos in range(r, -1, -1)
-        )
-        constraints[ranks[-1]].append(ranks)
-    preds: list[tuple[int, ...]] = []
-    for edge in edges:
-        preds.append(
-            tuple(colex_rank((u,) + edge[:-1], n) for u in range(1, edge[0]))
-        )
-    return edges, constraints, tuple(preds)
+    table = colex_layout(n, r + 1).deletion
+    rows = [tuple(row) for row in table.tolist()]
+    # Deleting the smallest element keeps colex order: the groups are runs.
+    runs = np.searchsorted(table[:, -1], np.arange(comb(n, r) + 1)).tolist()
+    constraints = [rows[lo:hi] for lo, hi in zip(runs, runs[1:])]
+    preds = tuple(tuple(row[0] for row in group) for group in constraints)
+    return constraints, preds
 
 
 def _consistent(colors: list[int], constraint_ranks: tuple[int, ...]) -> bool:
@@ -102,7 +89,7 @@ def enumerate_monotone(
             f"{edge_count} edges exceeds search cap {max_edges}; "
             f"pass max_edges explicitly to override"
         )
-    _, constraints, _ = _search_tables(r, n)
+    constraints, _ = _search_tables(r, n)
     if len(prefix) > edge_count or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {edge_count}")
     colors = [0] * edge_count
@@ -160,15 +147,28 @@ class CountReport:
 
 
 def _count_worker(args) -> tuple[int, int]:
-    r, n, prefix, max_edges = args
+    r, n, prefix, max_edges, max_nodes = args
     nodes = [0]
     total = sum(
         1
         for _ in enumerate_monotone(
-            r, n, prefix=prefix, max_edges=max_edges, node_counter=nodes
+            r, n, prefix=prefix, max_edges=max_edges, max_nodes=max_nodes,
+            node_counter=nodes,
         )
     )
     return total, nodes[0]
+
+
+def _split(r: int, n: int, base: tuple[int, ...], depth: int):
+    """Consistent prefixes of length ``depth`` extending ``base``, and the
+    assignments the serial search makes to reach them, each counted once."""
+    frontier, nodes = [base], 0
+    for k in range(len(base), depth):
+        constraints = _search_tables(r, n)[0][k]
+        nodes += 2 * len(frontier)
+        frontier = [p + (col,) for p in frontier for col in (-1, 1)
+                    if all(_consistent(p + (col,), cr) for cr in constraints)]
+    return frontier, nodes
 
 
 def count_monotone(
@@ -176,6 +176,7 @@ def count_monotone(
     n: int,
     *,
     max_edges: int = SEARCH_EDGE_CAP,
+    max_nodes: int | None = None,
     halve: bool = False,
     workers: int = 1,
     split_depth: int = 2,
@@ -185,34 +186,29 @@ def count_monotone(
     ``halve`` counts only the colorings whose first edge is minus and
     doubles the result; the swap involution has no fixed points, so this
     reproduces the exact labeled count.  ``workers`` splits the search
-    over disjoint assignment prefixes; the result does not depend on the
-    worker count.
+    over disjoint assignment prefixes; neither the count nor the node
+    count depends on the worker count, and neither does whether
+    ``max_nodes`` is exceeded (TooLarge).
     """
     start = time.perf_counter()
     edge_count = comb(n, r)
-    depth = min(split_depth, edge_count)
-    if halve and depth == 0:
+    if halve and edge_count == 0:
         raise InvalidArgument("halving needs at least one edge")
-    prefixes: list[tuple[int, ...]]
-    if workers > 1 and depth > 0:
-        first_options = ((-1,),) if halve else ((-1,), (1,))
-        prefixes = [
-            head + tail
-            for head in first_options
-            for tail in product((-1, 1), repeat=depth - 1)
-        ]
-    elif halve:
-        prefixes = [(-1,)]
-    else:
-        prefixes = [()]
-    jobs = [(r, n, p, max_edges) for p in prefixes]
+    if edge_count > max_edges:
+        raise TooLarge(f"{edge_count} edges exceeds search cap {max_edges}")
+    base = (-1,) if halve else ()
+    depth = min(split_depth, edge_count) if workers > 1 else 0
+    prefixes, nodes = _split(r, n, base, depth)
+    jobs = [(r, n, p, max_edges, max_nodes) for p in prefixes]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_worker, jobs))
     else:
         parts = [_count_worker(j) for j in jobs]
     count = sum(p[0] for p in parts)
-    nodes = sum(p[1] for p in parts)
+    nodes += sum(p[1] for p in parts)
+    if max_nodes is not None and nodes > max_nodes:
+        raise TooLarge(f"search exceeded node budget {max_nodes}")
     if halve:
         count = 2 * count  # the color swap is an involution without fixed points
     seconds = time.perf_counter() - start
@@ -245,7 +241,7 @@ def _brute_force_count(r: int, n: int, max_edges: int, transitive: bool) -> int:
     edge_count = comb(n, r)
     if edge_count > max_edges:
         raise TooLarge(f"2^{edge_count} colorings is beyond brute force")
-    _, idx = _link_index(n, r)
+    idx = colex_layout(n, r + 1).deletion
     shifts = np.arange(edge_count, dtype=np.uint32)
     total = 0
     chunk = 1 << 14
@@ -275,10 +271,7 @@ def project(c: SignFunction, i: int) -> SignFunction:
     _require_binary(c)
     if not c.r <= i <= c.n:
         raise InvalidArgument(f"need r <= i <= n, got i={i}")
-    colors = np.empty(comb(i - 1, c.r - 1), dtype=np.int8)
-    for rank, edge in enumerate(edges_colex(i - 1, c.r - 1)):
-        colors[rank] = c.colors[colex_rank(edge + (i,), c.n)]
-    return SignFunction(c.r - 1, i - 1, colors)
+    return SignFunction(c.r - 1, i - 1, c.colors[comb(i - 1, c.r):comb(i, c.r)])
 
 
 def projection_signature(c: SignFunction) -> tuple[SignFunction, ...]:
@@ -328,7 +321,7 @@ def find_avoiding_coloring(
     edge_count = comb(n, r)
     if edge_count > max_edges:
         raise TooLarge(f"{edge_count} edges exceeds search cap {max_edges}")
-    _, constraints, preds = _search_tables(r, n)
+    constraints, preds = _search_tables(r, n)
     colors = [0] * edge_count
     plen = [0] * edge_count
     nodes = [0]

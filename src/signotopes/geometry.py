@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .core import SignFunction, colex_rank, edges_colex, monotone_violation
+from .core import SignFunction, colex_layout, monotone_violation
 from .errors import InvalidArgument, InvalidWiring, NotMonotone, NotRealizable
 
 Crossing = tuple[int, int]
@@ -48,8 +48,8 @@ def crossing_constraints(c: SignFunction) -> dict[Crossing, set[Crossing]]:
     succ: dict[Crossing, set[Crossing]] = {
         pair: set() for pair in combinations(range(1, c.n + 1), 2)
     }
-    for rank, (i, j, k) in enumerate(edges_colex(c.n, 3)):
-        if c.colors[rank] < 0:
+    for (i, j, k), color in zip(colex_layout(c.n, 3).edges.tolist(), c.colors.tolist()):
+        if color < 0:
             chain = ((i, j), (i, k), (j, k))
         else:
             chain = ((j, k), (i, k), (i, j))
@@ -151,11 +151,11 @@ def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     validate_wiring(w)
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
-    position = {pair: t for t, pair in enumerate(w.sweep)}
-    colors = np.empty(comb(w.n, 3), dtype=np.int8)
-    for rank, (i, j, k) in enumerate(edges_colex(w.n, 3)):
-        colors[rank] = -1 if position[(i, k)] < position[(j, k)] else 1
-    return SignFunction(3, w.n, colors)
+    position = np.empty(len(w.sweep), dtype=np.int64)
+    position[colex_layout(w.n, 2).rank(w.sweep)] = np.arange(len(w.sweep))
+    # Columns 1 and 2 of the triple deletion table are the pairs (i,k) and (j,k).
+    faces = position[colex_layout(w.n, 3).deletion]
+    return SignFunction(3, w.n, np.where(faces[:, 1] < faces[:, 2], -1, 1))
 
 
 def sweep_text(w: WiringDiagram) -> str:

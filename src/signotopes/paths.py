@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import SignFunction, colex_rank, edges_colex, _require_binary
+from .core import SignFunction, _require_binary, colex_layout
 from .errors import InvalidArgument
 
 
@@ -51,18 +51,21 @@ def longest_mono_paths(c: SignFunction) -> PathReport:
     r, n = c.r, c.n
     base = r - 1
     m = comb(n, base)
-    suffixes = list(edges_colex(n, base))
+    suffixes = colex_layout(n, base).edges.tolist()
     length = ([base] * m, [base] * m)
     parent = ([-1] * m, [-1] * m)
 
-    for t_rank, t in enumerate(suffixes):
-        for u in range(1, t[0]):
-            col = _MINUS if c.colors[colex_rank((u,) + t, n)] < 0 else _PLUS
-            p_rank = colex_rank((u,) + t[:-1], n)
-            cand = length[col][p_rank] + 1
-            if cand > length[col][t_rank]:
-                length[col][t_rank] = cand
-                parent[col][t_rank] = p_rank
+    # Row e of the r-subset deletion table is the edge (u, *t): column 0
+    # is its predecessor (u, *t[:-1]), the last column is t.  Rows run in
+    # colex order, grouped by t ascending and by u within a group.
+    table = colex_layout(n, r).deletion
+    ends = zip(table[:, 0].tolist(), table[:, -1].tolist())
+    for value, (p_rank, t_rank) in zip(c.colors.tolist(), ends):
+        col = _MINUS if value < 0 else _PLUS
+        cand = length[col][p_rank] + 1
+        if cand > length[col][t_rank]:
+            length[col][t_rank] = cand
+            parent[col][t_rank] = p_rank
 
     def reconstruct(col: int) -> tuple[int, tuple[int, ...]]:
         best = max(length[col])

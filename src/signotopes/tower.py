@@ -30,16 +30,11 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-import numpy as np
-
-from .core import SignFunction, edges_colex
+from .core import EDGE_CAP, SignFunction, _check_vertex_cap, colex_layout
 from .errors import InvalidArgument, TooLarge
 
 #: Default cap on the number of ground-set elements.
 ELEMENT_CAP = 2 ** 20
-
-#: Default cap on the number of edges a coloring may have.
-EDGE_CAP = 2 ** 21
 
 
 def tower_sizes(r: int, n: int, max_exponent_bits: int = 4096) -> list[int]:
@@ -194,12 +189,14 @@ class TowerGroundSet:
         for a, b in zip(seq, seq[1:]):
             if a.code == b.code:
                 raise InvalidArgument("consecutive entries must be distinct")
-        codes = [el.code for el in seq]
-        for step in range(times):
-            codes = [
-                self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])
-            ]
+        codes = self._descend([el.code for el in seq], level, times)
         return [TowerElement(level - times, code) for code in codes]
+
+    def _descend(self, codes: list[int], level: int, times: int) -> list[int]:
+        """gamma applied to consecutive codes, `times` times from `level` down."""
+        for step in range(times):
+            codes = [self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
+        return codes
 
     def coloring(self, max_edges: int = EDGE_CAP) -> SignFunction:
         """The edge coloring: iterate gamma down to a sign per r-subset.
@@ -208,17 +205,14 @@ class TowerGroundSet:
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
+        _check_vertex_cap(self.r, self.size)
         edge_count = comb(self.size, self.r)
         if edge_count > max_edges:
             raise TooLarge(f"{edge_count} edges exceeds cap {max_edges}")
-        colors = np.empty(edge_count, dtype=np.int8)
-        for rank, edge in enumerate(edges_colex(self.size, self.r)):
-            codes = [v - 1 for v in edge]
-            level = self.r
-            while level > 1:
-                codes = [self._gamma_code(level, x, y) for x, y in zip(codes, codes[1:])]
-                level -= 1
-            colors[rank] = 1 if codes[0] else -1
+        colors = [
+            1 if self._descend(codes, self.r, self.r - 1)[0] else -1
+            for codes in (colex_layout(self.size, self.r).edges - 1).tolist()
+        ]
         return SignFunction(self.r, self.size, colors)
 
     # -- runtime verifiers for the structural facts ---------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from signotopes import SignFunction, loads, read_file, write_file
 from signotopes.cli import dispatch
+from signotopes.core import colex_layout
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
 
@@ -87,6 +88,24 @@ class TestTower:
         assert "resource cap" in err
 
 
+def layout_calls():
+    info = colex_layout.cache_info()
+    return info.hits + info.misses
+
+
+class TestVertexCapBeforeBuild:
+    @pytest.mark.parametrize("argv", [
+        ("tower", "--r", "3", "--n", "7"),  # 128 vertices
+        ("comp", "--r", "3", "--h", "4"),  # 81 vertices
+    ])
+    def test_exits_three_without_touching_the_layout(self, capsys, argv):
+        before = layout_calls()
+        code, manifest, err = run(capsys, *argv)
+        assert code == 3 and manifest is None
+        assert "vertex cap" in err
+        assert layout_calls() == before
+
+
 class TestComp:
     def test_verify_all(self, tmp_path, capsys):
         f = tmp_path / "blocks.mono"
@@ -125,6 +144,14 @@ class TestCount:
     def test_cap_exits_three(self, capsys):
         code, _, _ = run(capsys, "count", "--r", "2", "--n", "30")
         assert code == 3
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_node_budget_exits_three(self, capsys, workers):
+        code, manifest, err = run(
+            capsys, "--max-nodes", "10", "--workers", workers, "count", "--r", "3", "--n", "6"
+        )
+        assert code == 3 and manifest is None
+        assert "node budget 10" in err
 
 
 class TestRamsey:

@@ -116,6 +116,20 @@ class TestCount:
     def test_worker_count_does_not_change_result(self):
         assert count_monotone(3, 5, workers=2).count == 62
 
+    @pytest.mark.parametrize("halve", [False, True])
+    def test_worker_count_does_not_change_nodes(self, halve):
+        serial = count_monotone(3, 6, halve=halve)
+        split = count_monotone(3, 6, halve=halve, workers=2)
+        assert (split.count, split.nodes) == (serial.count, serial.nodes)
+        assert serial.count == 908
+
+    def test_node_budget_does_not_depend_on_workers(self):
+        nodes = count_monotone(3, 5).nodes
+        for workers in (1, 2):
+            assert count_monotone(3, 5, max_nodes=nodes, workers=workers).count == 62
+            with pytest.raises(TooLarge):
+                count_monotone(3, 5, max_nodes=nodes - 1, workers=workers)
+
     def test_brute_force_transitive_matches_closed_form(self):
         for r in (2, 3, 4, 5, 6):
             assert brute_force_transitive_count(r, r + 1) == 2 ** r + 2

@@ -1,0 +1,92 @@
+"""Byte-level goldens for the built objects.
+
+The sha256 values were recorded before the colex layout replaced the
+per-edge constructions; any change to an edge order, a construction or
+a renderer shows up here as a changed digest.
+"""
+
+import hashlib
+
+import pytest
+
+from signotopes import (
+    block_coloring,
+    completions,
+    dumps,
+    longest_mono_paths,
+    render_svg,
+    sweep_text,
+    tower_coloring,
+    wiring_diagram,
+)
+from signotopes.enumeration import project
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+TOWER = {
+    (3, 3): "75be692df6095bc78fdc2f5c55c4f2a59481bf0b87a24b8a056606eaeaacc857",
+    (3, 4): "e97529c42c9151b862f37c1f0b7478635052cf1ff0cd4a4ceb4c77a94432c1c3",
+    (3, 5): "a372e553bb5c927a79bc63c06c69322dd546c094cbd7499000712362ae8b59e4",
+    (3, 6): "19b9783e6ed6820dc66f5e123250b2d40ac2d0301271a04c32c20e001e61b8ae",
+    (4, 3): "213aff5ee41a80bbba27715639b12f8dd6d5520ae03902ec70f7b1c4f988180d",
+}
+
+BLOCK = {
+    (3, 2): "f434b4f9bbfddaf17137a250900e0f504156d023329f73bce1e7f6c5dd3c24e0",
+    (3, 3): "aa6fbc471538e9f6b186b01246bf72c1eb16cf6a15fdc53e28915ac7df279b0c",
+    (4, 2): "b3f89a449d07b72d20bab644a6d51706a3bd45817c91ef570aafc54704e4697c",
+    (5, 2): "e2b9f6149a1f98df8e45188fcb366ccce7ef3a0b40bef7d8547b3ccc513f65d8",
+}
+
+
+@pytest.fixture(scope="module")
+def tower36():
+    return tower_coloring(3, 6)
+
+
+@pytest.mark.parametrize("r,n", sorted(TOWER))
+def test_tower_mono_bytes(r, n):
+    assert sha(dumps(tower_coloring(r, n))) == TOWER[(r, n)]
+
+
+@pytest.mark.parametrize("r,h", sorted(BLOCK))
+def test_block_mono_bytes(r, h):
+    assert sha(dumps(block_coloring(r, h).fun)) == BLOCK[(r, h)]
+
+
+def test_reversed_order(tower36):
+    digest = sha(dumps(tower36.reversed_order()))
+    assert digest == "1676299856081cf331f46ddb097d15a694f223cff973cafa5e254fe6d721f52f"
+
+
+def test_projection(tower36):
+    digest = sha(dumps(project(tower36, 40)))
+    assert digest == "61f298f049f2fbcf771eac02e52b6b087196050fe88444e251a8344701424a2d"
+
+
+def test_wiring_outputs(tower36):
+    w = wiring_diagram(tower36)
+    assert sha(render_svg(w)) == "b5b6d7c5ad73a0c9a6ee2ce7cd7a630f4994414323b20cce153c927018756f7c"
+    assert sha(sweep_text(w)) == "773aa7187cc25283ab96bac6ca8b3fc6427ab9b842d5465203e20d1b95040dd6"
+
+
+def test_path_witnesses(tower36):
+    rep = longest_mono_paths(tower36)
+    assert (rep.best_minus, rep.best_plus) == (7, 7)
+    assert rep.witness_minus == (1, 33, 49, 57, 61, 63, 64)
+    assert rep.witness_plus == (1, 2, 3, 5, 9, 17, 33)
+
+
+def test_completions():
+    fills = completions(block_coloring(3, 3), mode="sample", count=5, seed=7)
+    digest = sha("".join(dumps(c) for c in fills))
+    assert digest == "8199175580facf15a40745810e628262ef54b1edd483d9f047de4335f34bfed7"
+    digest = sha("".join(dumps(c) for c in completions(block_coloring(3, 2), mode="all")))
+    assert digest == "70a4cb7edac84bfe12d91ceeb5c99b21785a7e422081282c1fddbf0d58e0b3d6"
+
+
+def test_transversal_zeros_block_5_2():
+    assert len(block_coloring(5, 2).transversal_zero_positions()) == 255
