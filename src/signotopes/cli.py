@@ -25,6 +25,7 @@ from .errors import (
     NotRealizable,
     ParseError,
     SignotopeError,
+    TernaryNotAllowed,
     TooLarge,
 )
 from .geometry import render_svg, sweep_text, wiring_diagram
@@ -63,9 +64,6 @@ def _coloring_payload(c: SignFunction) -> dict:
 
 def _cmd_verify(args, start) -> int:
     c = read_file(args.infile)
-    if not c.is_binary:
-        _note("input has 0 entries; monotonicity is defined for binary colorings")
-        return EXIT_USAGE
     witness = monotone_violation(c)
     result = {
         "monotone": witness is None,
@@ -334,7 +332,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         _note(f"resource cap: {exc}")
         return EXIT_TOO_LARGE
     except (ParseError, InvalidArgument, InvalidEdge, NoReduction,
-            InvalidWiring) as exc:
+            InvalidWiring, TernaryNotAllowed) as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE
     except (NotMonotone, NotRealizable) as exc:

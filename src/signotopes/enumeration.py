@@ -1,12 +1,14 @@
 """Backtracking enumeration, counting, projections, and Ramsey search.
 
-Edges are assigned in colex order.  The constraint of an (r+1)-subset
-involves its r+1 r-subsets, of which exactly one — the one obtained by
-deleting the smallest element — has the largest colex rank; the
-constraint is evaluated the moment that edge is colored, which is the
-earliest possible time.  Branches violating a constraint are cut
-immediately, so every leaf is a monotone coloring and, by induction,
-every monotone coloring is reached exactly once.
+Every search runs on one iterative engine, `_search`, which assigns
+edges in colex order.  The constraint of an (r+1)-subset involves its
+r+1 r-subsets, of which exactly one — the one obtained by deleting the
+smallest element — has the largest colex rank; the constraint is
+evaluated the moment that edge is colored, which is the earliest
+possible time.  Branches violating a constraint are cut immediately, so
+every leaf is a monotone coloring and, by induction, every monotone
+coloring is reached exactly once.  An optional path pruner also cuts
+branches holding a monochromatic m-vertex path, for Ramsey search.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from .errors import InvalidArgument, TooLarge
 
 #: Default cap on the number of edges the backtracking search will handle.
 SEARCH_EDGE_CAP = 64
+
+# Parallel counting hands each worker a prefix coloring this many edges.
+_SPLIT_DEPTH = 2
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +66,90 @@ def _consistent(colors: list[int], constraint_ranks: tuple[int, ...]) -> bool:
     return True
 
 
+def _search(
+    r: int,
+    n: int,
+    nodes: list[int],
+    *,
+    max_edges: int = SEARCH_EDGE_CAP,
+    max_nodes: int | None = None,
+    prefix: Sequence[int] = (),
+    rng: random.Random | None = None,
+    m: int | None = None,
+    depth: int | None = None,
+) -> Iterator[list[int]]:
+    """Depth-first search yielding the shared color list at every leaf.
+
+    A leaf colors the first ``depth`` edges (default all) consistently;
+    copy what you keep.  Each level tries -1 before +1 unless ``rng``
+    swaps them, one ``rng.random()`` per non-leaf level entered.
+    ``prefix`` pins the first edges, uncounted; one failing the checks
+    yields nothing.  ``m`` switches on the path pruner: a branch whose
+    colored edges hold a monochromatic m-vertex path is cut (every
+    extension holds it too), found by an incremental DP over path-ending
+    windows.  ``nodes[0]`` adds up attempted assignments, each counted
+    before its checks, and is current at every yield and at the end;
+    past ``max_nodes`` the search raises TooLarge.
+    """
+    if r < 2:
+        raise InvalidArgument(f"need r >= 2, got {r}")
+    if n < r:
+        raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
+    if m is not None and m < r:
+        raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
+    edge_count = comb(n, r)
+    if edge_count > max_edges:
+        raise TooLarge(
+            f"{edge_count} edges exceeds search cap {max_edges}; "
+            f"pass max_edges explicitly to override"
+        )
+    if len(prefix) > edge_count or any(v not in (-1, 1) for v in prefix):
+        raise InvalidArgument(f"prefix must be over -1/+1 with length <= {edge_count}")
+    constraints, preds = _search_tables(r, n)
+    colors = [0] * edge_count
+    plen = [0] * edge_count  # longest path ending in each colored window
+
+    def fits(k: int, col: int) -> bool:
+        colors[k] = col
+        for cr in constraints[k]:
+            if not _consistent(colors, cr):
+                return False
+        if m is None:
+            return True
+        longest = r
+        for p in preds[k]:
+            if colors[p] == col and plen[p] >= longest:
+                longest = plen[p] + 1
+        plen[k] = longest
+        return longest < m
+
+    if not all(fits(k, col) for k, col in enumerate(prefix)):
+        return
+    leaf = edge_count if depth is None else depth
+    limit = float("inf") if max_nodes is None else max_nodes
+    count = nodes[0]
+    stack: list[tuple[int, int]] = []  # untried (edge, color), next on top
+    k = len(prefix)
+    while True:
+        if k == leaf:
+            nodes[0] = count
+            yield colors
+        else:
+            first = 1 if rng is not None and rng.random() < 0.5 else -1
+            stack += ((k, -first), (k, first))
+        while stack:
+            k, col = stack.pop()
+            count += 1
+            if count > limit:
+                raise TooLarge(f"search exceeded node budget {max_nodes}")
+            if fits(k, col):
+                k += 1
+                break
+        else:
+            nodes[0] = count
+            return
+
+
 def enumerate_monotone(
     r: int,
     n: int,
@@ -69,7 +158,6 @@ def enumerate_monotone(
     max_edges: int = SEARCH_EDGE_CAP,
     max_nodes: int | None = None,
     rng: random.Random | None = None,
-    node_counter: list[int] | None = None,
 ) -> Iterator[SignFunction]:
     """Yield every monotone coloring of the r-subsets of [n] exactly once.
 
@@ -79,44 +167,9 @@ def enumerate_monotone(
     "first leaf" into a seeded random monotone coloring.  ``max_nodes``
     bounds the number of attempted assignments (TooLarge beyond).
     """
-    if r < 2:
-        raise InvalidArgument(f"need r >= 2, got {r}")
-    if n < r:
-        raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
-    edge_count = comb(n, r)
-    if edge_count > max_edges:
-        raise TooLarge(
-            f"{edge_count} edges exceeds search cap {max_edges}; "
-            f"pass max_edges explicitly to override"
-        )
-    constraints, _ = _search_tables(r, n)
-    if len(prefix) > edge_count or any(v not in (-1, 1) for v in prefix):
-        raise InvalidArgument(f"prefix must be over -1/+1 with length <= {edge_count}")
-    colors = [0] * edge_count
-    nodes = node_counter if node_counter is not None else [0]
-
-    for k, col in enumerate(prefix):
-        colors[k] = col
-        if not all(_consistent(colors, cr) for cr in constraints[k]):
-            return
-
-    def rec(k: int) -> Iterator[SignFunction]:
-        if k == edge_count:
-            yield SignFunction(r, n, np.array(colors, dtype=np.int8))
-            return
-        order = (-1, 1)
-        if rng is not None and rng.random() < 0.5:
-            order = (1, -1)
-        for col in order:
-            nodes[0] += 1
-            if max_nodes is not None and nodes[0] > max_nodes:
-                raise TooLarge(f"search exceeded node budget {max_nodes}")
-            colors[k] = col
-            if all(_consistent(colors, cr) for cr in constraints[k]):
-                yield from rec(k + 1)
-        colors[k] = 0
-
-    yield from rec(len(prefix))
+    for colors in _search(r, n, [0], max_edges=max_edges, max_nodes=max_nodes,
+                          prefix=prefix, rng=rng):
+        yield SignFunction(r, n, np.array(colors, dtype=np.int8))
 
 
 def random_monotone_coloring(r: int, n: int, seed: int, **kwargs) -> SignFunction:
@@ -149,26 +202,9 @@ class CountReport:
 def _count_worker(args) -> tuple[int, int]:
     r, n, prefix, max_edges, max_nodes = args
     nodes = [0]
-    total = sum(
-        1
-        for _ in enumerate_monotone(
-            r, n, prefix=prefix, max_edges=max_edges, max_nodes=max_nodes,
-            node_counter=nodes,
-        )
-    )
+    total = sum(1 for _ in _search(r, n, nodes, max_edges=max_edges,
+                                   max_nodes=max_nodes, prefix=prefix))
     return total, nodes[0]
-
-
-def _split(r: int, n: int, base: tuple[int, ...], depth: int):
-    """Consistent prefixes of length ``depth`` extending ``base``, and the
-    assignments the serial search makes to reach them, each counted once."""
-    frontier, nodes = [base], 0
-    for k in range(len(base), depth):
-        constraints = _search_tables(r, n)[0][k]
-        nodes += 2 * len(frontier)
-        frontier = [p + (col,) for p in frontier for col in (-1, 1)
-                    if all(_consistent(p + (col,), cr) for cr in constraints)]
-    return frontier, nodes
 
 
 def count_monotone(
@@ -179,7 +215,6 @@ def count_monotone(
     max_nodes: int | None = None,
     halve: bool = False,
     workers: int = 1,
-    split_depth: int = 2,
 ) -> CountReport:
     """Count monotone colorings exactly by exhaustive pruned search.
 
@@ -191,22 +226,20 @@ def count_monotone(
     ``max_nodes`` is exceeded (TooLarge).
     """
     start = time.perf_counter()
-    edge_count = comb(n, r)
-    if halve and edge_count == 0:
-        raise InvalidArgument("halving needs at least one edge")
-    if edge_count > max_edges:
-        raise TooLarge(f"{edge_count} edges exceeds search cap {max_edges}")
     base = (-1,) if halve else ()
-    depth = min(split_depth, edge_count) if workers > 1 else 0
-    prefixes, nodes = _split(r, n, base, depth)
-    jobs = [(r, n, p, max_edges, max_nodes) for p in prefixes]
+    # Worker prefixes are leaves at the split depth, counted as serially.
+    depth = min(_SPLIT_DEPTH, comb(n, r)) if workers > 1 else len(base)
+    split = [0]
+    leaves = _search(r, n, split, max_edges=max_edges, max_nodes=max_nodes,
+                     prefix=base, depth=depth)
+    jobs = [(r, n, tuple(c[:depth]), max_edges, max_nodes) for c in leaves]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_count_worker, jobs))
     else:
         parts = [_count_worker(j) for j in jobs]
     count = sum(p[0] for p in parts)
-    nodes += sum(p[1] for p in parts)
+    nodes = split[0] + sum(p[1] for p in parts)
     if max_nodes is not None and nodes > max_nodes:
         raise TooLarge(f"search exceeded node budget {max_nodes}")
     if halve:
@@ -310,47 +343,14 @@ def find_avoiding_coloring(
 ) -> tuple[SignFunction | None, int]:
     """A monotone coloring of K^r_n without monochromatic m-vertex paths.
 
-    Backtracking over colex-ordered edges; a branch is cut as soon as its
-    assigned edges contain a monochromatic path on m vertices in either
-    color (every extension would contain it too), detected by an
-    incremental DP over path-ending windows.  Returns (coloring or None,
-    node count).
+    The first leaf of the search with the path pruner on.  Returns
+    (coloring or None, node count).
     """
-    if m < r:
-        raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
-    edge_count = comb(n, r)
-    if edge_count > max_edges:
-        raise TooLarge(f"{edge_count} edges exceeds search cap {max_edges}")
-    constraints, preds = _search_tables(r, n)
-    colors = [0] * edge_count
-    plen = [0] * edge_count
     nodes = [0]
-
-    def rec(k: int) -> bool:
-        if k == edge_count:
-            return True
-        for col in (-1, 1):
-            nodes[0] += 1
-            if max_nodes is not None and nodes[0] > max_nodes:
-                raise TooLarge(f"search exceeded node budget {max_nodes}")
-            colors[k] = col
-            if not all(_consistent(colors, cr) for cr in constraints[k]):
-                continue
-            longest = r
-            for p in preds[k]:
-                if colors[p] == col and plen[p] + 1 > longest:
-                    longest = plen[p] + 1
-            if longest >= m:
-                continue
-            plen[k] = longest
-            if rec(k + 1):
-                return True
-        colors[k] = 0
-        return False
-
-    if rec(0):
-        return SignFunction(r, n, np.array(colors, dtype=np.int8)), nodes[0]
-    return None, nodes[0]
+    colors = next(_search(r, n, nodes, max_edges=max_edges, max_nodes=max_nodes, m=m), None)
+    if colors is None:
+        return None, nodes[0]
+    return SignFunction(r, n, np.array(colors, dtype=np.int8)), nodes[0]
 
 
 def ramsey_number(
@@ -361,20 +361,18 @@ def ramsey_number(
     max_edges: int = SEARCH_EDGE_CAP,
     max_nodes: int | None = None,
 ) -> RamseyReport:
-    """Least N forcing monochromatic m-vertex paths, searched up to n_max."""
-    if m < r:
-        raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
+    """Least N forcing monochromatic m-vertex paths, searched up to n_max;
+    ``max_nodes`` bounds the whole run, summed over every vertex count."""
+    if not 2 <= r <= m:
+        raise InvalidArgument(f"need 2 <= r <= m, got r={r}, m={m}")
     witness = None
-    total_nodes = 0
+    nodes = [0]
     for n in range(m, n_max + 1):
-        avoider, nodes = find_avoiding_coloring(
-            r, n, m, max_edges=max_edges, max_nodes=max_nodes
-        )
-        total_nodes += nodes
-        if avoider is None:
-            return RamseyReport(r, m, n, n, witness, total_nodes)
-        witness = avoider
-    return RamseyReport(r, m, None, n_max + 1, witness, total_nodes)
+        colors = next(_search(r, n, nodes, max_edges=max_edges, max_nodes=max_nodes, m=m), None)
+        if colors is None:
+            return RamseyReport(r, m, n, n, witness, nodes[0])
+        witness = SignFunction(r, n, np.array(colors, dtype=np.int8))
+    return RamseyReport(r, m, None, n_max + 1, witness, nodes[0])
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,20 @@ class TestRamsey:
         assert manifest["result"]["number"] is None
         assert manifest["result"]["lower_bound"] == 6
 
+    def test_node_budget_covers_the_whole_run(self, capsys):
+        code, manifest, err = run(
+            capsys, "--max-nodes", "800", "ramsey", "--r", "2", "--path", "4", "--max", "8"
+        )
+        assert code == 3 and manifest is None
+        assert "node budget 800" in err
+
+    def test_deep_search(self, capsys):
+        code, manifest, _ = run(
+            capsys, "--max-edges", "2000", "ramsey", "--r", "2", "--path", "47", "--max", "47"
+        )
+        assert code == 0
+        assert manifest["result"]["lower_bound"] == 48
+
 
 class TestProjectAndWiring:
     def test_project(self, tmp_path, capsys):
@@ -204,6 +218,15 @@ class TestProjectAndWiring:
         code, _, err = run(capsys, "wiring", "--in", str(src))
         assert code == 1
         assert "verification failure" in err
+
+    @pytest.mark.parametrize("command", ["verify", "path", "wiring", "project"])
+    def test_zero_entries_are_a_usage_error(self, tmp_path, capsys, command):
+        src = tmp_path / "block.mono"
+        assert run(capsys, "comp", "--r", "3", "--h", "2", "--emit", str(src))[0] == 0
+        extra = ["--i", "5", "--out", str(tmp_path / "out.mono")] if command == "project" else []
+        code, manifest, err = run(capsys, command, "--in", str(src), *extra)
+        assert code == 2 and manifest is None
+        assert "usage error" in err
 
 
 class TestSelftest:

@@ -75,6 +75,10 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             list(enumerate_monotone(3, 5, max_nodes=10))
 
+    def test_deep_search_stays_off_the_call_stack(self):
+        # 1,225 edges: one stack frame per edge would pass the recursion limit
+        assert is_monotone(next(enumerate_monotone(2, 50, max_edges=2000)))
+
     def test_argument_validation(self):
         with pytest.raises(InvalidArgument):
             list(enumerate_monotone(1, 3))
@@ -197,9 +201,26 @@ class TestRamsey:
         assert is_monotone(avoider)
         assert longest_mono_paths(avoider).best < 3
 
+    def test_deep_avoider_search(self):
+        avoider, _ = find_avoiding_coloring(2, 46, 47, max_edges=2000)
+        assert avoider is not None and is_monotone(avoider)
+        assert longest_mono_paths(avoider).best < 47
+
+    def test_node_budget_covers_the_whole_run(self):
+        # n = 4..8 take 7 + 13 + 49 + 181 + 790 nodes; none alone exceeds 800
+        assert ramsey_number(2, 4, 8, max_nodes=1040).nodes == 1040
+        with pytest.raises(TooLarge):
+            ramsey_number(2, 4, 8, max_nodes=1039)
+
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             ramsey_number(3, 2, 5)
+        with pytest.raises(InvalidArgument):
+            ramsey_number(1, 3, 2)  # no vertex count to search, still rejected
+        with pytest.raises(InvalidArgument):
+            find_avoiding_coloring(1, 4, 2)
+        with pytest.raises(InvalidArgument):
+            find_avoiding_coloring(3, 2, 3)
 
 
 class TestTow:

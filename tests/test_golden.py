@@ -1,8 +1,10 @@
-"""Byte-level goldens for the built objects.
+"""Byte-level goldens for the built objects and the search traversal.
 
-The sha256 values were recorded before the colex layout replaced the
-per-edge constructions; any change to an edge order, a construction or
-a renderer shows up here as a changed digest.
+The sha256 values of built objects were recorded before the colex layout
+replaced the per-edge constructions; any change to an edge order, a
+construction or a renderer shows up here as a changed digest.  The
+search goldens (leaf order, seeded samples, avoiders and node totals)
+were recorded before the recursive searches became one iterative engine.
 """
 
 import hashlib
@@ -12,8 +14,13 @@ import pytest
 from signotopes import (
     block_coloring,
     completions,
+    count_monotone,
     dumps,
+    enumerate_monotone,
+    find_avoiding_coloring,
     longest_mono_paths,
+    ramsey_number,
+    random_monotone_coloring,
     render_svg,
     sweep_text,
     tower_coloring,
@@ -90,3 +97,38 @@ def test_completions():
 
 def test_transversal_zeros_block_5_2():
     assert len(block_coloring(5, 2).transversal_zero_positions()) == 255
+
+
+ENUMERATION = {
+    3: "5108030ed0033573a589d97a25315e60a133e2ae81805600e3d14273019cce77",
+    4: "e1336caaa3d44a64906329184ffbb44667ee11c1eea11152d79070fd68d10cf1",
+}
+
+
+@pytest.mark.parametrize("r", sorted(ENUMERATION))
+def test_enumeration_order(r):
+    digest = sha("".join(dumps(c) for c in enumerate_monotone(r, 6)))
+    assert digest == ENUMERATION[r]
+
+
+def test_seeded_samples():
+    digest = sha("".join(dumps(random_monotone_coloring(3, 7, s)) for s in range(200)))
+    assert digest == "06ae038be572a2533260115025e3276fce48ad192c64e5290d618bfe7839a67b"
+
+
+def test_avoider():
+    avoider, nodes = find_avoiding_coloring(2, 9, 4)
+    assert nodes == 5666
+    assert sha(dumps(avoider)) == "b8dee6c54b0c1e5be486eeebe9fa34eaf6de78eb80cb113e146ea8c2d34897e5"
+
+
+@pytest.mark.parametrize("search,args,kwargs,nodes", [
+    (count_monotone, (3, 6), {}, 11_338),
+    (count_monotone, (4, 6), {}, 2_486),
+    (count_monotone, (3, 6), {"halve": True}, 5_668),
+    (ramsey_number, (2, 3, 6), {}, 135),
+    (ramsey_number, (3, 4, 8), {}, 5_309),
+    (ramsey_number, (2, 4, 12), {}, 266_296),
+])
+def test_node_totals(search, args, kwargs, nodes):
+    assert search(*args, **kwargs).nodes == nodes
