@@ -9,10 +9,10 @@ monotone coloring in which no monochromatic monotone path spans more
 than 2n + r - 2 vertices.
 """
 
-from signotopes import build_ground_set, is_monotone, longest_mono_paths, tow, tower_sizes
+from signotopes import TowerGroundSet, is_monotone, longest_mono_paths, tow, tower_sizes
 
 # The 8-element ground set at r=3, n=3, small enough to print in full.
-ground = build_ground_set(3, 3)
+ground = TowerGroundSet(3, 3)
 print("level sizes:", ground.sizes[1:])
 for idx, el in enumerate(ground.elements(), start=1):
     members = sorted(ground.members_of(el))
@@ -26,7 +26,7 @@ print("color of {B1,B2,B3}:", "+" if ground.gamma_iter(b[:3], 2)[0].code else "-
 
 print("\nbuild + verify across parameters:")
 for r, n in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3)]:
-    g = build_ground_set(r, n)
+    g = TowerGroundSet(r, n)
     coloring = g.coloring()
     rep = longest_mono_paths(coloring)
     bound = 2 * n + r - 2

@@ -22,7 +22,7 @@ from .core import (
     write_file,
 )
 from .paths import PathReport, contains_path, longest_mono_paths
-from .tower import TowerElement, TowerGroundSet, build_ground_set, tower_coloring, tower_sizes
+from .tower import TowerElement, TowerGroundSet, tower_coloring, tower_sizes
 from .compositions import (
     TernaryColoring,
     block_coloring,
@@ -63,8 +63,7 @@ __all__ = [
     "is_monotone", "is_transitive", "link_sequence", "loads",
     "monotone_violation", "read_file", "transitive_violation", "write_file",
     "PathReport", "contains_path", "longest_mono_paths",
-    "TowerElement", "TowerGroundSet", "build_ground_set", "tower_coloring",
-    "tower_sizes",
+    "TowerElement", "TowerGroundSet", "tower_coloring", "tower_sizes",
     "TernaryColoring", "block_coloring", "completions", "compositions",
     "reduction", "sign", "zero_lower_bound",
     "CountReport", "RamseyReport", "brute_force_monotone_count",

@@ -9,20 +9,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
 from . import __version__
 from .compositions import block_coloring, completions, zero_lower_bound
-from .core import EDGE_CAP, SignFunction, is_transitive, monotone_violation, read_file, write_file
+from .core import SignFunction, is_transitive, monotone_violation, read_file, write_file
 from .enumeration import SEARCH_EDGE_CAP, count_monotone, project, ramsey_number
 from .errors import (
     InvalidArgument,
     InvalidEdge,
     InvalidWiring,
     NoReduction,
-    NotMonotone,
-    NotRealizable,
     ParseError,
     SignotopeError,
     TernaryNotAllowed,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .geometry import render_svg, sweep_text, wiring_diagram
 from .paths import longest_mono_paths
-from .tower import ELEMENT_CAP, TowerGroundSet
+from .tower import TowerGroundSet
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -96,9 +95,8 @@ def _cmd_path(args, start) -> int:
 
 
 def _cmd_tower(args, start) -> int:
-    build_cap = args.max_edges if args.max_edges is not None else EDGE_CAP
-    ground = TowerGroundSet(args.r, args.n, max_elements=args.max_elements)
-    coloring = ground.coloring(max_edges=build_cap)
+    ground = TowerGroundSet(args.r, args.n)
+    coloring = ground.coloring()
     result = {
         "sizes": ground.sizes[1:],
         "vertices": ground.size,
@@ -127,15 +125,14 @@ def _cmd_tower(args, start) -> int:
 def _parse_verify_mode(spec: str) -> tuple[str, int, int]:
     if spec == "all":
         return "all", 0, 0
-    parts = spec.split(":")
-    if len(parts) == 3 and parts[0] == "sample":
-        return "sample", int(parts[1]), int(parts[2])
+    sample = re.fullmatch(r"sample:(\d+):(\d+)", spec)
+    if sample:
+        return "sample", int(sample[1]), int(sample[2])
     raise InvalidArgument(f"bad verify mode {spec!r}; use all or sample:COUNT:SEED")
 
 
 def _cmd_comp(args, start) -> int:
-    build_cap = args.max_edges if args.max_edges is not None else EDGE_CAP
-    ternary = block_coloring(args.r, args.h, max_edges=build_cap)
+    ternary = block_coloring(args.r, args.h)
     result = {
         "n": ternary.n,
         "zeros": len(ternary.zero_positions),
@@ -169,8 +166,7 @@ def _cmd_comp(args, start) -> int:
 
 
 def _cmd_count(args, start) -> int:
-    search_cap = args.max_edges if args.max_edges is not None else SEARCH_EDGE_CAP
-    report = count_monotone(args.r, args.n, max_edges=search_cap,
+    report = count_monotone(args.r, args.n, max_edges=args.max_edges,
                             max_nodes=args.max_nodes, workers=args.workers)
     result = {
         "count": report.count,
@@ -186,9 +182,8 @@ def _cmd_count(args, start) -> int:
 
 
 def _cmd_ramsey(args, start) -> int:
-    search_cap = args.max_edges if args.max_edges is not None else SEARCH_EDGE_CAP
     report = ramsey_number(args.r, args.path, args.max,
-                           max_edges=search_cap, max_nodes=args.max_nodes)
+                           max_edges=args.max_edges, max_nodes=args.max_nodes)
     result = {
         "number": report.number,
         "lower_bound": report.lower_bound,
@@ -254,11 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monotone colorings of ordered uniform hypergraphs",
         allow_abbrev=False,  # the ramsey --max flag must not clash with --max-*
     )
-    parser.add_argument("--max-elements", type=int, default=ELEMENT_CAP,
-                        help="ground-set element cap (exit 3 beyond)")
-    parser.add_argument("--max-edges", type=int, default=None,
-                        help="edge-count cap: built colorings default to 2^21, "
-                             "searches to 64 (exit 3 beyond)")
+    parser.add_argument("--max-edges", type=int, default=SEARCH_EDGE_CAP,
+                        help="edge cap for the count and ramsey searches (exit 3 beyond)")
     parser.add_argument("--max-nodes", type=int, default=None,
                         help="search node budget (exit 3 beyond)")
     parser.add_argument("--workers", type=int, default=1,
@@ -332,17 +324,11 @@ def dispatch(argv: list[str] | None = None) -> int:
         _note(f"resource cap: {exc}")
         return EXIT_TOO_LARGE
     except (ParseError, InvalidArgument, InvalidEdge, NoReduction,
-            InvalidWiring, TernaryNotAllowed) as exc:
+            InvalidWiring, TernaryNotAllowed, OSError) as exc:
         _note(f"usage error: {exc}")
         return EXIT_USAGE
-    except (NotMonotone, NotRealizable) as exc:
+    except SignotopeError as exc:  # NotMonotone, NotRealizable
         _note(f"verification failure: {exc}")
-        return EXIT_VERIFY_FAILED
-    except FileNotFoundError as exc:
-        _note(f"usage error: {exc}")
-        return EXIT_USAGE
-    except SignotopeError as exc:
-        _note(f"error: {exc}")
         return EXIT_VERIFY_FAILED
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import EDGE_CAP, SignFunction, _check_vertex_cap, colex_layout
+from .core import SignFunction, check_size, colex_layout
 from .errors import InvalidArgument, NoReduction, TooLarge
 
 #: Exhaustive completion is refused above this many 0 entries.
@@ -127,19 +127,17 @@ class TernaryColoring:
         return tuple(zeros[blocks[:, 0] != blocks[:, -1]].tolist())
 
 
-def block_coloring(r: int, h: int, max_edges: int = EDGE_CAP) -> TernaryColoring:
+def block_coloring(r: int, h: int) -> TernaryColoring:
     """The recursive block coloring on r^h vertices."""
     if r < 3 or h < 1:
         raise InvalidArgument(f"need r >= 3 and h >= 1, got r={r}, h={h}")
     n = r ** h
-    _check_vertex_cap(r, n)
-    if comb(n, r) > max_edges:
-        raise TooLarge(f"{comb(n, r)} edges exceeds cap {max_edges}")
+    check_size(r, n)
     if h == 1:
         fun = SignFunction(r, n, np.zeros(1, dtype=np.int8), ternary_allowed=True)
         return TernaryColoring(fun, r, h, n, n, (0,))
 
-    sub = block_coloring(r, h - 1, max_edges=max_edges)
+    sub = block_coloring(r, h - 1)
     m = r ** (h - 1)
     edges = colex_layout(n, r).edges
     shapes, which = np.unique((edges - 1) // m, axis=0, return_inverse=True)

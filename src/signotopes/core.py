@@ -10,6 +10,10 @@ the constructions and the wiring code all read the layout, so there is
 exactly one edge order in the package.  The scalar :func:`colex_rank`
 and :func:`colex_unrank` serve single tuples, such as checked input.
 
+:func:`check_size` is the one size limit: called wherever a coloring is
+admitted or its tables are built, it refuses an (r, n) whose colex
+tables would exceed ``TABLE_CAP`` before any work is done.
+
 A coloring is *monotone* when, for every (r+1)-subset, the sequence of
 colors of its r-subsets (ordered by which element is deleted, largest
 deleted first) changes sign at most once.  It is *transitive* when equal
@@ -34,12 +38,9 @@ MINUS = -1
 PLUS = 1
 ZERO = 0
 
-#: Largest allowed vertex count for r >= 3; keeps the C(n, r+1) index
-#: tables in memory.  Raise it deliberately if you know what you are doing.
-VERTEX_CAP = 64
-
-#: Default cap on the number of edges a built coloring may have.
-EDGE_CAP = 2 ** 21
+#: Most colex table entries one coloring may need: the count at r = 3,
+#: n = 64, so the r = 3 limit is exactly 64 vertices.
+TABLE_CAP = 4 * comb(64 + 1, 4)
 
 _COLOR_TO_CHAR = {-1: "-", 1: "+", 0: "0"}
 _CHAR_TO_COLOR = {"-": -1, "+": 1, "0": 0}
@@ -148,10 +149,16 @@ def colex_layout(n: int, k: int) -> ColexLayout:
     return ColexLayout(n, k)
 
 
-def _check_vertex_cap(r: int, n: int) -> None:
-    """Refuse r >= 3 colorings on more than VERTEX_CAP vertices."""
-    if r >= 3 and n > VERTEX_CAP:
-        raise TooLarge(f"n={n} exceeds vertex cap {VERTEX_CAP} for r={r}")
+@lru_cache(maxsize=None)  # every SignFunction calls it; the admitted (r, n) are finitely many
+def check_size(r: int, n: int) -> None:
+    """Refuse an (r, n) coloring whose colex tables would exceed TABLE_CAP.
+
+    Its operations read ``colex_layout(n, k)`` for k = r-1, r and r+1;
+    with its sub-layouts that holds at most k * C(n+1, k) entries.
+    """
+    entries = max(k * comb(n + 1, k) for k in (r - 1, r, r + 1))
+    if entries > TABLE_CAP:
+        raise TooLarge(f"r={r}, n={n} needs {entries} table entries (table cap {TABLE_CAP})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +181,7 @@ class SignFunction:
             raise InvalidEdge(f"uniformity must be >= 2, got {self.r}")
         if self.n < self.r:
             raise InvalidEdge(f"need n >= r, got n={self.n}, r={self.r}")
-        _check_vertex_cap(self.r, self.n)
+        check_size(self.r, self.n)
         colors = np.asarray(self.colors, dtype=np.int8).copy()
         if colors.shape != (comb(self.n, self.r),):
             raise InvalidEdge(
@@ -322,6 +329,7 @@ def loads(text: str) -> SignFunction:
     expected = comb(n, r) if n >= r >= 2 else -1
     if expected < 0:
         raise ParseError(f"illegal parameters r={r}, n={n}", line=2, column=3)
+    check_size(r, n)
     for col, ch in enumerate(body, start=1):
         if ch not in _CHAR_TO_COLOR:
             raise ParseError(f"illegal color character {ch!r}", line=3, column=col)
@@ -343,5 +351,11 @@ def write_file(c: SignFunction, path) -> None:
 
 
 def read_file(path) -> SignFunction:
-    with open(path, "r", newline="\n") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte {exc.start} is not UTF-8", line=line) from None
+    return loads(text)

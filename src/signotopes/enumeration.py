@@ -23,11 +23,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import SignFunction, _require_binary, colex_layout
+from .core import SignFunction, _require_binary, check_size, colex_layout
 from .errors import InvalidArgument, TooLarge
 
 #: Default cap on the number of edges the backtracking search will handle.
 SEARCH_EDGE_CAP = 64
+
+#: Brute force filters all 2^C(n, r) colorings; refused above this many edges.
+BRUTE_FORCE_EDGES = 24
 
 # Parallel counting hands each worker a prefix coloring this many edges.
 _SPLIT_DEPTH = 2
@@ -97,6 +100,8 @@ def _search(
         raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
     if m is not None and m < r:
         raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
+    if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
+        raise InvalidArgument(f"need caps >= 0, got {max_edges} edges, {max_nodes} nodes")
     edge_count = comb(n, r)
     if edge_count > max_edges:
         raise TooLarge(
@@ -105,6 +110,7 @@ def _search(
         )
     if len(prefix) > edge_count or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {edge_count}")
+    check_size(r, n)
     constraints, preds = _search_tables(r, n)
     colors = [0] * edge_count
     plen = [0] * edge_count  # longest path ending in each colored window
@@ -261,18 +267,18 @@ def count_monotone(
                        upper_exponent, lower_binding, ok)
 
 
-def brute_force_monotone_count(r: int, n: int, max_edges: int = 24) -> int:
+def brute_force_monotone_count(r: int, n: int) -> int:
     """Independent oracle: filter all 2^C(n,r) colorings, vectorized."""
-    return _brute_force_count(r, n, max_edges, transitive=False)
+    return _brute_force_count(r, n, transitive=False)
 
 
-def brute_force_transitive_count(r: int, n: int, max_edges: int = 24) -> int:
-    return _brute_force_count(r, n, max_edges, transitive=True)
+def brute_force_transitive_count(r: int, n: int) -> int:
+    return _brute_force_count(r, n, transitive=True)
 
 
-def _brute_force_count(r: int, n: int, max_edges: int, transitive: bool) -> int:
+def _brute_force_count(r: int, n: int, transitive: bool) -> int:
     edge_count = comb(n, r)
-    if edge_count > max_edges:
+    if edge_count > BRUTE_FORCE_EDGES:
         raise TooLarge(f"2^{edge_count} colorings is beyond brute force")
     idx = colex_layout(n, r + 1).deletion
     shifts = np.arange(edge_count, dtype=np.uint32)

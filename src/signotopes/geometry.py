@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .core import SignFunction, colex_layout, monotone_violation
+from .core import SignFunction, check_size, colex_layout, monotone_violation
 from .errors import InvalidArgument, InvalidWiring, NotMonotone, NotRealizable
 
 Crossing = tuple[int, int]
@@ -151,6 +151,7 @@ def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     validate_wiring(w)
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
+    check_size(3, w.n)
     position = np.empty(len(w.sweep), dtype=np.int64)
     position[colex_layout(w.n, 2).rank(w.sweep)] = np.arange(len(w.sweep))
     # Columns 1 and 2 of the triple deletion table are the pairs (i,k) and (j,k).

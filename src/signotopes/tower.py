@@ -27,24 +27,26 @@ is monotone and has no monochromatic monotone path on 2n+r-1 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 from typing import Sequence
 
-from .core import EDGE_CAP, SignFunction, _check_vertex_cap, colex_layout
+from .core import SignFunction, check_size, colex_layout
 from .errors import InvalidArgument, TooLarge
 
-#: Default cap on the number of ground-set elements.
+#: Cap on the number of ground-set elements.
 ELEMENT_CAP = 2 ** 20
 
+#: Largest level exponent :func:`tower_sizes` materializes (N_k = 2^exponent).
+EXPONENT_CAP = 4096
 
-def tower_sizes(r: int, n: int, max_exponent_bits: int = 4096) -> list[int]:
+
+def tower_sizes(r: int, n: int) -> list[int]:
     """Sizes N_1..N_r of the tower levels; index k holds N_k (index 0 unused)."""
     if r < 2 or n < 1:
         raise InvalidArgument(f"need r >= 2 and n >= 1, got r={r}, n={n}")
     sizes = [0, 2, 2 * n]
     for level in range(3, r + 1):
         exponent = sizes[-1] // 2
-        if exponent > max_exponent_bits:
+        if exponent > EXPONENT_CAP:
             raise TooLarge(
                 f"level {level} would hold 2^{exponent} elements; not materializable"
             )
@@ -67,14 +69,14 @@ class TowerGroundSet:
     order; the first half has type - and the second half type +.
     """
 
-    def __init__(self, r: int, n: int, max_elements: int = ELEMENT_CAP):
+    def __init__(self, r: int, n: int):
         self.r = r
         self.n = n
         self.sizes = tower_sizes(r, n)
-        if self.sizes[r] > max_elements:
+        if self.sizes[r] > ELEMENT_CAP:
             raise TooLarge(
                 f"ground set for r={r}, n={n} has {self.sizes[r]} elements "
-                f"(cap {max_elements})"
+                f"(cap {ELEMENT_CAP})"
             )
         self.size = self.sizes[r]
 
@@ -198,17 +200,14 @@ class TowerGroundSet:
             codes = [self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
         return codes
 
-    def coloring(self, max_edges: int = EDGE_CAP) -> SignFunction:
+    def coloring(self) -> SignFunction:
         """The edge coloring: iterate gamma down to a sign per r-subset.
 
         Vertex i of the result is the i-th element in the element order.
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
-        _check_vertex_cap(self.r, self.size)
-        edge_count = comb(self.size, self.r)
-        if edge_count > max_edges:
-            raise TooLarge(f"{edge_count} edges exceeds cap {max_edges}")
+        check_size(self.r, self.size)
         colors = [
             1 if self._descend(codes, self.r, self.r - 1)[0] else -1
             for codes in (colex_layout(self.size, self.r).edges - 1).tolist()
@@ -311,10 +310,5 @@ class TowerGroundSet:
             )
 
 
-def build_ground_set(r: int, n: int, max_elements: int = ELEMENT_CAP) -> TowerGroundSet:
-    return TowerGroundSet(r, n, max_elements=max_elements)
-
-
-def tower_coloring(r: int, n: int, max_elements: int = ELEMENT_CAP,
-                   max_edges: int = EDGE_CAP) -> SignFunction:
-    return TowerGroundSet(r, n, max_elements=max_elements).coloring(max_edges=max_edges)
+def tower_coloring(r: int, n: int) -> SignFunction:
+    return TowerGroundSet(r, n).coloring()

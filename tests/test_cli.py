@@ -1,4 +1,7 @@
 import json
+import shlex
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -81,9 +84,7 @@ class TestTower:
         assert emitted.n == 8 and emitted.r == 3
 
     def test_cap_exits_three(self, capsys):
-        code, _, err = run(
-            capsys, "--max-elements", "5", "tower", "--r", "3", "--n", "3"
-        )
+        code, _, err = run(capsys, "tower", "--r", "3", "--n", "21")  # 2^21 elements
         assert code == 3
         assert "resource cap" in err
 
@@ -97,12 +98,19 @@ class TestVertexCapBeforeBuild:
     @pytest.mark.parametrize("argv", [
         ("tower", "--r", "3", "--n", "7"),  # 128 vertices
         ("comp", "--r", "3", "--h", "4"),  # 81 vertices
+        ("comp", "--r", "4", "--h", "3"),  # 64 vertices, the r = 4 limit is 37
+        ("verify", "--in", "pairs176.mono"),  # the r = 2 limit is 175
+        ("verify", "--in", "r1200.mono"),  # one edge, but a 1199-column table
+        ("path", "--in", "r1200.mono"),
     ])
-    def test_exits_three_without_touching_the_layout(self, capsys, argv):
+    def test_exits_three_without_touching_the_layout(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pairs176.mono").write_text(f"MONO 1\nr=2 n=176\n{'-' * comb(176, 2)}\n")
+        (tmp_path / "r1200.mono").write_text("MONO 1\nr=1200 n=1200\n-\n")
         before = layout_calls()
         code, manifest, err = run(capsys, *argv)
         assert code == 3 and manifest is None
-        assert "vertex cap" in err
+        assert "table cap" in err
         assert layout_calls() == before
 
 
@@ -237,9 +245,57 @@ class TestSelftest:
         assert "PASS criterion 1" in err
 
 
+def non_utf8_file(tmp_path):
+    f = tmp_path / "latin1.mono"
+    f.write_bytes(b"MONO 1\nr=3 n=4\n-\xff-+\n")
+    return ["verify", "--in", str(f)]
+
+
 class TestUsage:
     def test_no_command_exits_two(self, capsys):
         assert dispatch([]) == 2
 
     def test_unknown_command_exits_two(self, capsys):
         assert dispatch(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ("count", "--r", "3", "--n", "4"),
+        ("ramsey", "--r", "2", "--path", "3", "--max", "5"),
+    ], ids=["count", "ramsey"])
+    @pytest.mark.parametrize("flag", ["--max-nodes", "--max-edges"])
+    def test_negative_budget_exits_two(self, capsys, flag, command):
+        code, manifest, err = run(capsys, flag, "-1", *command)
+        assert code == 2 and manifest is None
+        assert "usage error" in err
+
+    @pytest.mark.parametrize("argv", [
+        lambda tmp: ["comp", "--r", "3", "--h", "2", "--verify", "sample:x:1"],
+        lambda tmp: ["comp", "--r", "3", "--h", "2", "--verify", "sample:5:-1"],
+        lambda tmp: ["verify", "--in", str(tmp)],
+        non_utf8_file,
+    ], ids=["non_integer_sample", "negative_seed", "directory", "not_utf8"])
+    def test_bad_input_exits_two(self, tmp_path, capsys, argv):
+        code, manifest, err = run(capsys, *argv(tmp_path))
+        assert code == 2 and manifest is None
+        assert "usage error" in err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``signotopes`` lines of README's "Command line" block, in order."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("signotopes ")]
+
+
+class TestReadme:
+    def test_command_line_examples_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        commands = [argv for argv in readme_commands() if argv[0] != "selftest"]
+        assert len(commands) >= 5
+        for argv in commands:
+            assert dispatch(argv) == 0, argv
+            capsys.readouterr()

@@ -168,7 +168,7 @@ class TestBlockColoring:
         with pytest.raises(InvalidArgument):
             block_coloring(2, 2)
         with pytest.raises(TooLarge):
-            block_coloring(3, 4, max_edges=1000)
+            block_coloring(3, 4)
 
 
 class TestCompletions:

@@ -120,7 +120,13 @@ class TestSignFunction:
     def test_vertex_cap(self):
         with pytest.raises(TooLarge):
             SignFunction.constant(3, 65)
-        SignFunction.constant(2, 70)  # pairs are exempt from the cap
+        SignFunction.constant(2, 70)
+
+    @pytest.mark.parametrize("r,n", [(2, 175), (3, 64), (4, 37)])
+    def test_table_cap_boundary(self, r, n):
+        assert SignFunction.constant(r, n).n == n
+        with pytest.raises(TooLarge):
+            SignFunction.constant(r, n + 1)
 
     def test_immutability(self):
         c = SignFunction.constant(3, 4)

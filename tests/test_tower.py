@@ -7,7 +7,6 @@ import pytest
 from signotopes import (
     TowerElement,
     TowerGroundSet,
-    build_ground_set,
     is_monotone,
     longest_mono_paths,
     tow,
@@ -119,13 +118,13 @@ def test_coloring_matches_reference(r, n):
 
 class TestGroundSet:
     def test_level2_pairs_and_types(self):
-        ground = build_ground_set(2, 3)
+        ground = TowerGroundSet(2, 3)
         pairs = [ground.pair_of(el) for el in ground.elements()]
         assert pairs == [(6, 1), (5, 2), (4, 3), (3, 4), (2, 5), (1, 6)]
         assert [ground.type_of(el) for el in ground.elements()] == [-1] * 3 + [1] * 3
 
     def test_eight_element_level(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         els = ground.elements()
         assert ground.size == 8
         assert [ground.type_of(e) for e in els] == [-1] * 4 + [1] * 4
@@ -149,14 +148,14 @@ class TestGroundSet:
 
     def test_caps(self):
         with pytest.raises(TooLarge):
-            build_ground_set(5, 4)  # 2^128 elements
+            TowerGroundSet(5, 4)  # 2^128 elements
         with pytest.raises(TooLarge):
             tower_sizes(6, 4)  # exponent itself is astronomical
         with pytest.raises(TooLarge):
-            build_ground_set(5, 3).coloring()  # 256 vertices, ~8.8e9 edges
+            TowerGroundSet(5, 3).coloring()  # 256 vertices, ~8.8e9 edges
 
     def test_sigma_is_order_reversing_involution(self):
-        ground = build_ground_set(3, 4)
+        ground = TowerGroundSet(3, 4)
         els = ground.elements()
         for a, b in combinations(els, 2):
             assert ground.sigma(ground.sigma(a)) == a
@@ -164,7 +163,7 @@ class TestGroundSet:
 
     def test_order_via_gamma_equals_code_order(self):
         for r, n in [(3, 3), (3, 4), (4, 3)]:
-            ground = build_ground_set(r, n)
+            ground = TowerGroundSet(r, n)
             for a, b in combinations(ground.elements(), 2):
                 assert ground.type_of(ground.gamma(a, b)) == 1
                 assert ground.type_of(ground.gamma(b, a)) == -1
@@ -172,19 +171,19 @@ class TestGroundSet:
 
 class TestGamma:
     def test_figure_values(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         b = ground.elements()
         assert ground.pair_of(ground.gamma(b[0], b[1])) == (3, 4)
         assert ground.pair_of(ground.gamma(b[1], b[2])) == (2, 5)
 
     def test_level2_rule(self):
-        ground = build_ground_set(2, 3)
+        ground = TowerGroundSet(2, 3)
         els = ground.elements()  # (6,1) < (5,2) < ...
         assert ground.gamma(els[0], els[1]) == TowerElement(1, 1)
         assert ground.gamma(els[1], els[0]) == TowerElement(1, 0)
 
     def test_errors(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         el = ground.elements()[0]
         with pytest.raises(InvalidArgument):
             ground.gamma(el, el)
@@ -194,7 +193,7 @@ class TestGamma:
             ground.gamma(TowerElement(1, 0), TowerElement(1, 1))
 
     def test_iteration(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         b = ground.elements()
         assert ground.gamma_iter(b[:3], 0) == b[:3]
         assert ground.gamma_iter(b[:2], 1) == [ground.gamma(b[0], b[1])]
@@ -205,18 +204,24 @@ class TestGamma:
             ground.gamma_iter([b[0], b[0]], 1)
 
 
+# Measured (best_minus, best_plus): n + 1 for r = 3, well below the bound 2n + r - 2.
+LONGEST_PATHS = {(3, n): (n + 1, n + 1) for n in range(3, 7)} | {(4, 3): (6, 5)}
+
+
 class TestColoring:
     def test_first_triple_is_plus(self):
         assert tower_coloring(3, 3).color((1, 2, 3)) == 1
 
-    @pytest.mark.parametrize("r,n", [(3, 3), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("r,n", [(3, 3), (3, 4), (4, 3), (3, 5), (3, 6)])
     def test_monotone_and_path_bound(self, r, n):
         c = tower_coloring(r, n)
         assert is_monotone(c)
-        assert longest_mono_paths(c).best <= 2 * n + r - 2
+        rep = longest_mono_paths(c)
+        assert rep.best <= 2 * n + r - 2
+        assert (rep.best_minus, rep.best_plus) == LONGEST_PATHS[(r, n)]
 
     def test_vertices_follow_element_order(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         c = ground.coloring()
         b = ground.elements()
         want = ground.gamma_iter([b[0], b[2], b[5]], 2)[0]
@@ -226,14 +231,14 @@ class TestColoring:
 class TestVerifiers:
     def test_deletion_exhaustive_small(self):
         for r, n in [(2, 3), (3, 3)]:
-            ground = build_ground_set(r, n)
+            ground = TowerGroundSet(r, n)
             els = ground.elements()
             for a, b, c in product(els, repeat=3):
                 if len({a.code, b.code, c.code}) == 3:
                     assert ground.check_deletion_lemma(a, b, c)
 
     def test_deletion_figure_case(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         b = ground.elements()
         # gamma(B1,B2)=(3,4) and gamma(B2,B3)=(2,5) are inequivalent and the
         # second has the earlier class, so gamma(B1,B3) must equal (2,5)
@@ -242,7 +247,7 @@ class TestVerifiers:
 
     def test_replacement_exhaustive_small(self):
         for r, n in [(2, 3), (3, 3)]:
-            ground = build_ground_set(r, n)
+            ground = TowerGroundSet(r, n)
             els = ground.elements()
             for a, b in product(els, repeat=2):
                 if a == b:
@@ -251,20 +256,20 @@ class TestVerifiers:
                     assert ground.check_replacement_lemma(a, b, a2, b2)
 
     def test_replacement_equal_branch(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         a, b = ground.elements()[0], ground.elements()[3]
         assert ground.check_replacement_lemma(a, b, a, b)
 
     def test_profile_exhaustive_small(self):
         for r, n in [(2, 3), (3, 3)]:
-            ground = build_ground_set(r, n)
+            ground = TowerGroundSet(r, n)
             els = ground.elements()
             for s in range(3, r + 2):
                 for seq in combinations(els, s):
                     assert ground.check_profile_lemma(seq)
 
     def test_profile_base_shape(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         b = ground.elements()
         h = [
             ground.gamma(b[0], b[1]).code,
@@ -276,7 +281,7 @@ class TestVerifiers:
         assert rises_then_tied or tied_then_falls
 
     def test_profile_input_validation(self):
-        ground = build_ground_set(3, 3)
+        ground = TowerGroundSet(3, 3)
         b = ground.elements()
         with pytest.raises(InvalidArgument):
             ground.check_profile_lemma([b[0], b[1]])
@@ -286,7 +291,7 @@ class TestVerifiers:
     def test_random_samples_on_256_element_set(self):
         import numpy as np
 
-        ground = build_ground_set(4, 4)  # 256 elements
+        ground = TowerGroundSet(4, 4)  # 256 elements
         els = ground.elements()
         rng = np.random.default_rng(4)
         for _ in range(2000):
