@@ -39,7 +39,7 @@ from .enumeration import (
 from .geometry import crossing_constraints, is_acyclic, render_svg, signs_from_wiring, wiring_diagram
 from .paths import longest_mono_paths
 from .tower import TowerGroundSet
-from .errors import NoReduction
+from .errors import InvalidArgument, NoReduction
 
 
 @dataclass(frozen=True)
@@ -423,10 +423,11 @@ CRITERIA: list[tuple[int, str, Callable[[], CriterionResult]]] = [
 
 def run_criteria(only: int | None = None,
                  log: Callable[[str], None] = print) -> list[CriterionResult]:
+    chosen = [entry for entry in CRITERIA if only in (None, entry[0])]
+    if not chosen:
+        raise InvalidArgument(f"no criterion {only}; ids are 1..{len(CRITERIA)}")
     results = []
-    for cid, title, fn in CRITERIA:
-        if only is not None and cid != only:
-            continue
+    for cid, title, fn in chosen:
         start = time.perf_counter()
         result = fn()
         elapsed = time.perf_counter() - start

@@ -198,6 +198,7 @@ class SignFunction:
 
     @classmethod
     def constant(cls, r: int, n: int, color: int = MINUS) -> "SignFunction":
+        check_size(r, n)
         return cls(r, n, np.full(comb(n, r), color, dtype=np.int8))
 
     @classmethod

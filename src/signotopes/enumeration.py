@@ -231,6 +231,8 @@ def count_monotone(
     count depends on the worker count, and neither does whether
     ``max_nodes`` is exceeded (TooLarge).
     """
+    if workers < 1:
+        raise InvalidArgument(f"need workers >= 1, got {workers}")
     start = time.perf_counter()
     base = (-1,) if halve else ()
     # Worker prefixes are leaves at the split depth, counted as serially.

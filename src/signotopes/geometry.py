@@ -4,16 +4,20 @@ A monotone coloring of triples encodes a simple arrangement of n
 pseudolines: wires enter at the left in label order and every pair
 crosses exactly once.  The color of the triple i < j < k fixes the order
 of its three crossings along the sweep: minus means (i,j) then (i,k)
-then (j,k), plus means the reverse.  These precedence chains always
-admit an adjacent-swap sweep for monotone inputs; the converse map reads
-the color of (i, j, k) off whether wire k meets i before j.  The
-convention is pinned by the round-trip tests, since flipping it breaks
-them.
+then (j,k), plus means the reverse, so each wire meets the other two in
+increasing (minus) or decreasing (plus) label order.  Summed over the
+triples, these give each wire's local sequence, and the sweep performs
+crossings that are next in the local sequences of both their wires.  A
+diagram is (n, sweep); its trace comes from the one walk that validates
+a sweep.  The converse map reads the color of (i, j, k) off whether wire
+k meets i before j.  The convention is pinned by the round-trip tests,
+since flipping it breaks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -27,28 +31,51 @@ Crossing = tuple[int, int]
 
 @dataclass(frozen=True)
 class WiringDiagram:
-    """A sweep: all C(n,2) crossings in left-to-right order.
-
-    ``trace[t]`` is the top-to-bottom wire order after the first t
-    crossings; the final order is the reverse of the initial one.
-    """
+    """A sweep: all C(n,2) crossings in left-to-right order."""
 
     n: int
     sweep: tuple[Crossing, ...]
-    trace: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def trace(self) -> tuple[tuple[int, ...], ...]:
+        """``trace[t]``: the top-to-bottom wire order after t crossings; validates the sweep."""
+        n = self.n
+        if n < 1:
+            raise InvalidWiring(f"need at least one wire, got n={n}")
+        if len(self.sweep) != comb(n, 2):
+            raise InvalidWiring(f"expected {comb(n, 2)} crossings, got {len(self.sweep)}")
+        order = list(range(1, n + 1))
+        trace = [tuple(order)]
+        for step, pair in enumerate(self.sweep):
+            if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
+                raise InvalidWiring(f"step {step}: bad crossing {pair!r}")
+            a, b = pair
+            pos = order.index(a)
+            # a < b have not crossed yet exactly while a is above b.
+            if order[pos + 1:pos + 2] != [b]:
+                raise InvalidWiring(f"step {step}: wire {b} is not directly below {a} in {order}")
+            order[pos:pos + 2] = b, a
+            trace.append(tuple(order))
+        return tuple(trace)
 
 
-def crossing_constraints(c: SignFunction) -> dict[Crossing, set[Crossing]]:
-    """Successor sets of the crossing precedence relation."""
+def _triples(c: SignFunction) -> np.ndarray:
+    """The colex triples of a monotone coloring of triples."""
     if c.r != 3:
         raise InvalidArgument(f"wiring diagrams need uniformity 3, got r={c.r}")
     witness = monotone_violation(c)
     if witness is not None:
         raise NotMonotone(f"input is not monotone, witness {witness}")
+    return colex_layout(c.n, 3).edges
+
+
+def crossing_constraints(c: SignFunction) -> dict[Crossing, set[Crossing]]:
+    """Successor sets of the crossing precedence relation."""
+    triples = _triples(c)
     succ: dict[Crossing, set[Crossing]] = {
         pair: set() for pair in combinations(range(1, c.n + 1), 2)
     }
-    for (i, j, k), color in zip(colex_layout(c.n, 3).edges.tolist(), c.colors.tolist()):
+    for (i, j, k), color in zip(triples.tolist(), c.colors.tolist()):
         if color < 0:
             chain = ((i, j), (i, k), (j, k))
         else:
@@ -79,71 +106,41 @@ def wiring_diagram(c: SignFunction) -> WiringDiagram:
     """Sweep realizing the crossing constraints of a monotone coloring.
 
     Greedy and deterministic: at each step the lexicographically
-    smallest crossing that is both unconstrained and currently adjacent
-    is performed.  Failure to finish would contradict the correspondence
-    between monotone colorings and sweeps, so it raises NotRealizable.
+    smallest crossing that is next for both of its wires is performed;
+    those are exactly the adjacent crossings whose constraints are met.
+    Failure to finish would contradict the correspondence between
+    monotone colorings and sweeps, so it raises NotRealizable.
     """
-    succ = crossing_constraints(c)
-    indeg = {p: 0 for p in succ}
-    for targets in succ.values():
-        for q in targets:
-            indeg[q] += 1
-    order = list(range(1, c.n + 1))
-    done: set[Crossing] = set()
+    edges = _triples(c) - 1
+    n = c.n
+    # second[t, w]: of the other two wires of triple t, the one its w-th wire meets second.
+    second = np.where((c.colors < 0)[:, None], edges[:, [2, 2, 1]], edges[:, [1, 0, 0]])
+    before = np.zeros((n, n), dtype=np.int64)  # before[a, b]: how many wires a meets before b
+    np.add.at(before, (edges, second), 1)
+    np.fill_diagonal(before, n)
+    # Row a lists the wires a meets in order, then a itself as an end marker.
+    meets = np.argsort(before, axis=1).tolist()
+    met = [0] * n
     sweep: list[Crossing] = []
-    trace = [tuple(order)]
-    total = comb(c.n, 2)
+    total = comb(n, 2)
     while len(sweep) < total:
-        best: Crossing | None = None
-        best_pos = -1
-        for pos in range(c.n - 1):
-            a, b = order[pos], order[pos + 1]
-            pair = (a, b) if a < b else (b, a)
-            if pair in done or indeg[pair]:
-                continue
-            if best is None or pair < best:
-                best, best_pos = pair, pos
-        if best is None:
+        for a in range(n):
+            b = meets[a][met[a]]
+            if b > a and meets[b][met[b]] == a:
+                break
+        else:
             raise NotRealizable(
                 f"stuck after {len(sweep)} of {total} crossings; "
                 f"this contradicts monotonicity of the input"
             )
-        order[best_pos], order[best_pos + 1] = order[best_pos + 1], order[best_pos]
-        done.add(best)
-        for q in succ[best]:
-            indeg[q] -= 1
-        sweep.append(best)
-        trace.append(tuple(order))
-    return WiringDiagram(c.n, tuple(sweep), tuple(trace))
+        met[a] += 1
+        met[b] += 1
+        sweep.append((a + 1, b + 1))
+    return WiringDiagram(n, tuple(sweep))
 
 
 def validate_wiring(w: WiringDiagram) -> None:
-    if w.n < 1:
-        raise InvalidWiring(f"need at least one wire, got n={w.n}")
-    if len(w.sweep) != comb(w.n, 2):
-        raise InvalidWiring(
-            f"expected {comb(w.n, 2)} crossings, got {len(w.sweep)}"
-        )
-    order = list(range(1, w.n + 1))
-    seen: set[Crossing] = set()
-    for step, pair in enumerate(w.sweep):
-        if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= w.n):
-            raise InvalidWiring(f"step {step}: bad crossing {pair!r}")
-        if pair in seen:
-            raise InvalidWiring(f"step {step}: pair {pair} crosses twice")
-        seen.add(pair)
-        pos = order.index(pair[0])
-        neighbors = set()
-        if pos > 0:
-            neighbors.add(order[pos - 1])
-        if pos < w.n - 1:
-            neighbors.add(order[pos + 1])
-        if pair[1] not in neighbors:
-            raise InvalidWiring(
-                f"step {step}: wires {pair} are not adjacent (order {order})"
-            )
-        q = order.index(pair[1])
-        order[pos], order[q] = order[q], order[pos]
+    w.trace  # deriving the trace validates the sweep
 
 
 def signs_from_wiring(w: WiringDiagram) -> SignFunction:
@@ -169,20 +166,14 @@ def parse_sweep_text(n: int, text: str) -> WiringDiagram:
     for line in text.splitlines():
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise InvalidWiring(f"bad sweep line {line!r}")
-        a, b = int(parts[0]), int(parts[1])
+        try:
+            a, b = map(int, line.split())
+        except ValueError:
+            raise InvalidWiring(f"bad sweep line {line!r}") from None
         sweep.append((min(a, b), max(a, b)))
-    order = list(range(1, n + 1))
-    trace = [tuple(order)]
-    w = WiringDiagram(n, tuple(sweep), ())
+    w = WiringDiagram(n, tuple(sweep))
     validate_wiring(w)
-    for a, b in sweep:
-        pa, pb = order.index(a), order.index(b)
-        order[pa], order[pb] = order[pb], order[pa]
-        trace.append(tuple(order))
-    return WiringDiagram(n, tuple(sweep), tuple(trace))
+    return w
 
 
 # -- rendering ----------------------------------------------------------------
@@ -196,7 +187,6 @@ _MARGIN = 40
 
 def render_svg(w: WiringDiagram) -> str:
     """Deterministic SVG: one polyline per wire, one glyph per crossing."""
-    validate_wiring(w)
     slots = len(w.sweep)
     width = 2 * _MARGIN + _SLOT * max(slots, 1)
     height = 2 * _MARGIN + _GAP * (w.n - 1)

@@ -29,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import SignFunction, check_size, colex_layout
 from .errors import InvalidArgument, TooLarge
 
@@ -191,28 +193,28 @@ class TowerGroundSet:
         for a, b in zip(seq, seq[1:]):
             if a.code == b.code:
                 raise InvalidArgument("consecutive entries must be distinct")
-        codes = self._descend([el.code for el in seq], level, times)
-        return [TowerElement(level - times, code) for code in codes]
-
-    def _descend(self, codes: list[int], level: int, times: int) -> list[int]:
-        """gamma applied to consecutive codes, `times` times from `level` down."""
+        codes = [el.code for el in seq]
         for step in range(times):
             codes = [self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
-        return codes
+        return [TowerElement(level - times, code) for code in codes]
 
     def coloring(self) -> SignFunction:
         """The edge coloring: iterate gamma down to a sign per r-subset.
 
         Vertex i of the result is the i-th element in the element order.
+        Gamma is tabulated per level; consecutive entries stay distinct
+        on the way down, so the tables' diagonals are never read.
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
         check_size(self.r, self.size)
-        colors = [
-            1 if self._descend(codes, self.r, self.r - 1)[0] else -1
-            for codes in (colex_layout(self.size, self.r).edges - 1).tolist()
-        ]
-        return SignFunction(self.r, self.size, colors)
+        codes = colex_layout(self.size, self.r).edges - 1
+        for level in range(self.r, 1, -1):
+            size = self.sizes[level]
+            gamma = np.array([[self._gamma_code(level, a, b) if a != b else 0
+                               for b in range(size)] for a in range(size)])
+            codes = gamma[codes[:, :-1], codes[:, 1:]]
+        return SignFunction(self.r, self.size, np.where(codes[:, 0], 1, -1))
 
     # -- runtime verifiers for the structural facts ---------------------------
 

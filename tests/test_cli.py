@@ -244,6 +244,11 @@ class TestSelftest:
         assert manifest["result"]["all_passed"] is True
         assert "PASS criterion 1" in err
 
+    def test_unknown_criterion_exits_two(self, capsys):
+        code, manifest, err = run(capsys, "selftest", "--only", "42")
+        assert code == 2 and manifest is None
+        assert "usage error" in err
+
 
 def non_utf8_file(tmp_path):
     f = tmp_path / "latin1.mono"
@@ -265,6 +270,12 @@ class TestUsage:
     @pytest.mark.parametrize("flag", ["--max-nodes", "--max-edges"])
     def test_negative_budget_exits_two(self, capsys, flag, command):
         code, manifest, err = run(capsys, flag, "-1", *command)
+        assert code == 2 and manifest is None
+        assert "usage error" in err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_exits_two(self, capsys, workers):
+        code, manifest, err = run(capsys, "--workers", workers, "count", "--r", "3", "--n", "4")
         assert code == 2 and manifest is None
         assert "usage error" in err
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +129,16 @@ class TestSignFunction:
         assert SignFunction.constant(r, n).n == n
         with pytest.raises(TooLarge):
             SignFunction.constant(r, n + 1)
+
+    def test_refused_constant_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                SignFunction.constant(2, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_immutability(self):
         c = SignFunction.constant(3, 4)

@@ -134,6 +134,11 @@ class TestCount:
             with pytest.raises(TooLarge):
                 count_monotone(3, 5, max_nodes=nodes - 1, workers=workers)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_is_refused(self, workers):
+        with pytest.raises(InvalidArgument):
+            count_monotone(3, 4, workers=workers)
+
     def test_brute_force_transitive_matches_closed_form(self):
         for r in (2, 3, 4, 5, 6):
             assert brute_force_transitive_count(r, r + 1) == 2 ** r + 2

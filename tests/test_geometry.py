@@ -12,6 +12,7 @@ from signotopes import (
     render_svg,
     signs_from_wiring,
     sweep_text,
+    tower_coloring,
     wiring_diagram,
 )
 from signotopes.geometry import parse_sweep_text, validate_wiring
@@ -68,6 +69,13 @@ class TestWiring:
         sweeps = {wiring_diagram(c).sweep for c in enumerate_monotone(3, 5)}
         assert len(sweeps) == 62
 
+    def test_sweep_extends_the_constraints(self):
+        colorings = [c for n in range(3, 7) for c in enumerate_monotone(3, n)]
+        for c in colorings + [tower_coloring(3, 5)]:
+            position = {pair: t for t, pair in enumerate(wiring_diagram(c).sweep)}
+            for p, later in crossing_constraints(c).items():
+                assert all(position[p] < position[q] for q in later), (c.n, p)
+
     def test_mixed_example_has_a_sweep(self):
         found = 0
         for c in enumerate_monotone(3, 4):
@@ -87,24 +95,28 @@ class TestWiringValidation:
 
     def test_non_adjacent_swap_rejected(self):
         with pytest.raises(InvalidWiring):
-            validate_wiring(WiringDiagram(3, ((1, 3), (1, 2), (2, 3)), ()))
+            validate_wiring(WiringDiagram(3, ((1, 3), (1, 2), (2, 3))))
 
     def test_repeated_pair_rejected(self):
         with pytest.raises(InvalidWiring):
-            validate_wiring(WiringDiagram(3, ((1, 2), (1, 2), (2, 3)), ()))
+            validate_wiring(WiringDiagram(3, ((1, 2), (1, 2), (2, 3))))
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidWiring):
-            validate_wiring(WiringDiagram(3, ((1, 2),), ()))
+            validate_wiring(WiringDiagram(3, ((1, 2),)))
+
+    def test_non_integer_line_rejected(self):
+        with pytest.raises(InvalidWiring):
+            parse_sweep_text(3, "a b\n")
 
     def test_signs_need_three_wires(self):
         with pytest.raises(InvalidArgument):
-            signs_from_wiring(WiringDiagram(2, ((1, 2),), ((1, 2), (2, 1))))
+            signs_from_wiring(WiringDiagram(2, ((1, 2),)))
 
 
 class TestSvg:
     def test_single_wire(self):
-        svg = render_svg(WiringDiagram(1, (), ((1,),)))
+        svg = render_svg(WiringDiagram(1, ()))
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert len([e for e in root.iter() if e.tag.endswith("polyline")]) == 1

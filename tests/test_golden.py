@@ -5,6 +5,8 @@ replaced the per-edge constructions; any change to an edge order, a
 construction or a renderer shows up here as a changed digest.  The
 search goldens (leaf order, seeded samples, avoiders and node totals)
 were recorded before the recursive searches became one iterative engine.
+The n = 6 sweep golden was recorded before the sweep was read off the
+wires' local sequences instead of a constraint graph.
 """
 
 import hashlib
@@ -78,6 +80,11 @@ def test_wiring_outputs(tower36):
     w = wiring_diagram(tower36)
     assert sha(render_svg(w)) == "b5b6d7c5ad73a0c9a6ee2ce7cd7a630f4994414323b20cce153c927018756f7c"
     assert sha(sweep_text(w)) == "773aa7187cc25283ab96bac6ca8b3fc6427ab9b842d5465203e20d1b95040dd6"
+
+
+def test_sweeps_of_every_coloring_n6():
+    digest = sha("".join(sweep_text(wiring_diagram(c)) for c in enumerate_monotone(3, 6)))
+    assert digest == "7ddebb32bd31f35663945ceccf79cf085f080b3265d64627479cd271405b2fa9"
 
 
 def test_path_witnesses(tower36):
