@@ -2,10 +2,12 @@
 """Exhaustive enumeration, projections, and small monotone Ramsey numbers.
 
 The backtracking search assigns edge colors in colex order and checks
-each (r+1)-subset the moment its last edge is colored.  Counting needs
-no symmetry tricks; projections (drop the largest vertex of every edge
-containing it) separate distinct colorings; and pruning branches that
-already contain a monochromatic path pins down small Ramsey numbers.
+each (r+1)-subset the moment its last edge is colored.  Counting joins
+the colorings of [n-1] with their one-element extensions instead of
+walking that search, yet reports the search's node total; projections
+(drop the largest vertex of every edge containing it) separate distinct
+colorings; and pruning branches that already contain a monochromatic
+path pins down small Ramsey numbers.
 """
 
 from signotopes import (
@@ -19,10 +21,10 @@ from signotopes import (
 )
 
 print("exact counts (r=3):")
-for n in (3, 4, 5, 6):
+for n in range(3, 9):
     rep = count_monotone(3, n)
     print(
-        f"  n={n}: {rep.count:4d} colorings, {rep.nodes:6d} search nodes, "
+        f"  n={n}: {rep.count:9,d} colorings, {rep.nodes:10,d} search nodes, "
         f"upper bound 2^{rep.upper_exponent:.0f} holds={rep.bounds_ok}"
     )
 

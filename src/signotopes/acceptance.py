@@ -279,16 +279,17 @@ def _criterion_5() -> CriterionResult:
     return CriterionResult(5, "compositions and block colorings", ok, details)
 
 
-#: Exact labeled counts recorded from this implementation's exhaustive
-#: search; n = 4 and 5 are re-derived below by brute force each run.
-GOLDEN_COUNTS_R3 = {4: 8, 5: 62, 6: 908}
+#: Exact labeled counts S_3(n), the number of simple arrangements of n
+#: pseudolines (OEIS A006245).  n <= 6 is re-derived below by the
+#: backtracking engine and n <= 5 by brute force on each run.
+GOLDEN_COUNTS_R3 = {4: 8, 5: 62, 6: 908, 7: 24_698, 8: 1_232_944}
 
 
 def _criterion_6() -> CriterionResult:
-    """Counting: exact small values, goldens, and the upper bound."""
+    """Counting: exact values by the join, goldens, and the upper bound."""
     details = {}
     ok = True
-    for n in (4, 5, 6):
+    for n in sorted(GOLDEN_COUNTS_R3):
         report = count_monotone(3, n)
         entry = {
             "count": report.count,
@@ -300,6 +301,9 @@ def _criterion_6() -> CriterionResult:
         good = report.count == GOLDEN_COUNTS_R3[n]
         good = good and report.upper_exponent == n ** 2
         good = good and report.bounds_ok and not report.lower_binding
+        if n <= 6:
+            entry["engine_leaves"] = sum(1 for _ in enumerate_monotone(3, n))
+            good = good and entry["engine_leaves"] == report.count
         if n <= 5:
             brute = brute_force_monotone_count(3, n)
             entry["brute_force"] = brute

@@ -9,6 +9,15 @@ possible time.  Branches violating a constraint are cut immediately, so
 every leaf is a monotone coloring and, by induction, every monotone
 coloring is reached exactly once.  An optional path pruner also cuts
 branches holding a monochromatic m-vertex path, for Ramsey search.
+
+Counting does not walk the engine's tree.  The edges containing vertex
+n come last in colex order, so a monotone coloring of [n] is a pair
+(c, p): c a monotone coloring of [n-1], p(S) = color(S + {n}) a
+coloring of rank r-1 (the one-element extension of Felsner and Weil,
+*Sweeps, arrangements and signotopes*, 2001).  `_join` walks p on the
+engine and keeps the set of valid c's as a bitset; the counts of
+consistent partial colorings it sees give the engine's node total
+exactly, without visiting the nodes.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial, log2
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,8 +42,11 @@ SEARCH_EDGE_CAP = 64
 #: Brute force filters all 2^C(n, r) colorings; refused above this many edges.
 BRUTE_FORCE_EDGES = 24
 
-# Parallel counting hands each worker a prefix coloring this many edges.
+# Parallel counting hands each worker a prefix of p this many edges long.
 _SPLIT_DEPTH = 2
+
+# Colorings as bitset columns: (row count, per edge the rows that color it plus).
+_Table = tuple[int, list[int]]
 
 
 @lru_cache(maxsize=None)
@@ -54,6 +67,26 @@ def _search_tables(r: int, n: int):
     constraints = [rows[lo:hi] for lo, hi in zip(runs, runs[1:])]
     preds = tuple(tuple(row[0] for row in group) for group in constraints)
     return constraints, preds
+
+
+def _require_rank(r: int) -> None:
+    """Colorings have rank at least 2; only the counting join walks rank 1."""
+    if r < 2:
+        raise InvalidArgument(f"need r >= 2, got {r}")
+
+
+def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
+    """Refuse bad sizes and caps, and more than ``max_edges`` edges, before any work."""
+    if n < r:
+        raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
+    if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
+        raise InvalidArgument(f"need caps >= 0, got {max_edges} edges, {max_nodes} nodes")
+    if comb(n, r) > max_edges:
+        raise TooLarge(
+            f"{comb(n, r)} edges exceeds search cap {max_edges}; "
+            f"pass max_edges explicitly to override"
+        )
+    check_size(r, n)
 
 
 def _consistent(colors: list[int], constraint_ranks: tuple[int, ...]) -> bool:
@@ -80,6 +113,7 @@ def _search(
     rng: random.Random | None = None,
     m: int | None = None,
     depth: int | None = None,
+    hook: Callable[[int, list[int]], bool] | None = None,
 ) -> Iterator[list[int]]:
     """Depth-first search yielding the shared color list at every leaf.
 
@@ -90,27 +124,22 @@ def _search(
     yields nothing.  ``m`` switches on the path pruner: a branch whose
     colored edges hold a monochromatic m-vertex path is cut (every
     extension holds it too), found by an incremental DP over path-ending
-    windows.  ``nodes[0]`` adds up attempted assignments, each counted
-    before its checks, and is current at every yield and at the end;
-    past ``max_nodes`` the search raises TooLarge.
+    windows.  Without ``m``, ``hook(k, colors)``, if given, runs after
+    edge k passes the constraints, prefix edges included; False cuts the
+    branch.
+    ``nodes[0]`` adds up attempted assignments, each counted before its
+    checks, and is current at every yield and at the end; past
+    ``max_nodes`` the search raises TooLarge.  Rank 1 (no constraints)
+    is admitted for the counting join.
     """
-    if r < 2:
-        raise InvalidArgument(f"need r >= 2, got {r}")
-    if n < r:
-        raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
+    if r < 1:
+        raise InvalidArgument(f"need r >= 1, got {r}")
     if m is not None and m < r:
         raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
-    if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
-        raise InvalidArgument(f"need caps >= 0, got {max_edges} edges, {max_nodes} nodes")
+    _check_limits(r, n, max_edges, max_nodes)
     edge_count = comb(n, r)
-    if edge_count > max_edges:
-        raise TooLarge(
-            f"{edge_count} edges exceeds search cap {max_edges}; "
-            f"pass max_edges explicitly to override"
-        )
     if len(prefix) > edge_count or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {edge_count}")
-    check_size(r, n)
     constraints, preds = _search_tables(r, n)
     colors = [0] * edge_count
     plen = [0] * edge_count  # longest path ending in each colored window
@@ -121,7 +150,7 @@ def _search(
             if not _consistent(colors, cr):
                 return False
         if m is None:
-            return True
+            return hook is None or hook(k, colors)
         longest = r
         for p in preds[k]:
             if colors[p] == col and plen[p] >= longest:
@@ -173,6 +202,7 @@ def enumerate_monotone(
     "first leaf" into a seeded random monotone coloring.  ``max_nodes``
     bounds the number of attempted assignments (TooLarge beyond).
     """
+    _require_rank(r)
     for colors in _search(r, n, [0], max_edges=max_edges, max_nodes=max_nodes,
                           prefix=prefix, rng=rng):
         yield SignFunction(r, n, np.array(colors, dtype=np.int8))
@@ -191,7 +221,10 @@ class CountReport:
     The two-sided bound (valid for r >= 3) sandwiches the count between
     2^(n^(r-1)/r^(4r)) and 2^(2^(r-2) n^(r-1)/(r-1)!).  At desk scale the
     lower exponent is far below 1, so the lower bound is reported as not
-    binding rather than asserted.
+    binding rather than asserted.  ``nodes`` is the backtracking engine's
+    count of attempted assignments, 2 * sum(P_d) over the depths d below
+    C(n, r) with P_d consistent partial colorings, which the counting
+    join computes without visiting them.
     """
 
     r: int
@@ -205,12 +238,97 @@ class CountReport:
     bounds_ok: bool
 
 
-def _count_worker(args) -> tuple[int, int]:
-    r, n, prefix, max_edges, max_nodes = args
-    nodes = [0]
-    total = sum(1 for _ in _search(r, n, nodes, max_edges=max_edges,
-                                   max_nodes=max_nodes, prefix=prefix))
-    return total, nodes[0]
+def _unpack(bits: int, size: int) -> np.ndarray:
+    """Bitset to a 0/1 array, bit i at index i."""
+    raw = np.frombuffer(bits.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def _pack(flags: np.ndarray) -> int:
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _add_nodes(nodes: list[int], amount: int, limit: float) -> None:
+    nodes[0] += amount
+    if nodes[0] > limit:
+        raise TooLarge(f"search exceeded node budget {limit}")
+
+
+def _join(
+    r: int,
+    n: int,
+    table: _Table,
+    nodes: list[int],
+    limit: float,
+    *,
+    prefix: Sequence[int] = (),
+    depth: int | None = None,
+) -> Iterator[tuple[list[int], int]]:
+    """Walk the extensions p of the monotone rank-r colorings of [n-1].
+
+    ``table`` = (size, plus) lists those colorings c as bitset columns:
+    bit i of ``plus[t]`` is set when row i colors edge t plus.  The
+    engine walks p, a rank-(r-1) coloring of [n-1], in colex order.  For
+    an r-subset U of [n-1] the deletion sequence of U + {n} is
+    (c(U), p's deletion sequence of U); the engine completes the latter
+    at p's edge U - min(U).  If it then changes sign, it ends in the
+    color just assigned, so c(U) must be the opposite one: the bitset of
+    rows still valid is ANDed with that column, and an empty bitset cuts
+    the p-subtree.  Yields (p's shared color list, bitset) at depth
+    ``depth`` (default every edge of p).
+
+    A depth-j bitset counts the consistent partial colorings of [n] on
+    the first C(n-1, r) + j edges.  For each interior depth after the
+    prefix, twice its popcount, the engine's attempted assignments
+    there, goes to ``nodes[0]``; past ``limit`` that raises TooLarge.
+    """
+    size, plus = table
+    mask = (1 << size) - 1
+    minus = [mask ^ col for col in plus]
+    _, preds = _search_tables(r - 1, n - 1)
+    # Group k holds the U with p-edge k last; the groups are runs of U ranks.
+    heads = [tuple(zip(firsts, range(lo, lo + len(firsts))))
+             for firsts, lo in zip(preds, accumulate(map(len, preds), initial=0))]
+    edges = len(preds)
+    leaf = edges if depth is None else depth
+    bits = [mask] * (edges + 1)
+    counted = range(len(prefix) + 1, min(leaf + 1, edges))
+
+    def hook(k: int, colors: list[int]) -> bool:
+        col = colors[k]
+        need = minus if col > 0 else plus
+        valid = bits[k]
+        for first, u in heads[k]:
+            if colors[first] != col:
+                valid &= need[u]
+        bits[k + 1] = valid
+        if not valid:
+            return False
+        if k + 1 in counted:
+            _add_nodes(nodes, 2 * valid.bit_count(), limit)
+        return True
+
+    for colors in _search(r - 1, n - 1, [0], max_edges=edges, prefix=prefix,
+                          depth=depth, hook=hook):
+        yield colors, bits[leaf]
+
+
+def _extend(table: _Table, leaves: list[tuple[list[int], int]]) -> _Table:
+    """The table of the pairs (c, p) at the join's leaves, grouped by p."""
+    size, plus = table
+    rows = [np.flatnonzero(_unpack(bits, size)) for _, bits in leaves]
+    sizes = [len(group) for group in rows]
+    rows = np.concatenate(rows)
+    p_plus = np.repeat(np.array([p for p, _ in leaves], dtype=np.int8).T > 0, sizes, axis=1)
+    return len(rows), [_pack(_unpack(col, size)[rows]) for col in plus] + list(map(_pack, p_plus))
+
+
+def _join_worker(args) -> tuple[int, int]:
+    """Count the pairs under one prefix of p; returns (count, nodes added)."""
+    r, n, table, prefix, nodes, limit = args
+    total = [nodes]
+    count = sum(bits.bit_count() for _, bits in _join(r, n, table, total, limit, prefix=prefix))
+    return count, total[0] - nodes
 
 
 def count_monotone(
@@ -222,34 +340,48 @@ def count_monotone(
     halve: bool = False,
     workers: int = 1,
 ) -> CountReport:
-    """Count monotone colorings exactly by exhaustive pruned search.
+    """Count monotone colorings exactly by extension join.
 
-    ``halve`` counts only the colorings whose first edge is minus and
-    doubles the result; the swap involution has no fixed points, so this
-    reproduces the exact labeled count.  ``workers`` splits the search
-    over disjoint assignment prefixes; neither the count nor the node
-    count depends on the worker count, and neither does whether
-    ``max_nodes`` is exceeded (TooLarge).
+    Stage m = r..n joins the monotone colorings of [m-1], a bitset table
+    built by the previous stage, with their extensions (see `_join`);
+    the last stage only counts.  ``nodes`` is the engine's total of
+    attempted assignments, what exhaustive search would report, computed
+    as 2 * sum(P_d) over depths d < C(n, r), where P_d counts the
+    consistent partial colorings of the first d edges; ``max_nodes``
+    raises TooLarge as soon as the running sum passes it.  ``halve``
+    pins the first edge to minus, uncounted, and doubles the result; the
+    swap involution has no fixed points, so this reproduces the exact
+    labeled count.  ``workers`` splits the last stage over disjoint
+    prefixes of p; neither the count nor the node total depends on the
+    worker count, and neither does whether ``max_nodes`` is exceeded.
     """
+    _require_rank(r)
     if workers < 1:
         raise InvalidArgument(f"need workers >= 1, got {workers}")
+    _check_limits(r, n, max_edges, max_nodes)
     start = time.perf_counter()
-    base = (-1,) if halve else ()
-    # Worker prefixes are leaves at the split depth, counted as serially.
-    depth = min(_SPLIT_DEPTH, comb(n, r)) if workers > 1 else len(base)
-    split = [0]
-    leaves = _search(r, n, split, max_edges=max_edges, max_nodes=max_nodes,
-                     prefix=base, depth=depth)
-    jobs = [(r, n, tuple(c[:depth]), max_edges, max_nodes) for c in leaves]
+    limit = float("inf") if max_nodes is None else max_nodes
+    pin = (-1,) if halve else ()
+    table: _Table = (1, [])  # [r-1] has one coloring, with no edges
+    nodes = [0]
+    for m in range(r, n + 1):
+        prefix = pin if m == r else ()
+        if not prefix:  # a pinned edge is not an attempted assignment
+            _add_nodes(nodes, 2 * table[0], limit)
+        if m < n:
+            leaves = _join(r, m, table, nodes, limit, prefix=prefix)
+            table = _extend(table, [(list(p), bits) for p, bits in leaves])
+    # Prefixes of p at the split depth, counted once here; the jobs count below them.
+    depth = min(_SPLIT_DEPTH, comb(n - 1, r - 1)) if workers > 1 else len(prefix)
+    jobs = [(r, n, table, tuple(p[:depth]), nodes[0], limit)
+            for p, _ in _join(r, n, table, nodes, limit, prefix=prefix, depth=depth)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_count_worker, jobs))
+            parts = list(pool.map(_join_worker, jobs))
     else:
-        parts = [_count_worker(j) for j in jobs]
+        parts = [_join_worker(j) for j in jobs]
     count = sum(p[0] for p in parts)
-    nodes = split[0] + sum(p[1] for p in parts)
-    if max_nodes is not None and nodes > max_nodes:
-        raise TooLarge(f"search exceeded node budget {max_nodes}")
+    _add_nodes(nodes, sum(p[1] for p in parts), limit)
     if halve:
         count = 2 * count  # the color swap is an involution without fixed points
     seconds = time.perf_counter() - start
@@ -265,7 +397,7 @@ def count_monotone(
         lower_exponent = upper_exponent = None
         lower_binding = False
         ok = True
-    return CountReport(r, n, count, nodes, seconds, lower_exponent,
+    return CountReport(r, n, count, nodes[0], seconds, lower_exponent,
                        upper_exponent, lower_binding, ok)
 
 
@@ -354,6 +486,7 @@ def find_avoiding_coloring(
     The first leaf of the search with the path pruner on.  Returns
     (coloring or None, node count).
     """
+    _require_rank(r)
     nodes = [0]
     colors = next(_search(r, n, nodes, max_edges=max_edges, max_nodes=max_nodes, m=m), None)
     if colors is None:

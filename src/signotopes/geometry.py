@@ -197,15 +197,12 @@ def render_svg(w: WiringDiagram) -> str:
     def y(track: int) -> int:
         return _MARGIN + _GAP * track
 
-    tracks = {wire: w.trace[0].index(wire) for wire in range(1, w.n + 1)}
-    points = {wire: [(x(0), y(tracks[wire]))] for wire in tracks}
-    glyphs = []
-    for t, pair in enumerate(w.sweep, start=1):
-        for wire in range(1, w.n + 1):
-            track = w.trace[t].index(wire)
+    points = {wire: [] for wire in range(1, w.n + 1)}
+    for t, order in enumerate(w.trace):
+        for track, wire in enumerate(order):
             points[wire].append((x(t), y(track)))
-        mid_y = (y(w.trace[t].index(pair[0])) + y(w.trace[t].index(pair[1]))) // 2
-        glyphs.append((x(t) - _SLOT // 2, mid_y))
+    glyphs = [(x(t) - _SLOT // 2, (points[a][t][1] + points[b][t][1]) // 2)
+              for t, (a, b) in enumerate(w.sweep, start=1)]
     end_x = x(slots) + _SLOT // 2
     for wire in range(1, w.n + 1):
         points[wire].append((end_x, points[wire][-1][1]))
@@ -223,7 +220,7 @@ def render_svg(w: WiringDiagram) -> str:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         lines.append(
-            f'<text x="{_MARGIN - 14}" y="{y(tracks[wire]) + 4}" '
+            f'<text x="{_MARGIN - 14}" y="{points[wire][0][1] + 4}" '
             f'font-size="12" font-family="monospace">{wire}</text>'
         )
     lines.append('<g class="crossings">')

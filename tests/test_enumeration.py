@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from math import comb, factorial
@@ -17,7 +19,7 @@ from signotopes import (
     random_monotone_coloring,
     tow,
 )
-from signotopes.enumeration import AtLeast
+from signotopes.enumeration import AtLeast, _search
 from signotopes.errors import InvalidArgument, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
@@ -142,6 +144,48 @@ class TestCount:
     def test_brute_force_transitive_matches_closed_form(self):
         for r in (2, 3, 4, 5, 6):
             assert brute_force_transitive_count(r, r + 1) == 2 ** r + 2
+
+
+JOIN_SIZES = [(r, n) for r in range(2, 7) for n in range(r, 10) if comb(n, r) <= 35]
+
+
+class TestCountJoin:
+    """The extension join against the backtracking engine it replaced."""
+
+    @pytest.mark.parametrize("halve", [False, True])
+    @pytest.mark.parametrize("r,n", JOIN_SIZES)
+    def test_matches_engine_leaves_and_nodes(self, r, n, halve):
+        nodes = [0]
+        leaves = sum(1 for _ in _search(r, n, nodes, prefix=(-1,) if halve else ()))
+        rep = count_monotone(r, n, halve=halve)
+        assert (rep.count, rep.nodes) == ((2 if halve else 1) * leaves, nodes[0])
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_pair_counts_are_factorials(self, n):
+        assert count_monotone(2, n).count == factorial(n)
+
+    def test_pair_counts_split_over_workers(self):
+        serial = count_monotone(2, 7)
+        split = count_monotone(2, 7, workers=2)
+        assert (split.count, split.nodes) == (serial.count, serial.nodes)
+        assert serial.count == 5040
+
+    def test_node_budget_raises_before_the_last_stage(self):
+        # S_3(8) takes 29,888,526 nodes; the n = 9 stage starts at 2 * S_3(8) more
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            count_monotone(3, 9, max_edges=84, max_nodes=30_000_000)
+        assert time.perf_counter() - start < 2
+
+    def test_argument_validation(self):
+        with pytest.raises(InvalidArgument):
+            count_monotone(1, 3)
+        with pytest.raises(InvalidArgument):
+            count_monotone(3, 2)
+        with pytest.raises(InvalidArgument):
+            count_monotone(3, 5, max_nodes=-1)
+        with pytest.raises(TooLarge):
+            count_monotone(3, 9)
 
 
 class TestProjection:

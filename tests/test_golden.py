@@ -139,3 +139,13 @@ def test_avoider():
 ])
 def test_node_totals(search, args, kwargs, nodes):
     assert search(*args, **kwargs).nodes == nodes
+
+
+@pytest.mark.parametrize("r,count,nodes", [
+    (3, 1_232_944, 29_888_526),  # S_3(8), OEIS A006245
+    (4, 1_681_104, 93_202_606),
+])
+def test_counts_n8(r, count, nodes):
+    # both node totals were counted by exhaustive backtracking, a second method
+    rep = count_monotone(r, 8, max_edges=100)
+    assert (rep.count, rep.nodes) == (count, nodes)
