@@ -41,8 +41,8 @@ def compositions(m: int, parts: int | None = None) -> Iterator[Composition]:
 
     There are C(m-1, k-1) compositions into k parts and 2^(m-1) overall.
     """
-    if m < 1:
-        raise InvalidArgument(f"need m >= 1, got {m}")
+    if m < 1 or (parts is not None and parts < 0):
+        raise InvalidArgument(f"need m >= 1 and parts >= 0, got m={m}, parts={parts}")
     if parts == 0 or (parts is not None and parts > m):
         return
     if parts == 1 or m == 1:

@@ -203,7 +203,10 @@ class SignFunction:
 
     @classmethod
     def from_string(cls, r: int, n: int, chars: str) -> "SignFunction":
-        colors = [_CHAR_TO_COLOR[ch] for ch in chars]
+        try:
+            colors = [_CHAR_TO_COLOR[ch] for ch in chars]
+        except KeyError as exc:
+            raise InvalidEdge(f"illegal color character {exc.args[0]!r}") from None
         return cls(r, n, np.array(colors, dtype=np.int8), ternary_allowed="0" in chars)
 
     @property

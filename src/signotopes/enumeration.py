@@ -17,7 +17,9 @@ coloring of rank r-1 (the one-element extension of Felsner and Weil,
 *Sweeps, arrangements and signotopes*, 2001).  `_join` walks p on the
 engine and keeps the set of valid c's as a bitset; the counts of
 consistent partial colorings it sees give the engine's node total
-exactly, without visiting the nodes.
+exactly, without visiting the nodes.  The color swap pairs the monotone
+colorings without fixed points, so the join keeps only those coloring
+the first edge minus and doubles the count.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ SEARCH_EDGE_CAP = 64
 
 #: Brute force filters all 2^C(n, r) colorings; refused above this many edges.
 BRUTE_FORCE_EDGES = 24
-
-# Parallel counting hands each worker a prefix of p this many edges long.
-_SPLIT_DEPTH = 2
 
 # Colorings as bitset columns: (row count, per edge the rows that color it plus).
 _Table = tuple[int, list[int]]
@@ -112,14 +111,13 @@ def _search(
     prefix: Sequence[int] = (),
     rng: random.Random | None = None,
     m: int | None = None,
-    depth: int | None = None,
     hook: Callable[[int, list[int]], bool] | None = None,
 ) -> Iterator[list[int]]:
     """Depth-first search yielding the shared color list at every leaf.
 
-    A leaf colors the first ``depth`` edges (default all) consistently;
-    copy what you keep.  Each level tries -1 before +1 unless ``rng``
-    swaps them, one ``rng.random()`` per non-leaf level entered.
+    A leaf is a full consistent coloring; copy what you keep.  Each
+    level tries -1 before +1 unless ``rng`` swaps them, one
+    ``rng.random()`` per non-leaf level entered.
     ``prefix`` pins the first edges, uncounted; one failing the checks
     yields nothing.  ``m`` switches on the path pruner: a branch whose
     colored edges hold a monochromatic m-vertex path is cut (every
@@ -160,13 +158,12 @@ def _search(
 
     if not all(fits(k, col) for k, col in enumerate(prefix)):
         return
-    leaf = edge_count if depth is None else depth
     limit = float("inf") if max_nodes is None else max_nodes
     count = nodes[0]
     stack: list[tuple[int, int]] = []  # untried (edge, color), next on top
     k = len(prefix)
     while True:
-        if k == leaf:
+        if k == edge_count:
             nodes[0] = count
             yield colors
         else:
@@ -196,11 +193,12 @@ def enumerate_monotone(
 ) -> Iterator[SignFunction]:
     """Yield every monotone coloring of the r-subsets of [n] exactly once.
 
-    ``prefix`` pins the colors of the first ``len(prefix)`` edges (the
-    work-splitting hook); a prefix that is itself inconsistent yields
-    nothing.  ``rng`` randomizes the color order per node, which turns
-    "first leaf" into a seeded random monotone coloring.  ``max_nodes``
-    bounds the number of attempted assignments (TooLarge beyond).
+    ``prefix`` pins the colors of the first ``len(prefix)`` edges, so
+    only the colorings extending it are yielded; a prefix that is itself
+    inconsistent yields nothing.  ``rng`` randomizes the color order per
+    node, which turns "first leaf" into a seeded random monotone
+    coloring.  ``max_nodes`` bounds the number of attempted assignments
+    (TooLarge beyond).
     """
     _require_rank(r)
     for colors in _search(r, n, [0], max_edges=max_edges, max_nodes=max_nodes,
@@ -260,9 +258,6 @@ def _join(
     table: _Table,
     nodes: list[int],
     limit: float,
-    *,
-    prefix: Sequence[int] = (),
-    depth: int | None = None,
 ) -> Iterator[tuple[list[int], int]]:
     """Walk the extensions p of the monotone rank-r colorings of [n-1].
 
@@ -274,13 +269,15 @@ def _join(
     at p's edge U - min(U).  If it then changes sign, it ends in the
     color just assigned, so c(U) must be the opposite one: the bitset of
     rows still valid is ANDed with that column, and an empty bitset cuts
-    the p-subtree.  Yields (p's shared color list, bitset) at depth
-    ``depth`` (default every edge of p).
+    the p-subtree.  Yields (p's shared color list, bitset) for every
+    full p.
 
     A depth-j bitset counts the consistent partial colorings of [n] on
-    the first C(n-1, r) + j edges.  For each interior depth after the
-    prefix, twice its popcount, the engine's attempted assignments
-    there, goes to ``nodes[0]``; past ``limit`` that raises TooLarge.
+    the first C(n-1, r) + j edges that extend a row.  The table holds
+    only colorings with the first edge minus, so for each interior
+    depth four times its popcount, the engine's attempted assignments
+    there for these colorings and their color swaps, goes to
+    ``nodes[0]``; past ``limit`` that raises TooLarge.
     """
     size, plus = table
     mask = (1 << size) - 1
@@ -290,9 +287,7 @@ def _join(
     heads = [tuple(zip(firsts, range(lo, lo + len(firsts))))
              for firsts, lo in zip(preds, accumulate(map(len, preds), initial=0))]
     edges = len(preds)
-    leaf = edges if depth is None else depth
     bits = [mask] * (edges + 1)
-    counted = range(len(prefix) + 1, min(leaf + 1, edges))
 
     def hook(k: int, colors: list[int]) -> bool:
         col = colors[k]
@@ -304,13 +299,12 @@ def _join(
         bits[k + 1] = valid
         if not valid:
             return False
-        if k + 1 in counted:
-            _add_nodes(nodes, 2 * valid.bit_count(), limit)
+        if k + 1 < edges:
+            _add_nodes(nodes, 4 * valid.bit_count(), limit)
         return True
 
-    for colors in _search(r - 1, n - 1, [0], max_edges=edges, prefix=prefix,
-                          depth=depth, hook=hook):
-        yield colors, bits[leaf]
+    for colors in _search(r - 1, n - 1, [0], max_edges=edges, hook=hook):
+        yield colors, bits[edges]
 
 
 def _extend(table: _Table, leaves: list[tuple[list[int], int]]) -> _Table:
@@ -324,10 +318,10 @@ def _extend(table: _Table, leaves: list[tuple[list[int], int]]) -> _Table:
 
 
 def _join_worker(args) -> tuple[int, int]:
-    """Count the pairs under one prefix of p; returns (count, nodes added)."""
-    r, n, table, prefix, nodes, limit = args
+    """Count the pairs over one slice of table rows; returns (count, nodes added)."""
+    r, n, table, nodes, limit = args
     total = [nodes]
-    count = sum(bits.bit_count() for _, bits in _join(r, n, table, total, limit, prefix=prefix))
+    count = sum(bits.bit_count() for _, bits in _join(r, n, table, total, limit))
     return count, total[0] - nodes
 
 
@@ -337,23 +331,24 @@ def count_monotone(
     *,
     max_edges: int = SEARCH_EDGE_CAP,
     max_nodes: int | None = None,
-    halve: bool = False,
     workers: int = 1,
 ) -> CountReport:
     """Count monotone colorings exactly by extension join.
 
-    Stage m = r..n joins the monotone colorings of [m-1], a bitset table
-    built by the previous stage, with their extensions (see `_join`);
-    the last stage only counts.  ``nodes`` is the engine's total of
-    attempted assignments, what exhaustive search would report, computed
-    as 2 * sum(P_d) over depths d < C(n, r), where P_d counts the
-    consistent partial colorings of the first d edges; ``max_nodes``
-    raises TooLarge as soon as the running sum passes it.  ``halve``
-    pins the first edge to minus, uncounted, and doubles the result; the
-    swap involution has no fixed points, so this reproduces the exact
-    labeled count.  ``workers`` splits the last stage over disjoint
-    prefixes of p; neither the count nor the node total depends on the
-    worker count, and neither does whether ``max_nodes`` is exceeded.
+    The color swap pairs the monotone colorings without fixed points, so
+    only those coloring the first edge {1..r} minus are built, and the
+    count is doubled.  From the one such coloring of [r], stage
+    m = r+1..n joins the colorings of [m-1], a bitset table built by the
+    previous stage, with their extensions (see `_join`); the last stage
+    only counts.  ``nodes`` is the engine's total of attempted
+    assignments, what exhaustive search would report: 2 * sum(P_d) over
+    depths d < C(n, r), where P_d counts the consistent partial
+    colorings of the first d edges, or 2 + 4 * sum(P_d / 2) over d >= 1
+    by the swap; ``max_nodes`` raises TooLarge as soon as the running
+    sum passes it.  ``workers`` splits the last stage's table rows into
+    contiguous slices, one job each.  Counts and node totals are sums of
+    popcounts, so neither they nor whether ``max_nodes`` is exceeded
+    depend on the worker count.
     """
     _require_rank(r)
     if workers < 1:
@@ -361,29 +356,28 @@ def count_monotone(
     _check_limits(r, n, max_edges, max_nodes)
     start = time.perf_counter()
     limit = float("inf") if max_nodes is None else max_nodes
-    pin = (-1,) if halve else ()
-    table: _Table = (1, [])  # [r-1] has one coloring, with no edges
+    table: _Table = (1, [0])  # [r] with its one edge minus
     nodes = [0]
-    for m in range(r, n + 1):
-        prefix = pin if m == r else ()
-        if not prefix:  # a pinned edge is not an attempted assignment
-            _add_nodes(nodes, 2 * table[0], limit)
-        if m < n:
-            leaves = _join(r, m, table, nodes, limit, prefix=prefix)
-            table = _extend(table, [(list(p), bits) for p, bits in leaves])
-    # Prefixes of p at the split depth, counted once here; the jobs count below them.
-    depth = min(_SPLIT_DEPTH, comb(n - 1, r - 1)) if workers > 1 else len(prefix)
-    jobs = [(r, n, table, tuple(p[:depth]), nodes[0], limit)
-            for p, _ in _join(r, n, table, nodes, limit, prefix=prefix, depth=depth)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_join_worker, jobs))
-    else:
-        parts = [_join_worker(j) for j in jobs]
-    count = sum(p[0] for p in parts)
-    _add_nodes(nodes, sum(p[1] for p in parts), limit)
-    if halve:
-        count = 2 * count  # the color swap is an involution without fixed points
+    _add_nodes(nodes, 2, limit)  # both colors of the first edge
+    for m in range(r + 1, n):
+        _add_nodes(nodes, 4 * table[0], limit)
+        table = _extend(table, [(list(p), bits) for p, bits in _join(r, m, table, nodes, limit)])
+    size, plus = table
+    count = size
+    if n > r:
+        _add_nodes(nodes, 4 * size, limit)
+        jobs = min(workers, size)
+        bounds = [size * i // jobs for i in range(jobs + 1)]
+        args = [(r, n, (hi - lo, [(col >> lo) & ((1 << (hi - lo)) - 1) for col in plus]),
+                 nodes[0], limit) for lo, hi in zip(bounds, bounds[1:])]
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                parts = list(pool.map(_join_worker, args))
+        else:
+            parts = list(map(_join_worker, args))
+        count = sum(p[0] for p in parts)
+        _add_nodes(nodes, sum(p[1] for p in parts), limit)
+    count *= 2  # the color swap is an involution without fixed points
     seconds = time.perf_counter() - start
 
     if r >= 3:

@@ -44,6 +44,10 @@ class TestCompositions:
             assert len(got) == comb(m - 1, k - 1)
             assert all(len(s) == k and sum(s) == m for s in got)
 
+    def test_negative_part_count_is_refused(self):
+        with pytest.raises(InvalidArgument):
+            list(compositions(3, -1))
+
     def test_distinct_and_positive(self):
         got = list(compositions(7))
         assert len(set(got)) == len(got)

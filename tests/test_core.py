@@ -115,6 +115,8 @@ class TestSignFunction:
             SignFunction(2, 3, np.array([1, 1], dtype=np.int8))
         with pytest.raises(InvalidEdge):
             SignFunction(2, 3, np.array([1, 2, 1], dtype=np.int8))
+        with pytest.raises(InvalidEdge, match="illegal color character 'x'"):
+            SignFunction.from_string(3, 4, "x---")
         with pytest.raises(TernaryNotAllowed):
             SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8))
         SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8), ternary_allowed=True)

@@ -115,23 +115,18 @@ class TestCount:
         rep = count_monotone(2, 5)
         assert rep.upper_exponent is None and rep.bounds_ok
 
-    def test_halving_reproduces_count(self):
-        assert count_monotone(3, 5, halve=True).count == 62
-        assert count_monotone(2, 5, halve=True).count == 120
-
     def test_worker_count_does_not_change_result(self):
         assert count_monotone(3, 5, workers=2).count == 62
 
-    @pytest.mark.parametrize("halve", [False, True])
-    def test_worker_count_does_not_change_nodes(self, halve):
-        serial = count_monotone(3, 6, halve=halve)
-        split = count_monotone(3, 6, halve=halve, workers=2)
+    def test_worker_count_does_not_change_nodes(self):
+        serial = count_monotone(3, 6)
+        split = count_monotone(3, 6, workers=2)
         assert (split.count, split.nodes) == (serial.count, serial.nodes)
         assert serial.count == 908
 
     def test_node_budget_does_not_depend_on_workers(self):
         nodes = count_monotone(3, 5).nodes
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             assert count_monotone(3, 5, max_nodes=nodes, workers=workers).count == 62
             with pytest.raises(TooLarge):
                 count_monotone(3, 5, max_nodes=nodes - 1, workers=workers)
@@ -152,13 +147,14 @@ JOIN_SIZES = [(r, n) for r in range(2, 7) for n in range(r, 10) if comb(n, r) <=
 class TestCountJoin:
     """The extension join against the backtracking engine it replaced."""
 
-    @pytest.mark.parametrize("halve", [False, True])
+    @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("r,n", JOIN_SIZES)
-    def test_matches_engine_leaves_and_nodes(self, r, n, halve):
+    def test_matches_engine_leaves_and_nodes(self, r, n, split):
+        # split: the last stage's rows go to 3 workers, unevenly where 3 does not divide them
         nodes = [0]
-        leaves = sum(1 for _ in _search(r, n, nodes, prefix=(-1,) if halve else ()))
-        rep = count_monotone(r, n, halve=halve)
-        assert (rep.count, rep.nodes) == ((2 if halve else 1) * leaves, nodes[0])
+        leaves = sum(1 for _ in _search(r, n, nodes))
+        rep = count_monotone(r, n, workers=3 if split else 1)
+        assert (rep.count, rep.nodes) == (leaves, nodes[0])
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_pair_counts_are_factorials(self, n):
@@ -169,6 +165,13 @@ class TestCountJoin:
         split = count_monotone(2, 7, workers=2)
         assert (split.count, split.nodes) == (serial.count, serial.nodes)
         assert serial.count == 5040
+
+    @pytest.mark.parametrize("r,n,workers", [(2, 3, 4), (3, 4, 3), (3, 5, 9)])
+    def test_more_workers_than_table_rows(self, r, n, workers):
+        # the last stage's table has 1, 1 and 4 rows: one job per row, none empty
+        serial = count_monotone(r, n)
+        split = count_monotone(r, n, workers=workers)
+        assert (split.count, split.nodes) == (serial.count, serial.nodes)
 
     def test_node_budget_raises_before_the_last_stage(self):
         # S_3(8) takes 29,888,526 nodes; the n = 9 stage starts at 2 * S_3(8) more

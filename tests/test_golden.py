@@ -10,6 +10,7 @@ wires' local sequences instead of a constraint graph.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +29,7 @@ from signotopes import (
     tower_coloring,
     wiring_diagram,
 )
-from signotopes.enumeration import project
+from signotopes.enumeration import _search, project
 
 
 def sha(text: str) -> str:
@@ -129,10 +130,18 @@ def test_avoider():
     assert sha(dumps(avoider)) == "b8dee6c54b0c1e5be486eeebe9fa34eaf6de78eb80cb113e146ea8c2d34897e5"
 
 
+def halved_engine(r, n):
+    """The engine below the first edge minus: the half the counting join builds."""
+    nodes = [0]
+    for _ in _search(r, n, nodes, prefix=(-1,)):
+        pass
+    return SimpleNamespace(nodes=nodes[0])
+
+
 @pytest.mark.parametrize("search,args,kwargs,nodes", [
     (count_monotone, (3, 6), {}, 11_338),
     (count_monotone, (4, 6), {}, 2_486),
-    (count_monotone, (3, 6), {"halve": True}, 5_668),
+    (halved_engine, (3, 6), {}, 5_668),  # 11,338 = 2 + 2 * 5,668
     (ramsey_number, (2, 3, 6), {}, 135),
     (ramsey_number, (3, 4, 8), {}, 5_309),
     (ramsey_number, (2, 4, 12), {}, 266_296),
