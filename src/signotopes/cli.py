@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-nodes", type=int, default=None,
                         help="search node budget (exit 3 beyond)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for counting")
+                        help="count jobs, run by at most as many processes as CPUs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check a coloring file for monotonicity")

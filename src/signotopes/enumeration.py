@@ -24,6 +24,7 @@ the first edge minus and doubles the count.
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -346,9 +347,9 @@ def count_monotone(
     colorings of the first d edges, or 2 + 4 * sum(P_d / 2) over d >= 1
     by the swap; ``max_nodes`` raises TooLarge as soon as the running
     sum passes it.  ``workers`` splits the last stage's table rows into
-    contiguous slices, one job each.  Counts and node totals are sums of
-    popcounts, so neither they nor whether ``max_nodes`` is exceeded
-    depend on the worker count.
+    contiguous slices, one job each, run by at most ``os.cpu_count()``
+    processes.  Counts and node totals are sums of popcounts, so neither
+    they nor whether ``max_nodes`` is exceeded depend on the worker count.
     """
     _require_rank(r)
     if workers < 1:
@@ -371,7 +372,7 @@ def count_monotone(
         args = [(r, n, (hi - lo, [(col >> lo) & ((1 << (hi - lo)) - 1) for col in plus]),
                  nodes[0], limit) for lo, hi in zip(bounds, bounds[1:])]
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
                 parts = list(pool.map(_join_worker, args))
         else:
             parts = list(map(_join_worker, args))

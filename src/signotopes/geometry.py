@@ -145,10 +145,10 @@ def validate_wiring(w: WiringDiagram) -> None:
 
 def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     """Colors from crossing order: (i,j,k) is minus iff k meets i before j."""
+    check_size(3, max(w.n, 3))  # before the O(n^3) trace that validation derives
     validate_wiring(w)
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
-    check_size(3, w.n)
     position = np.empty(len(w.sweep), dtype=np.int64)
     position[colex_layout(w.n, 2).rank(w.sweep)] = np.arange(len(w.sweep))
     # Columns 1 and 2 of the triple deletion table are the pairs (i,k) and (j,k).

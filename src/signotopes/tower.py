@@ -27,7 +27,7 @@ is monotone and has no monochromatic monotone path on 2n+r-1 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,46 +91,36 @@ class TowerGroundSet:
 
     def type_of(self, el: TowerElement) -> int:
         """-1 or +1 by which half of the element order el sits in."""
-        self._check_element(el)
-        return -1 if el.code < self.sizes[el.level] // 2 else 1
+        level, (code,) = self._codes([el])
+        return -1 if code < self.sizes[level] // 2 else 1
 
     def sigma(self, el: TowerElement) -> TowerElement:
         """The order-reversing type-flipping involution."""
-        self._check_element(el)
-        return TowerElement(el.level, self.sizes[el.level] - 1 - el.code)
+        level, (code,) = self._codes([el])
+        return TowerElement(level, self.sizes[level] - 1 - code)
 
     def equivalent(self, a: TowerElement, b: TowerElement) -> bool:
         return a.level == b.level and self.class_index(a) == self.class_index(b)
 
     def class_index(self, el: TowerElement) -> int:
         """Position of el's equivalence class in the class order."""
-        self._check_element(el)
-        return min(el.code, self.sizes[el.level] - 1 - el.code)
-
-    def classes(self, level: int | None = None) -> list[tuple[TowerElement, TowerElement]]:
-        """(minus representative, plus representative) per class, in class order."""
-        level = self.r if level is None else level
-        self._check_level(level)
-        size = self.sizes[level]
-        return [
-            (TowerElement(level, k), TowerElement(level, size - 1 - k))
-            for k in range(size // 2)
-        ]
+        level, (code,) = self._codes([el])
+        return min(code, self.sizes[level] - 1 - code)
 
     def pair_of(self, el: TowerElement) -> tuple[int, int]:
         """Display form of a level-2 element: the pair it denotes."""
-        self._check_element(el)
-        if el.level != 2:
-            raise InvalidArgument(f"pair_of needs a level-2 element, got level {el.level}")
-        return (2 * self.n - el.code, el.code + 1)
+        level, (code,) = self._codes([el])
+        if level != 2:
+            raise InvalidArgument(f"pair_of needs a level-2 element, got level {level}")
+        return (2 * self.n - code, code + 1)
 
     def bits_of(self, el: TowerElement) -> tuple[int, ...]:
         """Chosen-representative types per class of the level below (level >= 3)."""
-        self._check_element(el)
-        if el.level < 3:
-            raise InvalidArgument(f"bits_of needs level >= 3, got level {el.level}")
-        width = self.sizes[el.level - 1] // 2
-        return tuple((el.code >> (width - 1 - k)) & 1 for k in range(width))
+        level, (code,) = self._codes([el])
+        if level < 3:
+            raise InvalidArgument(f"bits_of needs level >= 3, got level {level}")
+        width = self.sizes[level - 1] // 2
+        return tuple((code >> (width - 1 - k)) & 1 for k in range(width))
 
     def members_of(self, el: TowerElement) -> frozenset:
         """The transversal an element denotes: one element per lower class.
@@ -138,13 +128,12 @@ class TowerGroundSet:
         Level-2 elements are rendered as their pairs; deeper levels as
         TowerElements.  Display/debugging only.
         """
-        if el.level < 3:
-            raise InvalidArgument("members_of needs level >= 3")
+        bits = self.bits_of(el)  # checks el and that its level is >= 3
         lower = el.level - 1
         size = self.sizes[lower]
         picks = [
             TowerElement(lower, k if bit == 0 else size - 1 - k)
-            for k, bit in enumerate(self.bits_of(el))
+            for k, bit in enumerate(bits)
         ]
         if lower == 2:
             return frozenset(self.pair_of(p) for p in picks)
@@ -158,15 +147,12 @@ class TowerGroundSet:
         One level down.  At level 2 the first (and only) lower class is
         the sign pair, and the chosen sign is + exactly when A precedes B.
         """
-        self._check_element(a)
-        self._check_element(b)
-        if a.level != b.level:
-            raise InvalidArgument(f"levels differ: {a.level} vs {b.level}")
-        if a.level < 2:
+        level, (x, y) = self._codes([a, b])
+        if level < 2:
             raise InvalidArgument("gamma is defined from level 2 upward")
-        if a.code == b.code:
+        if x == y:
             raise InvalidArgument("gamma needs two distinct elements")
-        return TowerElement(a.level - 1, self._gamma_code(a.level, a.code, b.code))
+        return TowerElement(level - 1, self._gamma_code(level, x, y))
 
     def _gamma_code(self, level: int, a: int, b: int) -> int:
         if level == 2:
@@ -179,24 +165,21 @@ class TowerGroundSet:
 
     def gamma_iter(self, seq: Sequence[TowerElement], times: int) -> list[TowerElement]:
         """Apply gamma elementwise to consecutive entries, `times` times."""
-        seq = list(seq)
-        if not seq:
-            raise InvalidArgument("empty sequence")
-        level = seq[0].level
-        if any(el.level != level for el in seq):
-            raise InvalidArgument("mixed levels in sequence")
-        if not 0 <= times <= min(len(seq) - 1, level - 1):
+        level, codes = self._codes(seq)
+        if not 0 <= times <= min(len(codes) - 1, level - 1):
             raise InvalidArgument(
                 f"iteration count {times} outside 0..min(k-1, r-1) for "
-                f"k={len(seq)}, r={level}"
+                f"k={len(codes)}, r={level}"
             )
-        for a, b in zip(seq, seq[1:]):
-            if a.code == b.code:
-                raise InvalidArgument("consecutive entries must be distinct")
-        codes = [el.code for el in seq]
+        if any(x == y for x, y in zip(codes, codes[1:])):
+            raise InvalidArgument("consecutive entries must be distinct")
+        return [TowerElement(level - times, code) for code in self._descend(level, codes, times)]
+
+    def _descend(self, level: int, codes: list[int], times: int) -> list[int]:
+        """Gamma codes of consecutive entries, iterated `times` times from `level`."""
         for step in range(times):
             codes = [self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
-        return [TowerElement(level - times, code) for code in codes]
+        return codes
 
     def coloring(self) -> SignFunction:
         """The edge coloring: iterate gamma down to a sign per r-subset.
@@ -226,23 +209,23 @@ class TowerGroundSet:
         otherwise both precede gamma(a,c) in class order.  At level 2 the
         sign of gamma(a,c) agrees with the two-step signs.
         """
-        for x, y in ((a, b), (b, c), (a, c)):
-            if x.code == y.code and x.level == y.level:
-                raise InvalidArgument("elements must be pairwise distinct")
-        gab = self.gamma(a, b)
-        gbc = self.gamma(b, c)
-        gac = self.gamma(a, c)
-        if a.level == 2:
+        level, (x, y, z) = self._codes([a, b, c])
+        if level < 2:
+            raise InvalidArgument("gamma is defined from level 2 upward")
+        if x == y or y == z or x == z:
+            raise InvalidArgument("elements must be pairwise distinct")
+        gab = self._gamma_code(level, x, y)
+        gbc = self._gamma_code(level, y, z)
+        gac = self._gamma_code(level, x, z)
+        if level == 2:
             if gab != gbc:
                 return gac in (gab, gbc)
             return gac == gab == gbc
-        if not self.equivalent(gab, gbc):
-            first = gab if self.class_index(gab) < self.class_index(gbc) else gbc
-            return gac == first
-        return (
-            self.class_index(gab) < self.class_index(gac)
-            and self.class_index(gbc) < self.class_index(gac)
-        )
+        last = self.sizes[level - 1] - 1
+        kab, kbc, kac = min(gab, last - gab), min(gbc, last - gbc), min(gac, last - gac)
+        if kab != kbc:
+            return gac == (gab if kab < kbc else gbc)
+        return kab < kac and kbc < kac
 
     def check_replacement_lemma(
         self,
@@ -256,16 +239,20 @@ class TowerGroundSet:
         Part one: a <= a2 implies gamma(a,b) >= gamma(a2,b); part two:
         b <= b2 implies gamma(a,b) <= gamma(a,b2).  Comparisons are in
         the element order one level down.  Parts whose distinctness
-        precondition fails are skipped.
+        precondition fails are skipped; all four elements are checked
+        either way.
         """
-        if a.code == b.code:
+        level, (x, y, x2, y2) = self._codes([a, b, a2, b2])
+        if level < 2:
+            raise InvalidArgument("gamma is defined from level 2 upward")
+        if x == y:
             raise InvalidArgument("need a != b")
-        gab = self.gamma(a, b).code
+        gab = self._gamma_code(level, x, y)
         ok = True
-        if a2.code != b.code and a.code <= a2.code:
-            ok = ok and gab >= self.gamma(a2, b).code
-        if b2.code != a.code and b.code <= b2.code:
-            ok = ok and gab <= self.gamma(a, b2).code
+        if x2 != y and x <= x2:
+            ok = ok and gab >= self._gamma_code(level, x2, y)
+        if y2 != x and y <= y2:
+            ok = ok and gab <= self._gamma_code(level, x, y2)
         return ok
 
     def check_profile_lemma(self, seq: Sequence[TowerElement]) -> bool:
@@ -277,17 +264,14 @@ class TowerGroundSet:
         odd slots with even slots tied, or falls only in even slots with
         odd slots tied.
         """
-        seq = list(seq)
-        s = len(seq)
-        level = seq[0].level
+        level, codes = self._codes(seq)
+        s = len(codes)
         if not 3 <= s <= level + 1:
             raise InvalidArgument(f"need 3 <= s <= r+1, got s={s}, r={level}")
-        if any(x.code >= y.code for x, y in zip(seq, seq[1:])):
+        if any(x >= y for x, y in zip(codes, codes[1:])):
             raise InvalidArgument("sequence must be strictly increasing")
-        h = []
-        for pos in range(s, 0, -1):
-            sub = seq[: pos - 1] + seq[pos:]
-            h.append(self.gamma_iter(sub, s - 2)[0].code)
+        h = [self._descend(level, codes[: pos - 1] + codes[pos:], s - 2)[0]
+             for pos in range(s, 0, -1)]
         odd_ok = all(
             h[j - 1] <= h[j] if j % 2 == 1 else h[j - 1] == h[j]
             for j in range(1, s)
@@ -304,12 +288,22 @@ class TowerGroundSet:
         if not 1 <= level <= self.r:
             raise InvalidArgument(f"level {level} outside 1..{self.r}")
 
-    def _check_element(self, el: TowerElement) -> None:
-        self._check_level(el.level)
-        if not 0 <= el.code < self.sizes[el.level]:
-            raise InvalidArgument(
-                f"code {el.code} outside level-{el.level} range 0..{self.sizes[el.level] - 1}"
-            )
+    def _codes(self, els: Iterable[TowerElement]) -> tuple[int, list[int]]:
+        """Level and codes of a nonempty run of valid elements: the one element check."""
+        els = list(els)
+        if not els:
+            raise InvalidArgument("empty sequence")
+        level = els[0].level
+        self._check_level(level)
+        size = self.sizes[level]
+        for el in els:
+            if el.level != level:
+                raise InvalidArgument(f"levels differ: {level} vs {el.level}")
+            if not 0 <= el.code < size:
+                raise InvalidArgument(
+                    f"code {el.code} outside level-{level} range 0..{size - 1}"
+                )
+        return level, [el.code for el in els]
 
 
 def tower_coloring(r: int, n: int) -> SignFunction:

@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -19,6 +20,7 @@ from signotopes import (
     random_monotone_coloring,
     tow,
 )
+from signotopes import enumeration
 from signotopes.enumeration import AtLeast, _search
 from signotopes.errors import InvalidArgument, TooLarge
 
@@ -172,6 +174,30 @@ class TestCountJoin:
         serial = count_monotone(r, n)
         split = count_monotone(r, n, workers=workers)
         assert (split.count, split.nodes) == (serial.count, serial.nodes)
+
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # the last stage's 454 rows make 454 jobs; an in-process pool records its size
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = count_monotone(3, 7)
+        split = count_monotone(3, 7, workers=5000)
+        assert (split.count, split.nodes) == (serial.count, serial.nodes)
+        assert sizes == [3]
 
     def test_node_budget_raises_before_the_last_stage(self):
         # S_3(8) takes 29,888,526 nodes; the n = 9 stage starts at 2 * S_3(8) more

@@ -16,7 +16,7 @@ from signotopes import (
     wiring_diagram,
 )
 from signotopes.geometry import parse_sweep_text, validate_wiring
-from signotopes.errors import InvalidArgument, InvalidWiring, NotMonotone
+from signotopes.errors import InvalidArgument, InvalidWiring, NotMonotone, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
 
@@ -112,6 +112,13 @@ class TestWiringValidation:
     def test_signs_need_three_wires(self):
         with pytest.raises(InvalidArgument):
             signs_from_wiring(WiringDiagram(2, ((1, 2),)))
+
+    def test_size_is_checked_before_the_trace(self):
+        # a valid 200-wire sweep: wire j bubbles up past wires 1..j-1
+        w = WiringDiagram(200, tuple((i, j) for j in range(2, 201) for i in range(1, j)))
+        with pytest.raises(TooLarge):
+            signs_from_wiring(w)
+        assert "trace" not in w.__dict__
 
 
 class TestSvg:

@@ -1,5 +1,5 @@
 from functools import cmp_to_key
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -168,6 +168,12 @@ class TestGroundSet:
                 assert ground.type_of(ground.gamma(a, b)) == 1
                 assert ground.type_of(ground.gamma(b, a)) == -1
 
+    def test_members_of_checks_the_level(self):
+        ground = TowerGroundSet(3, 3)
+        for bad in (TowerElement(2, 0), TowerElement(9, 0)):
+            with pytest.raises(InvalidArgument):
+                ground.members_of(bad)
+
 
 class TestGamma:
     def test_figure_values(self):
@@ -305,3 +311,43 @@ class TestVerifiers:
             s = int(rng.integers(3, 6))
             picks = sorted(int(v) for v in rng.choice(256, size=s, replace=False))
             assert ground.check_profile_lemma([els[v] for v in picks])
+
+    def test_every_element_is_checked(self):
+        ground = TowerGroundSet(3, 3)
+        a, b, b2 = ground.elements()[:3]
+        with pytest.raises(InvalidArgument):
+            ground.check_profile_lemma([])
+        for bad in (TowerElement(3, -1), TowerElement(3, 8), TowerElement(2, 0)):
+            with pytest.raises(InvalidArgument):
+                ground.check_replacement_lemma(a, b, bad, b2)
+            with pytest.raises(InvalidArgument):
+                ground.check_replacement_lemma(a, b, b2, bad)
+            with pytest.raises(InvalidArgument):
+                ground.check_deletion_lemma(a, b, bad)
+            with pytest.raises(InvalidArgument):
+                ground.check_profile_lemma([a, b, bad])
+
+    def test_verifiers_reject_a_last_difference_selector(self, monkeypatch):
+        # negative control: gamma picking the *last* differing class breaks every lemma
+        def last_difference(self, level, a, b):
+            if level == 2:
+                return 1 if a < b else 0
+            width, diff = self.sizes[level - 1] // 2, a ^ b
+            k = width - (diff & -diff).bit_length()
+            if (b >> (width - 1 - k)) & 1:
+                return self.sizes[level - 1] - 1 - k
+            return k
+
+        monkeypatch.setattr(TowerGroundSet, "_gamma_code", last_difference)
+        ground = TowerGroundSet(3, 4)
+        els = ground.elements()
+        assert not all(
+            ground.check_deletion_lemma(a, b, c) for a, b, c in permutations(els, 3)
+        )
+        assert not all(
+            ground.check_replacement_lemma(a, b, a2, b2)
+            for a, b in permutations(els, 2) for a2, b2 in product(els, repeat=2)
+        )
+        assert not all(
+            ground.check_profile_lemma(seq) for s in (3, 4) for seq in combinations(els, s)
+        )
