@@ -19,7 +19,10 @@ colors of its r-subsets (ordered by which element is deleted, largest
 deleted first) changes sign at most once.  It is *transitive* when equal
 colors on the two extreme r-subsets of an (r+1)-subset force all of its
 r-subsets to that color.  Monotone implies transitive; for r = 2 the two
-notions coincide.
+notions coincide.  Both checks walk the (r+1)-subset deletion table one
+column at a time and count, per row, the sign changes seen so far: a row
+that changes twice breaks monotonicity, and breaks transitivity as well
+when its first and last colors agree.
 """
 
 from __future__ import annotations
@@ -102,7 +105,10 @@ class ColexLayout:
       ``[arange(C(v-1, k-1)), D[:C(v-1, k-1)] + C(v-1, k-1)]`` with D the
       (n-1, k-1) deletion table.
 
-    Tables are read-only and computed on first use.
+    ``deletion`` is stored column-major, so each column ``deletion[:, j]``
+    (face j of every k-subset) is contiguous: the predicates gather and
+    compare one column at a time, and the search and path tables read
+    single columns too.  Tables are read-only and computed on first use.
     """
 
     def __init__(self, n: int, k: int):
@@ -127,7 +133,7 @@ class ColexLayout:
 
     @cached_property
     def deletion(self) -> np.ndarray:
-        out = np.empty((self.size, self.k), dtype=np.int64)
+        out = np.empty((self.size, self.k), dtype=np.int64, order="F")
         for _, lo, width, sub in self._blocks():
             out[lo:lo + width, 0] = np.arange(width)
             out[lo:lo + width, 1:] = sub.deletion[:width] + width
@@ -161,6 +167,15 @@ def check_size(r: int, n: int) -> None:
         raise TooLarge(f"r={r}, n={n} needs {entries} table entries (table cap {TABLE_CAP})")
 
 
+def _check_shape(r: int, n: int) -> None:
+    """Refuse a rank below 2, fewer vertices than r, or a size over TABLE_CAP."""
+    if r < 2:
+        raise InvalidEdge(f"uniformity must be >= 2, got {r}")
+    if n < r:
+        raise InvalidEdge(f"need n >= r, got n={n}, r={r}")
+    check_size(r, n)
+
+
 @dataclass(frozen=True, eq=False)
 class SignFunction:
     """A coloring of all r-subsets of [n], stored in colex order.
@@ -177,18 +192,14 @@ class SignFunction:
     ternary_allowed: bool = False
 
     def __post_init__(self):
-        if self.r < 2:
-            raise InvalidEdge(f"uniformity must be >= 2, got {self.r}")
-        if self.n < self.r:
-            raise InvalidEdge(f"need n >= r, got n={self.n}, r={self.r}")
-        check_size(self.r, self.n)
+        _check_shape(self.r, self.n)
         colors = np.asarray(self.colors, dtype=np.int8).copy()
         if colors.shape != (comb(self.n, self.r),):
             raise InvalidEdge(
                 f"expected {comb(self.n, self.r)} colors for r={self.r}, n={self.n}, "
                 f"got shape {colors.shape}"
             )
-        bad = ~np.isin(colors, (-1, 0, 1))
+        bad = (colors < -1) | (colors > 1)
         if bad.any():
             raise InvalidEdge(f"illegal color value {colors[bad][0]}")
         if not self.ternary_allowed and (colors == 0).any():
@@ -198,7 +209,7 @@ class SignFunction:
 
     @classmethod
     def constant(cls, r: int, n: int, color: int = MINUS) -> "SignFunction":
-        check_size(r, n)
+        _check_shape(r, n)
         return cls(r, n, np.full(comb(n, r), color, dtype=np.int8))
 
     @classmethod
@@ -274,6 +285,23 @@ def link_sequence(c: SignFunction, subset: Sequence[int]) -> tuple[int, ...]:
     return tuple(seq)
 
 
+def _sign_changes(c: SignFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Per (r+1)-subset in colex order: does its deletion sequence change
+    sign twice, and do its first and last colors agree?  Walks the deletion
+    table one contiguous column at a time."""
+    _require_binary(c)
+    table = colex_layout(c.n, c.r + 1).deletion
+    first = prev = c.colors[table[:, 0]]
+    once, twice = np.zeros((2, len(table)), dtype=bool)
+    for column in table.T[1:]:
+        cur = c.colors[column]
+        changed = cur != prev
+        twice |= once & changed
+        once |= changed
+        prev = cur
+    return twice, first == prev
+
+
 def _first_violation(bad: np.ndarray, r: int) -> tuple[int, ...] | None:
     rows = np.flatnonzero(bad)
     return colex_unrank(int(rows[0]), r + 1) if len(rows) else None
@@ -284,9 +312,7 @@ def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
 
     Returns None when the coloring is monotone.
     """
-    _require_binary(c)
-    seq = c.colors[colex_layout(c.n, c.r + 1).deletion]  # link_sequence of every row
-    return _first_violation((seq[:, 1:] != seq[:, :-1]).sum(axis=1) > 1, c.r)
+    return _first_violation(_sign_changes(c)[0], c.r)
 
 
 def is_monotone(c: SignFunction) -> bool:
@@ -294,11 +320,9 @@ def is_monotone(c: SignFunction) -> bool:
 
 
 def transitive_violation(c: SignFunction) -> tuple[int, ...] | None:
-    _require_binary(c)
-    seq = c.colors[colex_layout(c.n, c.r + 1).deletion]
-    applies = seq[:, 0] == seq[:, -1]
-    uniform = (seq == seq[:, :1]).all(axis=1)
-    return _first_violation(applies & ~uniform, c.r)
+    """First (in colex order) (r+1)-subset with equal end colors, not uniform."""
+    twice, ends_agree = _sign_changes(c)
+    return _first_violation(twice & ends_agree, c.r)
 
 
 def is_transitive(c: SignFunction) -> bool:

@@ -499,8 +499,8 @@ def ramsey_number(
 ) -> RamseyReport:
     """Least N forcing monochromatic m-vertex paths, searched up to n_max;
     ``max_nodes`` bounds the whole run, summed over every vertex count."""
-    if not 2 <= r <= m:
-        raise InvalidArgument(f"need 2 <= r <= m, got r={r}, m={m}")
+    if not 2 <= r <= m <= n_max:
+        raise InvalidArgument(f"need 2 <= r <= m <= n_max, got r={r}, m={m}, n_max={n_max}")
     witness = None
     nodes = [0]
     for n in range(m, n_max + 1):

@@ -187,6 +187,12 @@ class TestRamsey:
         assert code == 3 and manifest is None
         assert "node budget 800" in err
 
+    @pytest.mark.parametrize("n_max", ["-2", "3"])
+    def test_max_below_path_exits_two(self, capsys, n_max):
+        code, manifest, err = run(capsys, "ramsey", "--r", "3", "--path", "4", "--max", n_max)
+        assert code == 2 and manifest is None
+        assert "usage error" in err and "at least" not in err
+
     def test_deep_search(self, capsys):
         code, manifest, _ = run(
             capsys, "--max-edges", "2000", "ramsey", "--r", "2", "--path", "47", "--max", "47"

@@ -39,21 +39,24 @@ def ref_deletion_sequence(color_of, subset):
     return out
 
 
-def ref_is_monotone(color_of, n, r):
-    for s in combinations(range(1, n + 1), r + 1):
+def ref_first_violation(color_of, n, r, transitive=False):
+    """Colex-first (r+1)-subset that breaks monotonicity (or transitivity)."""
+    for s in ref_colex_order(n, r + 1):
         seq = ref_deletion_sequence(color_of, s)
-        changes = sum(1 for a, b in zip(seq, seq[1:]) if a != b)
-        if changes > 1:
-            return False
-    return True
+        if transitive:
+            if seq[0] == seq[-1] and any(v != seq[0] for v in seq):
+                return s
+        elif sum(1 for a, b in zip(seq, seq[1:]) if a != b) > 1:
+            return s
+    return None
+
+
+def ref_is_monotone(color_of, n, r):
+    return ref_first_violation(color_of, n, r) is None
 
 
 def ref_is_transitive(color_of, n, r):
-    for s in combinations(range(1, n + 1), r + 1):
-        seq = ref_deletion_sequence(color_of, s)
-        if seq[0] == seq[-1] and any(v != seq[0] for v in seq):
-            return False
-    return True
+    return ref_first_violation(color_of, n, r, transitive=True) is None
 
 
 def all_colorings(n, r):
@@ -120,6 +123,13 @@ class TestSignFunction:
         with pytest.raises(TernaryNotAllowed):
             SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8))
         SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8), ternary_allowed=True)
+        for r, n, message in [(3, -4, "need n >= r, got n=-4, r=3"),
+                              (3, 2, "need n >= r, got n=2, r=3"),
+                              (1, 3, "uniformity must be >= 2, got 1")]:
+            with pytest.raises(InvalidEdge, match=message):
+                SignFunction.constant(r, n)
+            with pytest.raises(InvalidEdge, match=message):
+                SignFunction(r, n, np.array([], dtype=np.int8))
 
     def test_vertex_cap(self):
         with pytest.raises(TooLarge):
@@ -247,6 +257,29 @@ class TestPredicates:
 
     def test_trivial_n_equals_r(self):
         assert is_monotone(SignFunction.constant(3, 3))
+        for r in range(2, 6):  # no (r+1)-subsets, so nothing to violate
+            for color in (-1, 1):
+                c = SignFunction.constant(r, r, color)
+                assert monotone_violation(c) is None and transitive_violation(c) is None
+
+    @pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 6) for n in range(r + 1, 10)])
+    def test_first_violation_matches_reference_scan(self, r, n):
+        from signotopes import random_monotone_coloring
+
+        rng = np.random.default_rng(1000 * r + n)
+        edges = ref_colex_order(n, r)
+        samples = []
+        for seed in range(4):
+            colors = random_monotone_coloring(r, n, seed, max_edges=200).colors.copy()
+            flips = rng.choice(len(edges), size=min(1 + seed % 3, len(edges)), replace=False)
+            colors[flips] *= -1
+            samples.append(colors)
+        samples += [rng.choice((-1, 1), size=len(edges)).astype(np.int8) for _ in range(3)]
+        for colors in samples:
+            c = SignFunction(r, n, colors)
+            color_of = dict(zip(edges, colors.tolist()))
+            assert monotone_violation(c) == ref_first_violation(color_of, n, r)
+            assert transitive_violation(c) == ref_first_violation(color_of, n, r, transitive=True)
 
 
 class TestFileFormat:

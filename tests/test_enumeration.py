@@ -295,6 +295,9 @@ class TestRamsey:
             ramsey_number(3, 2, 5)
         with pytest.raises(InvalidArgument):
             ramsey_number(1, 3, 2)  # no vertex count to search, still rejected
+        for n_max in (-2, 3):  # below m: nothing to search, no bound to report
+            with pytest.raises(InvalidArgument):
+                ramsey_number(3, 4, n_max)
         with pytest.raises(InvalidArgument):
             find_avoiding_coloring(1, 4, 2)
         with pytest.raises(InvalidArgument):

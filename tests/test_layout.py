@@ -62,6 +62,14 @@ def test_tables_are_read_only():
             table[0, 0] = 7
 
 
+@pytest.mark.parametrize("n,k", [(6, 3), (9, 4), (12, 5), (64, 4)])
+def test_deletion_table_is_column_major(n, k):
+    # The predicates read one contiguous column at a time.
+    deletion = colex_layout(n, k).deletion
+    assert deletion.flags.f_contiguous
+    assert all(deletion[:, j].flags.c_contiguous for j in range(k))
+
+
 def reference_projection(c, i):
     lower = sorted(combinations(range(1, i), c.r - 1), key=lambda e: e[::-1])
     return [int(c.colors[colex_rank(e + (i,), c.n)]) for e in lower]
