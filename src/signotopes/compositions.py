@@ -12,10 +12,10 @@ tests on all compositions of 3, 4, and 5.
 
 ``block_coloring(r, h)`` colors the r-subsets of [r^h] with -, 0, +:
 split the vertices into r consecutive blocks of size r^(h-1); an edge
-whose block occupancy composition has a sign gets that sign, an edge
-inside one block recurses, and an edge hitting every block once compares
-the alternating sums of its within-block positions (0 on a tie).  Every
-way of replacing the 0 entries by signs yields a monotone coloring.
+inside one block recurses, an edge hitting every block once compares the
+alternating sums of its within-block positions (0 on a tie), and every
+other edge gets the sign of its block occupancy composition.  Every way
+of replacing the 0 entries by signs yields a monotone coloring.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ class TernaryColoring:
 
 
 def block_coloring(r: int, h: int) -> TernaryColoring:
-    """The recursive block coloring on r^h vertices."""
+    """The recursive block coloring on r^h vertices, one array statement per rule."""
     if r < 3 or h < 1:
         raise InvalidArgument(f"need r >= 3 and h >= 1, got r={r}, h={h}")
     n = r ** h
@@ -140,19 +140,19 @@ def block_coloring(r: int, h: int) -> TernaryColoring:
     sub = block_coloring(r, h - 1)
     m = r ** (h - 1)
     edges = colex_layout(n, r).edges
-    shapes, which = np.unique((edges - 1) // m, axis=0, return_inverse=True)
+    blocks = (edges - 1) // m
+    inner = edges - blocks * m
+    inside = blocks[:, 0] == blocks[:, -1]
+    across = (np.diff(blocks, axis=1) > 0).all(axis=1)
+    mixed = ~(inside | across)
     colors = np.empty(len(edges), dtype=np.int8)
-    for s, blocks in enumerate(shapes.tolist()):
-        rows = which.reshape(-1) == s
-        sigma = tuple(len(list(grp)) for _, grp in groupby(blocks))
-        if len(sigma) == 1:
-            inner = edges[rows] - blocks[0] * m
-            colors[rows] = sub.fun.colors[colex_layout(m, r).rank(inner)]
-        elif len(sigma) == r:
-            offsets = edges[rows] - np.arange(r) * m
-            colors[rows] = np.sign(offsets[:, 1::2].sum(axis=1) - offsets[:, 0::2].sum(axis=1))
-        else:
-            colors[rows] = sign(sigma)
+    colors[inside] = sub.fun.colors[colex_layout(m, r).rank(inner[inside])]
+    colors[across] = np.sign(inner[across, 1::2].sum(axis=1) - inner[across, 0::2].sum(axis=1))
+    _, first, shape = np.unique(blocks[mixed] @ r ** np.arange(r),
+                                return_index=True, return_inverse=True)
+    signs = [sign([len(list(run)) for _, run in groupby(row)])
+             for row in blocks[mixed][first].tolist()]
+    colors[mixed] = np.array(signs, dtype=np.int8)[shape]
     fun = SignFunction(r, n, colors, ternary_allowed=True)
     return TernaryColoring(fun, r, h, n, m, tuple(np.flatnonzero(colors == 0).tolist()))
 
@@ -183,8 +183,9 @@ def completions(
             colors[zeros] = 2 * fills - 1
             yield SignFunction(t.r, t.n, colors)
     elif mode == "sample":
-        if count < 1:
-            raise InvalidArgument("sample mode needs count >= 1")
+        if count < 1 or seed < 0:
+            raise InvalidArgument(
+                f"sample mode needs count >= 1 and seed >= 0, got count={count}, seed={seed}")
         rng = np.random.default_rng(seed)
         for _ in range(count):
             colors = base.copy()

@@ -83,6 +83,8 @@ def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
 
 def edges_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-subsets of [n] in colex order, streamed: ``colex_layout(n, r).edges``."""
+    if r < 0:
+        raise InvalidEdge(f"need r >= 0, got r={r}")
     if r == 0:
         yield ()
         return
@@ -193,15 +195,18 @@ class SignFunction:
 
     def __post_init__(self):
         _check_shape(self.r, self.n)
-        colors = np.asarray(self.colors, dtype=np.int8).copy()
+        colors = np.asarray(self.colors)
         if colors.shape != (comb(self.n, self.r),):
             raise InvalidEdge(
                 f"expected {comb(self.n, self.r)} colors for r={self.r}, n={self.n}, "
                 f"got shape {colors.shape}"
             )
-        bad = (colors < -1) | (colors > 1)
+        if colors.dtype.kind not in "iu":
+            raise InvalidEdge(f"colors must be integers, got dtype {colors.dtype}")
+        bad = (colors < -1) | (colors > 1)  # on the values as given, before the int8 cast
         if bad.any():
             raise InvalidEdge(f"illegal color value {colors[bad][0]}")
+        colors = colors.astype(np.int8)
         if not self.ternary_allowed and (colors == 0).any():
             raise TernaryNotAllowed("0 entries require ternary_allowed=True")
         colors.setflags(write=False)

@@ -191,21 +191,10 @@ def render_svg(w: WiringDiagram) -> str:
     width = 2 * _MARGIN + _SLOT * max(slots, 1)
     height = 2 * _MARGIN + _GAP * (w.n - 1)
 
-    def x(t: int) -> int:
-        return _MARGIN + _SLOT * t
-
-    def y(track: int) -> int:
-        return _MARGIN + _GAP * track
-
-    points = {wire: [] for wire in range(1, w.n + 1)}
-    for t, order in enumerate(w.trace):
-        for track, wire in enumerate(order):
-            points[wire].append((x(t), y(track)))
-    glyphs = [(x(t) - _SLOT // 2, (points[a][t][1] + points[b][t][1]) // 2)
-              for t, (a, b) in enumerate(w.sweep, start=1)]
-    end_x = x(slots) + _SLOT // 2
-    for wire in range(1, w.n + 1):
-        points[wire].append((end_x, points[wire][-1][1]))
+    # ys[t][wire - 1]: the wire's height after t crossings, the last row again for the line ends.
+    tracks = np.argsort(np.array(w.trace), axis=1)
+    ys = (_MARGIN + _GAP * np.vstack([tracks, tracks[-1:]])).tolist()
+    xs = [_MARGIN + _SLOT * t for t in range(slots + 1)] + [_MARGIN + _SLOT * slots + _SLOT // 2]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -213,18 +202,19 @@ def render_svg(w: WiringDiagram) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for wire in range(1, w.n + 1):
-        pts = " ".join(f"{px},{py}" for px, py in points[wire])
+    for wire, column in enumerate(zip(*ys), start=1):
+        pts = " ".join(f"{px},{py}" for px, py in zip(xs, column))
         color = _WIRE_COLORS[(wire - 1) % len(_WIRE_COLORS)]
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         lines.append(
-            f'<text x="{_MARGIN - 14}" y="{points[wire][0][1] + 4}" '
+            f'<text x="{_MARGIN - 14}" y="{column[0] + 4}" '
             f'font-size="12" font-family="monospace">{wire}</text>'
         )
     lines.append('<g class="crossings">')
-    for gx, gy in glyphs:
+    for t, (a, b) in enumerate(w.sweep, start=1):
+        gx, gy = xs[t] - _SLOT // 2, (ys[t][a - 1] + ys[t][b - 1]) // 2
         lines.append(f'<circle class="crossing" cx="{gx}" cy="{gy}" r="3" fill="black"/>')
     lines.append("</g>")
     lines.append("</svg>")

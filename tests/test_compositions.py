@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from itertools import product
+from itertools import combinations, groupby, product
 from math import comb, factorial
 
 from signotopes import (
@@ -30,6 +30,21 @@ def clause_sign(sigma):
     if len(sigma) == 1 or all(p == 1 for p in sigma):
         return None
     return clause_sign(reduction_step(sigma))
+
+
+def ref_block_color(r, h, edge):
+    """The block coloring's three rules for one edge, recursing by hand."""
+    if h == 1:
+        return 0
+    m = r ** (h - 1)
+    blocks = [(v - 1) // m for v in edge]
+    inner = tuple(v - b * m for v, b in zip(edge, blocks))
+    if blocks[0] == blocks[-1]:
+        return ref_block_color(r, h - 1, inner)
+    if all(a < b for a, b in zip(blocks, blocks[1:])):
+        alternating = sum(inner[1::2]) - sum(inner[0::2])
+        return (alternating > 0) - (alternating < 0)
+    return sign(tuple(len(list(run)) for _, run in groupby(blocks)))
 
 
 class TestCompositions:
@@ -64,6 +79,8 @@ class TestReduction:
         for sigma in [(1, 1, 1), (4,), (1,), (1, 1)]:
             with pytest.raises(NoReduction):
                 reduction(sigma)
+        with pytest.raises(NoReduction):
+            reduction_step((1,))
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_reduction_lands_on_a_base_form(self, m):
@@ -168,6 +185,13 @@ class TestBlockColoring:
                     shifted = tuple(v + shift for v in edge)
                     assert t.fun.color(shifted) == sub.fun.color(edge)
 
+    @pytest.mark.parametrize("r,h", [(3, 1), (3, 2), (3, 3), (4, 2), (5, 2)])
+    def test_matches_scalar_reference(self, r, h):
+        n = r ** h
+        colex = sorted(combinations(range(1, n + 1), r), key=lambda e: e[::-1])
+        want = [ref_block_color(r, h, edge) for edge in colex]
+        assert block_coloring(r, h).fun.colors.tolist() == want
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidArgument):
             block_coloring(2, 2)
@@ -213,6 +237,8 @@ class TestCompletions:
             next(completions(t, mode="weird"))
         with pytest.raises(InvalidArgument):
             next(completions(t, mode="sample", count=0))
+        with pytest.raises(InvalidArgument, match="seed >= 0"):
+            next(completions(t, mode="sample", count=1, seed=-1))
 
 
 class TestZeroLowerBound:

@@ -106,6 +106,13 @@ class TestColex:
             colex_rank((1, 2, 9), n=4)
         with pytest.raises(InvalidEdge):
             colex_rank(())
+        with pytest.raises(InvalidEdge):
+            colex_unrank(-1, 2)
+
+    def test_edges_colex_rank_bounds(self):
+        assert list(edges_colex(3, 0)) == [()]
+        with pytest.raises(InvalidEdge, match="need r >= 0"):
+            list(edges_colex(3, -1))
 
 
 class TestSignFunction:
@@ -123,6 +130,16 @@ class TestSignFunction:
         with pytest.raises(TernaryNotAllowed):
             SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8))
         SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8), ternary_allowed=True)
+        # values are checked as given, before the int8 cast could wrap or truncate them
+        for colors, message in [(np.array([255, 257, 1]), "illegal color value 255"),
+                                (np.array([1, 255, 1], dtype=np.uint8), "illegal color value 255"),
+                                ([1.7, -1.2, 1], "must be integers, got dtype float64"),
+                                ([1.0, -1.0, 1.0], "must be integers, got dtype float64"),
+                                ([float("nan"), 1, 1], "must be integers, got dtype float64"),
+                                ([True, False, True], "must be integers, got dtype bool")]:
+            with pytest.raises(InvalidEdge, match=message):
+                SignFunction(2, 3, colors, ternary_allowed=True)
+        assert SignFunction(2, 3, np.array([1, -1, 1], dtype=np.int64)).colors.dtype == np.int8
         for r, n, message in [(3, -4, "need n >= r, got n=-4, r=3"),
                               (3, 2, "need n >= r, got n=2, r=3"),
                               (1, 3, "uniformity must be >= 2, got 1")]:

@@ -50,6 +50,8 @@ class TestEnumerate:
         # 20 edges: the largest size the 2^C(n,r) filtering oracle covers
         assert brute_force_monotone_count(3, 6) == 908
         assert count_monotone(3, 6).count == 908
+        with pytest.raises(TooLarge, match="beyond brute force"):
+            brute_force_monotone_count(2, 8)  # 28 edges
 
     def test_pair_count_equals_factorial(self):
         # frozen from brute force; coincides with the permutation count
@@ -69,6 +71,11 @@ class TestEnumerate:
             for b in (-1, 1):
                 split |= set(enumerate_monotone(3, 5, prefix=(a, b)))
         assert split == full
+
+    def test_inconsistent_full_prefix_yields_nothing(self):
+        # edges 12, 13, 23 colored -, +, -: the sequence of {1, 2, 3} changes sign twice
+        assert list(enumerate_monotone(2, 3, prefix=(-1, 1, -1))) == []
+        assert len(list(enumerate_monotone(2, 3, prefix=(-1, 1, 1)))) == 1
 
     def test_edge_cap_is_overridable(self):
         with pytest.raises(TooLarge):
@@ -302,6 +309,12 @@ class TestRamsey:
             find_avoiding_coloring(1, 4, 2)
         with pytest.raises(InvalidArgument):
             find_avoiding_coloring(3, 2, 3)
+        with pytest.raises(InvalidArgument, match="need m >= r"):
+            find_avoiding_coloring(3, 5, 2)
+
+    def test_avoider_search_can_fail(self):
+        # every monotone coloring of pairs on 5 vertices has a monochromatic 3-vertex path
+        assert find_avoiding_coloring(2, 5, 3) == (None, 110)
 
 
 class TestTow:

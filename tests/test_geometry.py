@@ -15,10 +15,63 @@ from signotopes import (
     tower_coloring,
     wiring_diagram,
 )
-from signotopes.geometry import parse_sweep_text, validate_wiring
+from signotopes.geometry import (
+    _GAP,
+    _MARGIN,
+    _SLOT,
+    _WIRE_COLORS,
+    parse_sweep_text,
+    validate_wiring,
+)
 from signotopes.errors import InvalidArgument, InvalidWiring, NotMonotone, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
+
+
+def ref_render_svg(w):
+    """Point-list renderer: per-wire point lists, glyphs read back from them."""
+    slots = len(w.sweep)
+    width = 2 * _MARGIN + _SLOT * max(slots, 1)
+    height = 2 * _MARGIN + _GAP * (w.n - 1)
+
+    def x(t):
+        return _MARGIN + _SLOT * t
+
+    def y(track):
+        return _MARGIN + _GAP * track
+
+    points = {wire: [] for wire in range(1, w.n + 1)}
+    for t, order in enumerate(w.trace):
+        for track, wire in enumerate(order):
+            points[wire].append((x(t), y(track)))
+    glyphs = [(x(t) - _SLOT // 2, (points[a][t][1] + points[b][t][1]) // 2)
+              for t, (a, b) in enumerate(w.sweep, start=1)]
+    end_x = x(slots) + _SLOT // 2
+    for wire in range(1, w.n + 1):
+        points[wire].append((end_x, points[wire][-1][1]))
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for wire in range(1, w.n + 1):
+        pts = " ".join(f"{px},{py}" for px, py in points[wire])
+        color = _WIRE_COLORS[(wire - 1) % len(_WIRE_COLORS)]
+        lines.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
+        )
+        lines.append(
+            f'<text x="{_MARGIN - 14}" y="{points[wire][0][1] + 4}" '
+            f'font-size="12" font-family="monospace">{wire}</text>'
+        )
+    lines.append('<g class="crossings">')
+    for gx, gy in glyphs:
+        lines.append(f'<circle class="crossing" cx="{gx}" cy="{gy}" r="3" fill="black"/>')
+    lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 class TestConstraints:
@@ -101,6 +154,13 @@ class TestWiringValidation:
         with pytest.raises(InvalidWiring):
             validate_wiring(WiringDiagram(3, ((1, 2), (1, 2), (2, 3))))
 
+    def test_bad_wire_count_and_crossings_rejected(self):
+        with pytest.raises(InvalidWiring, match="at least one wire"):
+            WiringDiagram(0, ()).trace
+        for pair in [(2, 1), (1, 9)]:
+            with pytest.raises(InvalidWiring, match="bad crossing"):
+                WiringDiagram(2, (pair,)).trace
+
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidWiring):
             validate_wiring(WiringDiagram(3, ((1, 2),)))
@@ -142,6 +202,13 @@ class TestSvg:
         a = render_svg(wiring_diagram(SignFunction.constant(3, 5)))
         b = render_svg(wiring_diagram(SignFunction.constant(3, 5)))
         assert a == b
+
+    def test_matches_point_list_reference(self):
+        diagrams = [WiringDiagram(1, ()), WiringDiagram(2, ((1, 2),))]
+        diagrams += [wiring_diagram(c) for n in (3, 4, 5) for c in enumerate_monotone(3, n)]
+        diagrams.append(wiring_diagram(tower_coloring(3, 3)))
+        for w in diagrams:
+            assert render_svg(w) == ref_render_svg(w), w.sweep
 
     def test_wire_count(self):
         w = wiring_diagram(SignFunction.constant(3, 4))
