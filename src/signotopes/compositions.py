@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import SignFunction, check_size, colex_layout
+from .core import TABLE_CAP, SignFunction, _brief, check_size, colex_layout
 from .errors import InvalidArgument, NoReduction, TooLarge
 
 #: Exhaustive completion is refused above this many 0 entries.
@@ -131,6 +131,8 @@ def block_coloring(r: int, h: int) -> TernaryColoring:
     """The recursive block coloring on r^h vertices, one array statement per rule."""
     if r < 3 or h < 1:
         raise InvalidArgument(f"need r >= 3 and h >= 1, got r={r}, h={h}")
+    if h >= TABLE_CAP.bit_length():  # r^h >= 2^h: refused without forming r^h
+        raise TooLarge(f"r^h vertices for h={_brief(h)} exceed the table cap {TABLE_CAP}")
     n = r ** h
     check_size(r, n)
     if h == 1:

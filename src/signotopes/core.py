@@ -72,11 +72,12 @@ def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
     rem = rank
     out = []
     for i in range(r, 0, -1):
-        w = i - 1
-        while comb(w + 1, i) <= rem:
-            w += 1
-        out.append(w + 1)
-        rem -= comb(w, i)
+        lo, hi = i - 1, i + rem  # bisect C(lo, i) <= rem < C(hi, i) down to hi = lo + 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if comb(mid, i) <= rem else (lo, mid)
+        out.append(lo + 1)
+        rem -= comb(lo, i)
     out.reverse()
     return tuple(out)
 
@@ -157,6 +158,23 @@ def colex_layout(n: int, k: int) -> ColexLayout:
     return ColexLayout(n, k)
 
 
+def _brief(x: int) -> str:
+    """``x`` in decimal, or its bit length once it is too long to print."""
+    return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit number>"
+
+
+def _capped_comb(n: int, k: int, cap: int) -> int:
+    """C(n, k), or cap + 1 once the running product C(n-k+i, i), which
+    never shrinks, passes cap: a huge binomial costs a few steps."""
+    k = min(k, n - k)
+    value = int(k >= 0)
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > cap:
+            return cap + 1
+    return value
+
+
 @lru_cache(maxsize=None)  # every SignFunction calls it; the admitted (r, n) are finitely many
 def check_size(r: int, n: int) -> None:
     """Refuse an (r, n) coloring whose colex tables would exceed TABLE_CAP.
@@ -164,9 +182,9 @@ def check_size(r: int, n: int) -> None:
     Its operations read ``colex_layout(n, k)`` for k = r-1, r and r+1;
     with its sub-layouts that holds at most k * C(n+1, k) entries.
     """
-    entries = max(k * comb(n + 1, k) for k in (r - 1, r, r + 1))
-    if entries > TABLE_CAP:
-        raise TooLarge(f"r={r}, n={n} needs {entries} table entries (table cap {TABLE_CAP})")
+    if any(k * _capped_comb(n + 1, k, TABLE_CAP) > TABLE_CAP for k in (r - 1, r, r + 1)):
+        raise TooLarge(f"r={_brief(r)}, n={_brief(n)} needs more colex table entries "
+                       f"than the table cap {TABLE_CAP}")
 
 
 def _check_shape(r: int, n: int) -> None:
@@ -357,12 +375,15 @@ def loads(text: str) -> SignFunction:
     m = _HEADER_RE.match(lines[1])
     if not m:
         raise ParseError(f"bad header {lines[1]!r}, expected 'r=<r> n=<n>'", line=2, column=1)
-    r, n = int(m.group(1)), int(m.group(2))
-    body = lines[2]
-    expected = comb(n, r) if n >= r >= 2 else -1
-    if expected < 0:
+    try:
+        r, n = int(m.group(1)), int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ParseError("header number too long", line=2, column=1) from None
+    if not n >= r >= 2:
         raise ParseError(f"illegal parameters r={r}, n={n}", line=2, column=3)
     check_size(r, n)
+    body = lines[2]
+    expected = comb(n, r)
     for col, ch in enumerate(body, start=1):
         if ch not in _CHAR_TO_COLOR:
             raise ParseError(f"illegal color character {ch!r}", line=3, column=col)

@@ -7,8 +7,8 @@ smallest element — has the largest colex rank; the constraint is
 evaluated the moment that edge is colored, which is the earliest
 possible time.  Branches violating a constraint are cut immediately, so
 every leaf is a monotone coloring and, by induction, every monotone
-coloring is reached exactly once.  An optional path pruner also cuts
-branches holding a monochromatic m-vertex path, for Ramsey search.
+coloring is reached exactly once.  A hook per edge extends the engine:
+Ramsey search plugs in `_path_pruner`, the counting join its bitset filter.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -36,7 +36,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import SignFunction, _require_binary, check_size, colex_layout
+from .core import SignFunction, _brief, _capped_comb, _require_binary, check_size, colex_layout
 from .errors import InvalidArgument, TooLarge
 
 #: Default cap on the number of edges the backtracking search will handle.
@@ -69,23 +69,17 @@ def _search_tables(r: int, n: int):
     return constraints, preds
 
 
-def _require_rank(r: int) -> None:
-    """Colorings have rank at least 2; only the counting join walks rank 1."""
+def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
+    """Admit (r, n) and the caps for a search, before any work."""
     if r < 2:
         raise InvalidArgument(f"need r >= 2, got {r}")
-
-
-def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
-    """Refuse bad sizes and caps, and more than ``max_edges`` edges, before any work."""
     if n < r:
         raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
     if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
         raise InvalidArgument(f"need caps >= 0, got {max_edges} edges, {max_nodes} nodes")
-    if comb(n, r) > max_edges:
-        raise TooLarge(
-            f"{comb(n, r)} edges exceeds search cap {max_edges}; "
-            f"pass max_edges explicitly to override"
-        )
+    if _capped_comb(n, r, max_edges) > max_edges:
+        raise TooLarge(f"r={_brief(r)}, n={_brief(n)} has more than {_brief(max_edges)} "
+                       f"edges (search cap); pass max_edges explicitly to override")
     check_size(r, n)
 
 
@@ -107,55 +101,35 @@ def _search(
     n: int,
     nodes: list[int],
     *,
-    max_edges: int = SEARCH_EDGE_CAP,
     max_nodes: int | None = None,
     prefix: Sequence[int] = (),
     rng: random.Random | None = None,
-    m: int | None = None,
     hook: Callable[[int, list[int]], bool] | None = None,
 ) -> Iterator[list[int]]:
     """Depth-first search yielding the shared color list at every leaf.
 
-    A leaf is a full consistent coloring; copy what you keep.  Each
-    level tries -1 before +1 unless ``rng`` swaps them, one
-    ``rng.random()`` per non-leaf level entered.
-    ``prefix`` pins the first edges, uncounted; one failing the checks
-    yields nothing.  ``m`` switches on the path pruner: a branch whose
-    colored edges hold a monochromatic m-vertex path is cut (every
-    extension holds it too), found by an incremental DP over path-ending
-    windows.  Without ``m``, ``hook(k, colors)``, if given, runs after
-    edge k passes the constraints, prefix edges included; False cuts the
-    branch.
+    The caller has admitted (r, n) and checked ``prefix``; the counting
+    join walks rank 1, which has no constraints.  A leaf is a full
+    consistent coloring; copy what you keep.  Each level tries -1
+    before +1 unless ``rng`` swaps them, one ``rng.random()`` per
+    non-leaf level entered.  ``prefix`` pins the first edges, uncounted;
+    one failing the checks yields nothing.  ``hook(k, colors)``, if
+    given, runs after edge k passes the constraints, prefix edges
+    included; False cuts the branch.
     ``nodes[0]`` adds up attempted assignments, each counted before its
     checks, and is current at every yield and at the end; past
-    ``max_nodes`` the search raises TooLarge.  Rank 1 (no constraints)
-    is admitted for the counting join.
+    ``max_nodes`` the search raises TooLarge.
     """
-    if r < 1:
-        raise InvalidArgument(f"need r >= 1, got {r}")
-    if m is not None and m < r:
-        raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
-    _check_limits(r, n, max_edges, max_nodes)
     edge_count = comb(n, r)
-    if len(prefix) > edge_count or any(v not in (-1, 1) for v in prefix):
-        raise InvalidArgument(f"prefix must be over -1/+1 with length <= {edge_count}")
-    constraints, preds = _search_tables(r, n)
+    constraints, _ = _search_tables(r, n)
     colors = [0] * edge_count
-    plen = [0] * edge_count  # longest path ending in each colored window
 
     def fits(k: int, col: int) -> bool:
         colors[k] = col
         for cr in constraints[k]:
             if not _consistent(colors, cr):
                 return False
-        if m is None:
-            return hook is None or hook(k, colors)
-        longest = r
-        for p in preds[k]:
-            if colors[p] == col and plen[p] >= longest:
-                longest = plen[p] + 1
-        plen[k] = longest
-        return longest < m
+        return hook is None or hook(k, colors)
 
     if not all(fits(k, col) for k, col in enumerate(prefix)):
         return
@@ -201,9 +175,10 @@ def enumerate_monotone(
     coloring.  ``max_nodes`` bounds the number of attempted assignments
     (TooLarge beyond).
     """
-    _require_rank(r)
-    for colors in _search(r, n, [0], max_edges=max_edges, max_nodes=max_nodes,
-                          prefix=prefix, rng=rng):
+    _check_limits(r, n, max_edges, max_nodes)
+    if len(prefix) > comb(n, r) or any(v not in (-1, 1) for v in prefix):
+        raise InvalidArgument(f"prefix must be over -1/+1 with length <= {comb(n, r)}")
+    for colors in _search(r, n, [0], max_nodes=max_nodes, prefix=prefix, rng=rng):
         yield SignFunction(r, n, np.array(colors, dtype=np.int8))
 
 
@@ -215,12 +190,11 @@ def random_monotone_coloring(r: int, n: int, seed: int, **kwargs) -> SignFunctio
 
 @dataclass(frozen=True)
 class CountReport:
-    """Exact monotone-coloring count with bound bookkeeping.
+    """Exact monotone-coloring count with its exponent and upper bound.
 
-    The two-sided bound (valid for r >= 3) sandwiches the count between
-    2^(n^(r-1)/r^(4r)) and 2^(2^(r-2) n^(r-1)/(r-1)!).  At desk scale the
-    lower exponent is far below 1, so the lower bound is reported as not
-    binding rather than asserted.  ``nodes`` is the backtracking engine's
+    ``exponent`` = log2(count) / n^(r-1) is the paper's 2^(n^(r-1)/r^Θ(r))
+    seen on data.  For r >= 3, ``bounds_ok`` checks the count against
+    2^upper_exponent = 2^(2^(r-2) n^(r-1)/(r-1)!).  ``nodes`` is the backtracking engine's
     count of attempted assignments, 2 * sum(P_d) over the depths d below
     C(n, r) with P_d consistent partial colorings, which the counting
     join computes without visiting them.
@@ -231,9 +205,8 @@ class CountReport:
     count: int
     nodes: int
     seconds: float
-    lower_exponent: float | None
+    exponent: float
     upper_exponent: float | None
-    lower_binding: bool
     bounds_ok: bool
 
 
@@ -304,7 +277,7 @@ def _join(
             _add_nodes(nodes, 4 * valid.bit_count(), limit)
         return True
 
-    for colors in _search(r - 1, n - 1, [0], max_edges=edges, hook=hook):
+    for colors in _search(r - 1, n - 1, [0], hook=hook):
         yield colors, bits[edges]
 
 
@@ -351,10 +324,9 @@ def count_monotone(
     processes.  Counts and node totals are sums of popcounts, so neither
     they nor whether ``max_nodes`` is exceeded depend on the worker count.
     """
-    _require_rank(r)
+    _check_limits(r, n, max_edges, max_nodes)
     if workers < 1:
         raise InvalidArgument(f"need workers >= 1, got {workers}")
-    _check_limits(r, n, max_edges, max_nodes)
     start = time.perf_counter()
     limit = float("inf") if max_nodes is None else max_nodes
     table: _Table = (1, [0])  # [r] with its one edge minus
@@ -380,20 +352,10 @@ def count_monotone(
         _add_nodes(nodes, sum(p[1] for p in parts), limit)
     count *= 2  # the color swap is an involution without fixed points
     seconds = time.perf_counter() - start
-
-    if r >= 3:
-        lower_exponent = n ** (r - 1) / r ** (4 * r)
-        upper_exponent = 2 ** (r - 2) * n ** (r - 1) / factorial(r - 1)
-        lower_binding = lower_exponent >= 1.0
-        ok = log2(max(count, 1)) <= upper_exponent + 1e-9
-        if lower_binding:
-            ok = ok and log2(max(count, 1)) >= lower_exponent - 1e-9
-    else:
-        lower_exponent = upper_exponent = None
-        lower_binding = False
-        ok = True
-    return CountReport(r, n, count, nodes[0], seconds, lower_exponent,
-                       upper_exponent, lower_binding, ok)
+    upper_exponent = 2 ** (r - 2) * n ** (r - 1) / factorial(r - 1) if r >= 3 else None
+    ok = upper_exponent is None or log2(count) <= upper_exponent + 1e-9
+    return CountReport(r, n, count, nodes[0], seconds, log2(count) / n ** (r - 1),
+                       upper_exponent, ok)
 
 
 def brute_force_monotone_count(r: int, n: int) -> int:
@@ -406,9 +368,9 @@ def brute_force_transitive_count(r: int, n: int) -> int:
 
 
 def _brute_force_count(r: int, n: int, transitive: bool) -> int:
-    edge_count = comb(n, r)
+    edge_count = _capped_comb(n, r, BRUTE_FORCE_EDGES)
     if edge_count > BRUTE_FORCE_EDGES:
-        raise TooLarge(f"2^{edge_count} colorings is beyond brute force")
+        raise TooLarge(f"over 2^{BRUTE_FORCE_EDGES} colorings is beyond brute force")
     idx = colex_layout(n, r + 1).deletion
     shifts = np.arange(edge_count, dtype=np.uint32)
     total = 0
@@ -468,6 +430,32 @@ class RamseyReport:
     nodes: int
 
 
+def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int]], bool]:
+    """Engine hook cutting a branch that holds a monochromatic m-vertex path,
+    found by an incremental DP over path-ending windows."""
+    _, preds = _search_tables(r, n)
+    plen = [0] * len(preds)
+
+    def hook(k: int, colors: list[int]) -> bool:
+        col = colors[k]
+        longest = r
+        for p in preds[k]:
+            if colors[p] == col and plen[p] >= longest:
+                longest = plen[p] + 1
+        plen[k] = longest
+        return longest < m
+
+    return hook
+
+
+def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
+                   max_nodes: int | None) -> SignFunction | None:
+    """Admit (r, n), then the path-pruned search's first leaf; ``nodes[0]`` accumulates."""
+    _check_limits(r, n, max_edges, max_nodes)
+    colors = next(_search(r, n, nodes, max_nodes=max_nodes, hook=_path_pruner(r, n, m)), None)
+    return None if colors is None else SignFunction(r, n, np.array(colors, dtype=np.int8))
+
+
 def find_avoiding_coloring(
     r: int,
     n: int,
@@ -481,12 +469,10 @@ def find_avoiding_coloring(
     The first leaf of the search with the path pruner on.  Returns
     (coloring or None, node count).
     """
-    _require_rank(r)
+    if m < r:
+        raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
     nodes = [0]
-    colors = next(_search(r, n, nodes, max_edges=max_edges, max_nodes=max_nodes, m=m), None)
-    if colors is None:
-        return None, nodes[0]
-    return SignFunction(r, n, np.array(colors, dtype=np.int8)), nodes[0]
+    return _first_avoider(r, n, m, nodes, max_edges, max_nodes), nodes[0]
 
 
 def ramsey_number(
@@ -504,10 +490,9 @@ def ramsey_number(
     witness = None
     nodes = [0]
     for n in range(m, n_max + 1):
-        colors = next(_search(r, n, nodes, max_edges=max_edges, max_nodes=max_nodes, m=m), None)
-        if colors is None:
+        if (avoider := _first_avoider(r, n, m, nodes, max_edges, max_nodes)) is None:
             return RamseyReport(r, m, n, n, witness, nodes[0])
-        witness = SignFunction(r, n, np.array(colors, dtype=np.int8))
+        witness = avoider
     return RamseyReport(r, m, None, n_max + 1, witness, nodes[0])
 
 

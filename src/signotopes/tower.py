@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SignFunction, check_size, colex_layout
+from .core import SignFunction, _brief, _check_shape, colex_layout
 from .errors import InvalidArgument, TooLarge
 
 #: Cap on the number of ground-set elements.
@@ -49,10 +49,11 @@ def tower_sizes(r: int, n: int) -> list[int]:
     for level in range(3, r + 1):
         exponent = sizes[-1] // 2
         if exponent > EXPONENT_CAP:
-            raise TooLarge(
-                f"level {level} would hold 2^{exponent} elements; not materializable"
-            )
-        sizes.append(2 ** exponent)
+            raise TooLarge(f"level {level} would hold over 2^{EXPONENT_CAP} elements")
+        size = 2 ** exponent
+        if size == sizes[-1] < r:  # n <= 2: stuck at 2 or 4, refused without r steps
+            raise InvalidArgument(f"levels stop growing at {size} elements, below r={_brief(r)}")
+        sizes.append(size)
     return sizes
 
 
@@ -76,10 +77,8 @@ class TowerGroundSet:
         self.n = n
         self.sizes = tower_sizes(r, n)
         if self.sizes[r] > ELEMENT_CAP:
-            raise TooLarge(
-                f"ground set for r={r}, n={n} has {self.sizes[r]} elements "
-                f"(cap {ELEMENT_CAP})"
-            )
+            raise TooLarge(f"ground set for r={_brief(r)}, n={_brief(n)} has "
+                           f"{_brief(self.sizes[r])} elements (cap {ELEMENT_CAP})")
         self.size = self.sizes[r]
 
     # -- element structure --------------------------------------------------
@@ -190,7 +189,7 @@ class TowerGroundSet:
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
-        check_size(self.r, self.size)
+        _check_shape(self.r, self.size)
         codes = colex_layout(self.size, self.r).edges - 1
         for level in range(self.r, 1, -1):
             size = self.sizes[level]

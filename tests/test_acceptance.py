@@ -20,7 +20,7 @@ DETAILS_SHA256 = {
     3: "2c651026154d9e64b55094321905fa9c504c7fb7701b907fd508d5aaa1bb2ff5",
     4: "9dc12a58d9ce5d862ce997f09de163be674a4dcaa0ecd329e0ea8d6a697cc702",
     5: "4dd5a6b3936a4c936380d289907aee824294e66e093349f27b111eb988ba0e25",
-    6: "0697f47a3dd8c166ad848c8213291d9a297de0415221f5efc3b0e33d033676f1",
+    6: "6ae6c03423298916f91f9020f884230152b47963927fc691b7c43e158e7005e4",
     7: "4407d85aab483f4aa155a33166c2a6813233a0f85be93e77591005d7671b6fb6",
     8: "4af5a486a9c7a4f4f744e691c714d93273a77750f018afc273d844270c9c87f5",
     9: "ab7049fbcb123b4e679107f2d4fa408fb44a03967095693c9ee1b7cee457a785",

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from math import comb
 from pathlib import Path
 
@@ -111,6 +112,29 @@ class TestVertexCapBeforeBuild:
         code, manifest, err = run(capsys, *argv)
         assert code == 3 and manifest is None
         assert "table cap" in err
+        assert layout_calls() == before
+
+    @pytest.mark.parametrize("argv,want", [
+        (("comp", "--r", "3", "--h", "100000"), 3),  # 3^100000 vertices, never formed
+        (("count", "--r", "3", "--n", "1" + "0" * 2000), 3),  # C(n, 3) has 6,000 digits
+        (("count", "--r", "200000", "--n", "400000"), 3),  # C(n, r) has 120,000 digits
+        (("ramsey", "--r", "2", "--path", "9" * 3000, "--max", "9" * 3001), 3),
+        (("tower", "--r", "2", "--n", "9" * 4000), 3),  # 2n has more digits than n
+        (("verify", "--in", "n2000.mono"), 3),  # a 2,000-digit header n
+        (("verify", "--in", "n5000.mono"), 2),  # more digits than int() converts
+        (("tower", "--r", "200000", "--n", "2"), 2),  # the levels stop growing at 4
+        (("tower", "--r", str(10 ** 9), "--n", "1"), 2),  # and at 2
+    ])
+    def test_huge_arguments_are_refused_at_once(self, tmp_path, monkeypatch, capsys, argv, want):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "n2000.mono").write_text(f"MONO 1\nr=3 n=1{'0' * 1999}\n-\n")
+        (tmp_path / "n5000.mono").write_text(f"MONO 1\nr=3 n=1{'0' * 4999}\n-\n")
+        before = layout_calls()
+        start = time.perf_counter()
+        code, manifest, err = run(capsys, *argv)
+        assert (code, manifest) == (want, None)
+        assert ("resource cap" if want == 3 else "usage error") in err
+        assert time.perf_counter() - start < 1
         assert layout_calls() == before
 
 

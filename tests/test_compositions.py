@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from itertools import combinations, groupby, product
@@ -197,6 +199,13 @@ class TestBlockColoring:
             block_coloring(2, 2)
         with pytest.raises(TooLarge):
             block_coloring(3, 4)
+
+    def test_huge_height_is_refused_before_forming_the_power(self):
+        start = time.perf_counter()
+        for h in (21, 22, 10 ** 6):  # 3^21 vertices goes through check_size
+            with pytest.raises(TooLarge, match="table cap"):
+                block_coloring(3, h)
+        assert time.perf_counter() - start < 1
 
 
 class TestCompletions:

@@ -21,6 +21,7 @@ from signotopes import (
     transitive_violation,
     write_file,
 )
+from signotopes.core import TABLE_CAP, _capped_comb, check_size
 from signotopes.errors import InvalidEdge, ParseError, TernaryNotAllowed, TooLarge
 
 
@@ -97,6 +98,17 @@ class TestColex:
     def test_round_trip_property(self, r, rank):
         assert colex_rank(colex_unrank(rank, r)) == rank
 
+    @given(st.integers(1, 8), st.integers(0, 10 ** 30))
+    def test_round_trip_large_ranks(self, r, rank):
+        assert colex_rank(colex_unrank(rank, r)) == rank
+
+    def test_unrank_bisects(self):
+        # stepping the vertex up one at a time would take about a day and a half here
+        assert colex_unrank(10 ** 12, 1) == (10 ** 12 + 1,)
+        for r in range(1, 9):
+            for rank in (10 ** 30 - 1, 10 ** 30):
+                assert colex_rank(colex_unrank(rank, r)) == rank
+
     def test_rejects_bad_tuples(self):
         with pytest.raises(InvalidEdge):
             colex_rank((2, 2, 3))
@@ -113,6 +125,35 @@ class TestColex:
         assert list(edges_colex(3, 0)) == [()]
         with pytest.raises(InvalidEdge, match="need r >= 0"):
             list(edges_colex(3, -1))
+
+
+class TestSizeLimit:
+    def test_capped_comb_is_comb_clipped_past_the_cap(self):
+        for n in range(30):
+            for k in range(-1, n + 2):
+                exact = comb(n, k) if k >= 0 else 0
+                for cap in (0, 1, 7, 1000, 10 ** 6):
+                    assert _capped_comb(n, k, cap) == min(exact, cap + 1)
+
+    def test_check_size_matches_the_exact_entry_count(self):
+        for r in range(2, 9):
+            for n in range(r, 200):
+                entries = max(k * comb(n + 1, k) for k in (r - 1, r, r + 1))
+                if entries > TABLE_CAP:
+                    with pytest.raises(TooLarge, match="table cap"):
+                        check_size(r, n)
+                else:
+                    check_size(r, n)
+
+    def test_vertex_limits(self):
+        for r, n in [(2, 175), (3, 64), (4, 37), (5, 27), (6, 23)]:
+            check_size(r, n)
+            with pytest.raises(TooLarge):
+                check_size(r, n + 1)
+
+    def test_astronomical_sizes_are_refused_without_printing_them(self):
+        with pytest.raises(TooLarge, match="bit number"):
+            check_size(3, 10 ** 5000)
 
 
 class TestSignFunction:

@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from math import comb, factorial
+from math import comb, factorial, log2, prod
 
 from signotopes import (
     SignFunction,
@@ -21,7 +21,7 @@ from signotopes import (
     tow,
 )
 from signotopes import enumeration
-from signotopes.enumeration import AtLeast, _search
+from signotopes.enumeration import AtLeast, _path_pruner, _search
 from signotopes.errors import InvalidArgument, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
@@ -116,7 +116,7 @@ class TestCount:
     def test_report_fields(self):
         rep = count_monotone(3, 4)
         assert rep.upper_exponent == 16.0
-        assert not rep.lower_binding
+        assert rep.exponent == log2(8) / 16  # log2(count) / n^(r-1)
         assert rep.bounds_ok
         assert rep.nodes > 0 and rep.seconds >= 0
 
@@ -315,6 +315,53 @@ class TestRamsey:
     def test_avoider_search_can_fail(self):
         # every monotone coloring of pairs on 5 vertices has a monochromatic 3-vertex path
         assert find_avoiding_coloring(2, 5, 3) == (None, 110)
+
+
+def box_permutations(n, side):
+    """Permutations of [n] with no increasing or decreasing run of side + 1.
+
+    By Schensted's theorem: the sum of (f^lam)^2 over the partitions lam
+    of n inside a side x side box, f^lam by the hook-length formula.
+    """
+    def shapes(rest, rows, largest):
+        if rest == 0:
+            yield ()
+        elif rows > 0:
+            for part in range(min(rest, largest), 0, -1):
+                for tail in shapes(rest - part, rows - 1, part):
+                    yield (part,) + tail
+
+    total = 0
+    for lam in shapes(n, side, side):
+        cols = [sum(1 for part in lam if part > j) for j in range(lam[0])]
+        hooks = prod(lam[i] - j + cols[j] - i - 1 for i in range(len(lam)) for j in range(lam[i]))
+        total += (factorial(n) // hooks) ** 2
+    return total
+
+
+def pruned_leaves(r, n, m):
+    return sum(1 for _ in _search(r, n, [0], hook=_path_pruner(r, n, m)))
+
+
+class TestPathPruner:
+    """Exhaustive leaf counts of the engine with the path pruner hooked in."""
+
+    @pytest.mark.parametrize("n,count", [(6, 306), (7, 882), (8, 1_764), (9, 1_764), (10, 0)])
+    def test_pairs_match_schensted(self, n, count):
+        # for r = 2 a monochromatic monotone path is a monotone subsequence
+        assert box_permutations(n, 3) == count
+        assert pruned_leaves(2, n, 4) == count
+
+    @pytest.mark.parametrize("r,m,n,count", [
+        (3, 4, 6, 20), (3, 5, 6, 778), (4, 5, 6, 46), (2, 4, 7, 882),
+    ])
+    def test_matches_filtered_enumeration(self, r, m, n, count):
+        kept = sum(1 for c in enumerate_monotone(r, n) if longest_mono_paths(c).best < m)
+        assert kept == pruned_leaves(r, n, m) == count
+
+    @pytest.mark.parametrize("r,m,n,count", [(3, 5, 7, 15_904), (4, 6, 7, 7_082)])
+    def test_baseline_counts(self, r, m, n, count):
+        assert pruned_leaves(r, n, m) == count
 
 
 class TestTow:

@@ -2,7 +2,8 @@
 
 Inputs are valid files with up to three one-character edits, so most of
 them are near misses that each trip one parse check; a few headers sit
-at or past the table cap.
+at or past the table cap.  The constructor subcommands get integer
+arguments that are either small or 100 to 3,000 digits long.
 """
 
 import contextlib
@@ -63,4 +64,29 @@ def test_cli_exit_code_contract(fuzz_dir, text, command, i):
     extra = ["--i", str(i), "--out", str(fuzz_dir / "out.mono")] if command == "project" else []
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch([command, "--in", str(src), *extra])
+    assert code in (0, 1, 2, 3)
+
+
+# 100 to 3,000 digits, either sign: each must be refused before any work
+HUGE = st.tuples(st.integers(100, 3000), st.sampled_from([1, -1]), st.integers(-3, 3)).map(
+    lambda t: t[1] * 10 ** (t[0] - 1) + t[2])
+# small values stay cheap: r <= 4, every other argument <= 7, and a node budget
+SMALL = {"--r": st.integers(-1, 4)}
+CONSTRUCTORS = {
+    "tower": ("--r", "--n"),
+    "comp": ("--r", "--h"),
+    "count": ("--r", "--n"),
+    "ramsey": ("--r", "--path", "--max"),
+}
+
+
+@given(command=st.sampled_from(sorted(CONSTRUCTORS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_constructor_exit_code_contract(command, data):
+    argv = ["--max-nodes", "20000", command]
+    for flag in CONSTRUCTORS[command]:
+        small = SMALL.get(flag, st.integers(-1, 7))
+        argv += [flag, str(data.draw(st.one_of(small, HUGE), label=flag))]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = dispatch(argv)
     assert code in (0, 1, 2, 3)

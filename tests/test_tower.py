@@ -146,6 +146,14 @@ class TestGroundSet:
         for r, n in [(3, 3), (3, 4), (3, 5), (3, 6), (4, 3), (4, 4)]:
             assert tower_sizes(r, n)[r] >= tow(r - 1, n - r)
 
+    def test_levels_that_stop_growing_below_r_are_refused(self):
+        # n <= 2 fixes the sizes at 2 or 4; a huge r is refused without looping
+        assert tower_sizes(4, 2)[1:] == [2, 4, 4, 4]
+        assert TowerGroundSet(4, 2).coloring().edge_count == 1
+        for r, n in [(3, 1), (5, 2), (10 ** 9, 1), (10 ** 9, 2)]:
+            with pytest.raises(InvalidArgument, match="stop growing"):
+                tower_sizes(r, n)
+
     def test_caps(self):
         with pytest.raises(TooLarge):
             TowerGroundSet(5, 4)  # 2^128 elements
