@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .compositions import block_coloring, completions, compositions, sign, zero_lower_bound
-from .core import SignFunction, is_monotone, is_transitive, write_file
+from .core import SignFunction, _brief, is_monotone, is_transitive, write_file
 from .enumeration import (
     brute_force_monotone_count,
     brute_force_transitive_count,
@@ -427,7 +427,7 @@ def run_criteria(only: int | None = None,
                  log: Callable[[str], None] = print) -> list[CriterionResult]:
     chosen = [entry for entry in CRITERIA if only in (None, entry[0])]
     if not chosen:
-        raise InvalidArgument(f"no criterion {only}; ids are 1..{len(CRITERIA)}")
+        raise InvalidArgument(f"no criterion {_brief(only)}; ids are 1..{len(CRITERIA)}")
     results = []
     for cid, title, fn in chosen:
         start = time.perf_counter()

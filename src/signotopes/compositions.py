@@ -21,7 +21,7 @@ of replacing the 0 entries by signs yields a monotone coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import combinations, groupby
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -30,37 +30,31 @@ import numpy as np
 from .core import TABLE_CAP, SignFunction, _brief, check_size, colex_layout
 from .errors import InvalidArgument, NoReduction, TooLarge
 
-#: Exhaustive completion is refused above this many 0 entries.
-ALL_COMPLETIONS_CAP = 20
-
 Composition = tuple[int, ...]
 
 
 def compositions(m: int, parts: int | None = None) -> Iterator[Composition]:
-    """All compositions of m (into the given number of parts, if set).
+    """All compositions of m (into the given number of parts, if set), in
+    lexicographic order; m over TABLE_CAP is refused before the first.
 
     There are C(m-1, k-1) compositions into k parts and 2^(m-1) overall.
     """
     if m < 1 or (parts is not None and parts < 0):
-        raise InvalidArgument(f"need m >= 1 and parts >= 0, got m={m}, parts={parts}")
-    if parts == 0 or (parts is not None and parts > m):
-        return
-    if parts == 1 or m == 1:
-        if parts in (None, 1):
-            yield (m,)
-        return
-    for first in range(1, m):
-        rest = parts - 1 if parts is not None else None
-        for tail in compositions(m - first, rest):
-            yield (first,) + tail
-    if parts is None:
-        yield (m,)
+        raise InvalidArgument(f"need m >= 1 and parts >= 0, got (m, parts) = {_brief((m, parts))}")
+    if m > TABLE_CAP:
+        raise TooLarge(f"compositions of m={_brief(m)} exceed the table cap {TABLE_CAP}")
+    if parts is None:  # digit j of w is 1 when a part ends at j: counting down is lexicographic
+        for w in range(2 ** (m - 1) - 1, -1, -1):
+            yield tuple(len(run) + 1 for run in f"{w:0{m}b}"[1:].split("1"))
+    elif 0 < parts <= m:  # the ends of the first parts-1 parts, in lexicographic order
+        for ends in combinations(range(1, m), parts - 1):
+            yield tuple(b - a for a, b in zip((0, *ends), (*ends, m)))
 
 
 def _validate(sigma: Sequence[int]) -> Composition:
     sigma = tuple(sigma)
     if not sigma or any(p < 1 for p in sigma):
-        raise InvalidArgument(f"composition parts must be positive, got {sigma}")
+        raise InvalidArgument(f"composition parts must be positive, got {_brief(sigma)}")
     return sigma
 
 
@@ -84,14 +78,14 @@ def reduction(sigma: Sequence[int]) -> Composition:
     """The unique base form reached by reduction steps.
 
     Exists exactly when sigma is neither all ones nor a single part; a
-    base form is its own reduction.
+    base form is its own reduction.  Steps only trim the end, so it is
+    read off the front: (sigma_1, 1), or 1s up to the first part > 1, then 2.
     """
     sigma = _validate(sigma)
     if len(sigma) == 1 or all(p == 1 for p in sigma):
-        raise NoReduction(f"{sigma} has no reduction")
-    while not is_base_form(sigma):
-        sigma = reduction_step(sigma)
-    return sigma
+        raise NoReduction(f"{_brief(sigma)} has no reduction")
+    j = next(i for i, p in enumerate(sigma) if p > 1)
+    return (sigma[0], 1) if j == 0 else (1,) * j + (2,)
 
 
 def sign(sigma: Sequence[int]) -> int | None:
@@ -99,7 +93,7 @@ def sign(sigma: Sequence[int]) -> int | None:
     sigma = _validate(sigma)
     total = sum(sigma)
     if total < 3:
-        raise InvalidArgument(f"signs are defined for totals >= 3, got {total}")
+        raise InvalidArgument(f"signs are defined for totals >= 3, got {_brief(total)}")
     if len(sigma) == 1 or all(p == 1 for p in sigma):
         return None
     base = reduction(sigma)
@@ -130,9 +124,9 @@ class TernaryColoring:
 def block_coloring(r: int, h: int) -> TernaryColoring:
     """The recursive block coloring on r^h vertices, one array statement per rule."""
     if r < 3 or h < 1:
-        raise InvalidArgument(f"need r >= 3 and h >= 1, got r={r}, h={h}")
-    if h >= TABLE_CAP.bit_length():  # r^h >= 2^h: refused without forming r^h
-        raise TooLarge(f"r^h vertices for h={_brief(h)} exceed the table cap {TABLE_CAP}")
+        raise InvalidArgument(f"need r >= 3 and h >= 1, got r={_brief(r)}, h={_brief(h)}")
+    if h * (r.bit_length() - 1) >= TABLE_CAP.bit_length():  # r^h >= 2^(h(bits(r) - 1)) > cap
+        raise TooLarge(f"r^h for r={_brief(r)}, h={_brief(h)} exceeds the table cap {TABLE_CAP}")
     n = r ** h
     check_size(r, n)
     if h == 1:
@@ -167,18 +161,16 @@ def completions(
 ) -> Iterator[SignFunction]:
     """Binary colorings obtained by filling every 0 with - or +.
 
-    ``mode="all"`` walks all 2^z fillings (z = number of zeros, capped);
-    ``mode="sample"`` draws ``count`` fillings from a PCG64 generator
-    seeded with ``seed``, reproducibly.
+    ``mode="all"`` walks all 2^z fillings (z = number of zeros), refused
+    when 2^z exceeds TABLE_CAP; ``mode="sample"`` draws ``count``
+    fillings from a PCG64 generator seeded with ``seed``, reproducibly.
     """
     zeros = np.array(t.zero_positions, dtype=np.int64)
     base = np.asarray(t.fun.colors)
     if mode == "all":
-        if len(zeros) > ALL_COMPLETIONS_CAP:
-            raise TooLarge(
-                f"{len(zeros)} zeros means 2^{len(zeros)} completions "
-                f"(cap 2^{ALL_COMPLETIONS_CAP}); use sampling"
-            )
+        if len(zeros) >= TABLE_CAP.bit_length():  # 2^z > TABLE_CAP
+            raise TooLarge(f"{len(zeros)} zeros means 2^{len(zeros)} completions, "
+                           f"over the table cap {TABLE_CAP}; use sampling")
         for word in range(2 ** len(zeros)):
             colors = base.copy()
             fills = ((word >> np.arange(len(zeros))) & 1).astype(np.int8)
@@ -187,7 +179,7 @@ def completions(
     elif mode == "sample":
         if count < 1 or seed < 0:
             raise InvalidArgument(
-                f"sample mode needs count >= 1 and seed >= 0, got count={count}, seed={seed}")
+                f"sample mode needs count >= 1 and seed >= 0, got {_brief((count, seed))}")
         rng = np.random.default_rng(seed)
         for _ in range(count):
             colors = base.copy()
@@ -200,7 +192,9 @@ def completions(
 def zero_lower_bound(r: int, h: int) -> int:
     """Guaranteed number of cross-block zero edges of the block coloring."""
     if r < 3 or h < 2:
-        raise InvalidArgument(f"need r >= 3 and h >= 2, got r={r}, h={h}")
+        raise InvalidArgument(f"need r >= 3 and h >= 2, got r={_brief(r)}, h={_brief(h)}")
+    if (r - 1) * (h - 1) * r.bit_length() > TABLE_CAP:  # bounds the bits of half^(r-1)
+        raise TooLarge(f"r={_brief(r)}, h={_brief(h)} needs over {TABLE_CAP} bits (table cap)")
     m = r ** (h - 1)
     half = (m + 1) // 2
     numerator = half ** (r - 1) - half

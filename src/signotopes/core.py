@@ -10,9 +10,9 @@ the constructions and the wiring code all read the layout, so there is
 exactly one edge order in the package.  The scalar :func:`colex_rank`
 and :func:`colex_unrank` serve single tuples, such as checked input.
 
-:func:`check_size` is the one size limit: called wherever a coloring is
-admitted or its tables are built, it refuses an (r, n) whose colex
-tables would exceed ``TABLE_CAP`` before any work is done.
+``TABLE_CAP`` is the one size limit: no call stores, walks or forms more
+than TABLE_CAP entries, elements, colorings or bits of an integer; each
+checks its arguments before any work, :func:`check_size` a coloring's.
 
 A coloring is *monotone* when, for every (r+1)-subset, the sequence of
 colors of its r-subsets (ordered by which element is deleted, largest
@@ -41,12 +41,13 @@ MINUS = -1
 PLUS = 1
 ZERO = 0
 
-#: Most colex table entries one coloring may need: the count at r = 3,
-#: n = 64, so the r = 3 limit is exactly 64 vertices.
+#: The one size cap: the colex table entries of r = 3, n = 64, so the
+#: r = 3 limit is exactly 64 vertices.
 TABLE_CAP = 4 * comb(64 + 1, 4)
 
-_COLOR_TO_CHAR = {-1: "-", 1: "+", 0: "0"}
-_CHAR_TO_COLOR = {"-": -1, "+": 1, "0": 0}
+_ENCODE = np.frombuffer(b"-0+", dtype=np.uint8)  # color c is written as _ENCODE[c + 1]
+_DECODE = np.full(128, 2, dtype=np.int8)  # code point p reads as _DECODE[min(p, 127)], 2 if illegal
+_DECODE[_ENCODE] = (MINUS, ZERO, PLUS)
 
 
 def colex_rank(vertices: Sequence[int], n: int | None = None) -> int:
@@ -55,9 +56,9 @@ def colex_rank(vertices: Sequence[int], n: int | None = None) -> int:
     rank = 0
     for i, v in enumerate(vertices, start=1):
         if v <= prev:
-            raise InvalidEdge(f"vertices must be strictly increasing, got {tuple(vertices)}")
+            raise InvalidEdge(f"vertices must be strictly increasing, got {_brief(vertices)}")
         if n is not None and v > n:
-            raise InvalidEdge(f"vertex {v} out of range 1..{n}")
+            raise InvalidEdge(f"vertex {_brief(v)} out of range 1..{_brief(n)}")
         rank += comb(v - 1, i)
         prev = v
     if not vertices:
@@ -68,11 +69,13 @@ def colex_rank(vertices: Sequence[int], n: int | None = None) -> int:
 def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
     """Inverse of :func:`colex_rank`: the r-subset with the given rank."""
     if rank < 0 or r < 1:
-        raise InvalidEdge(f"need rank >= 0 and r >= 1, got rank={rank}, r={r}")
+        raise InvalidEdge(f"need rank >= 0 and r >= 1, got rank={_brief(rank)}, r={_brief(r)}")
+    if r > TABLE_CAP:
+        raise TooLarge(f"r={_brief(r)} vertices exceed the table cap {TABLE_CAP}")
     rem = rank
     out = []
     for i in range(r, 0, -1):
-        lo, hi = i - 1, i + rem  # bisect C(lo, i) <= rem < C(hi, i) down to hi = lo + 1
+        lo, hi = i - 1, i << -(-rem.bit_length() // i)  # C(lo, i) <= rem < (hi/i)^i <= C(hi, i)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if comb(mid, i) <= rem else (lo, mid)
@@ -85,7 +88,7 @@ def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
 def edges_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-subsets of [n] in colex order, streamed: ``colex_layout(n, r).edges``."""
     if r < 0:
-        raise InvalidEdge(f"need r >= 0, got r={r}")
+        raise InvalidEdge(f"need r >= 0, got r={_brief(r)}")
     if r == 0:
         yield ()
         return
@@ -158,9 +161,11 @@ def colex_layout(n: int, k: int) -> ColexLayout:
     return ColexLayout(n, k)
 
 
-def _brief(x: int) -> str:
-    """``x`` in decimal, or its bit length once it is too long to print."""
-    return str(x) if x.bit_length() <= 64 else f"<{x.bit_length()}-bit number>"
+def _brief(x) -> str:
+    """``x`` for a message, any int too long to print given by its bit length."""
+    if isinstance(x, int) and x.bit_length() > 64:
+        return f"<{x.bit_length()}-bit number>"
+    return f"({', '.join(map(_brief, x))})" if isinstance(x, (tuple, list)) else str(x)
 
 
 def _capped_comb(n: int, k: int, cap: int) -> int:
@@ -177,23 +182,19 @@ def _capped_comb(n: int, k: int, cap: int) -> int:
 
 @lru_cache(maxsize=None)  # every SignFunction calls it; the admitted (r, n) are finitely many
 def check_size(r: int, n: int) -> None:
-    """Refuse an (r, n) coloring whose colex tables would exceed TABLE_CAP.
+    """Admit an (r, n) coloring: 2 <= r <= n, colex tables within TABLE_CAP.
 
     Its operations read ``colex_layout(n, k)`` for k = r-1, r and r+1;
-    with its sub-layouts that holds at most k * C(n+1, k) entries.
+    with its sub-layouts that holds at most k * C(n+1, k) entries, each
+    a capped product, so a thousand-digit argument costs a few steps.
     """
+    if r < 2:
+        raise InvalidEdge(f"uniformity must be >= 2, got {_brief(r)}")
+    if n < r:
+        raise InvalidEdge(f"need n >= r, got n={_brief(n)}, r={_brief(r)}")
     if any(k * _capped_comb(n + 1, k, TABLE_CAP) > TABLE_CAP for k in (r - 1, r, r + 1)):
         raise TooLarge(f"r={_brief(r)}, n={_brief(n)} needs more colex table entries "
                        f"than the table cap {TABLE_CAP}")
-
-
-def _check_shape(r: int, n: int) -> None:
-    """Refuse a rank below 2, fewer vertices than r, or a size over TABLE_CAP."""
-    if r < 2:
-        raise InvalidEdge(f"uniformity must be >= 2, got {r}")
-    if n < r:
-        raise InvalidEdge(f"need n >= r, got n={n}, r={r}")
-    check_size(r, n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +213,7 @@ class SignFunction:
     ternary_allowed: bool = False
 
     def __post_init__(self):
-        _check_shape(self.r, self.n)
+        check_size(self.r, self.n)
         colors = np.asarray(self.colors)
         if colors.shape != (comb(self.n, self.r),):
             raise InvalidEdge(
@@ -232,16 +233,17 @@ class SignFunction:
 
     @classmethod
     def constant(cls, r: int, n: int, color: int = MINUS) -> "SignFunction":
-        _check_shape(r, n)
+        check_size(r, n)
+        if color not in (MINUS, ZERO, PLUS):
+            raise InvalidEdge(f"illegal color value {_brief(color)}")
         return cls(r, n, np.full(comb(n, r), color, dtype=np.int8))
 
     @classmethod
     def from_string(cls, r: int, n: int, chars: str) -> "SignFunction":
-        try:
-            colors = [_CHAR_TO_COLOR[ch] for ch in chars]
-        except KeyError as exc:
-            raise InvalidEdge(f"illegal color character {exc.args[0]!r}") from None
-        return cls(r, n, np.array(colors, dtype=np.int8), ternary_allowed="0" in chars)
+        colors, bad = _decode(chars)
+        if bad is not None:
+            raise InvalidEdge(f"illegal color character {chars[bad]!r}")
+        return cls(r, n, colors, ternary_allowed=bool((colors == ZERO).any()))
 
     @property
     def edge_count(self) -> int:
@@ -253,11 +255,11 @@ class SignFunction:
 
     def color(self, vertices: Sequence[int]) -> int:
         if len(vertices) != self.r:
-            raise InvalidEdge(f"expected an {self.r}-subset, got {tuple(vertices)}")
+            raise InvalidEdge(f"expected an {self.r}-subset, got {_brief(vertices)}")
         return int(self.colors[colex_rank(vertices, self.n)])
 
     def color_string(self) -> str:
-        return "".join(_COLOR_TO_CHAR[v] for v in self.colors.tolist())
+        return _ENCODE[self.colors + 1].tobytes().decode("ascii")
 
     def swapped(self) -> "SignFunction":
         """The coloring with - and + exchanged (0 stays 0)."""
@@ -298,7 +300,7 @@ def link_sequence(c: SignFunction, subset: Sequence[int]) -> tuple[int, ...]:
     """
     s = tuple(subset)
     if len(s) != c.r + 1:
-        raise InvalidEdge(f"expected an {c.r + 1}-subset, got {s}")
+        raise InvalidEdge(f"expected an {c.r + 1}-subset, got {_brief(s)}")
     colex_rank(s, c.n)  # validates increasing and range
     seq = []
     for i in range(len(s) - 1, -1, -1):
@@ -362,6 +364,14 @@ def is_transitive(c: SignFunction) -> bool:
 _HEADER_RE = re.compile(r"^r=(\d+) n=(\d+)$")
 
 
+def _decode(chars: str) -> tuple[np.ndarray, int | None]:
+    """The colors a string spells, and the index of its first illegal character."""
+    points = np.frombuffer(chars.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    colors = _DECODE[np.minimum(points, 127)]
+    bad = np.flatnonzero(colors == 2)
+    return colors, int(bad[0]) if len(bad) else None
+
+
 def dumps(c: SignFunction) -> str:
     return f"MONO 1\nr={c.r} n={c.n}\n{c.color_string()}\n"
 
@@ -384,9 +394,9 @@ def loads(text: str) -> SignFunction:
     check_size(r, n)
     body = lines[2]
     expected = comb(n, r)
-    for col, ch in enumerate(body, start=1):
-        if ch not in _CHAR_TO_COLOR:
-            raise ParseError(f"illegal color character {ch!r}", line=3, column=col)
+    colors, bad = _decode(body)
+    if bad is not None:
+        raise ParseError(f"illegal color character {body[bad]!r}", line=3, column=bad + 1)
     if len(body) != expected:
         raise ParseError(
             f"expected {expected} colors for r={r}, n={n}, got {len(body)}",
@@ -396,7 +406,7 @@ def loads(text: str) -> SignFunction:
     for extra, content in enumerate(lines[3:], start=4):
         if content:
             raise ParseError(f"unexpected trailing content {content!r}", line=extra, column=1)
-    return SignFunction.from_string(r, n, body)
+    return SignFunction(r, n, colors, ternary_allowed=bool((colors == ZERO).any()))
 
 
 def write_file(c: SignFunction, path) -> None:

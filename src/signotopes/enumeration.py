@@ -36,14 +36,12 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .core import SignFunction, _brief, _capped_comb, _require_binary, check_size, colex_layout
+from .core import (TABLE_CAP, SignFunction, _brief, _capped_comb, _require_binary, check_size,
+                   colex_layout)
 from .errors import InvalidArgument, TooLarge
 
 #: Default cap on the number of edges the backtracking search will handle.
 SEARCH_EDGE_CAP = 64
-
-#: Brute force filters all 2^C(n, r) colorings; refused above this many edges.
-BRUTE_FORCE_EDGES = 24
 
 # Colorings as bitset columns: (row count, per edge the rows that color it plus).
 _Table = tuple[int, list[int]]
@@ -71,12 +69,10 @@ def _search_tables(r: int, n: int):
 
 def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
     """Admit (r, n) and the caps for a search, before any work."""
-    if r < 2:
-        raise InvalidArgument(f"need r >= 2, got {r}")
-    if n < r:
-        raise InvalidArgument(f"need n >= r, got n={n}, r={r}")
+    if not 2 <= r <= n:
+        raise InvalidArgument(f"need 2 <= r <= n, got r={_brief(r)}, n={_brief(n)}")
     if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
-        raise InvalidArgument(f"need caps >= 0, got {max_edges} edges, {max_nodes} nodes")
+        raise InvalidArgument(f"need both caps >= 0, got {_brief((max_edges, max_nodes))}")
     if _capped_comb(n, r, max_edges) > max_edges:
         raise TooLarge(f"r={_brief(r)}, n={_brief(n)} has more than {_brief(max_edges)} "
                        f"edges (search cap); pass max_edges explicitly to override")
@@ -326,7 +322,7 @@ def count_monotone(
     """
     _check_limits(r, n, max_edges, max_nodes)
     if workers < 1:
-        raise InvalidArgument(f"need workers >= 1, got {workers}")
+        raise InvalidArgument(f"need workers >= 1, got {_brief(workers)}")
     start = time.perf_counter()
     limit = float("inf") if max_nodes is None else max_nodes
     table: _Table = (1, [0])  # [r] with its one edge minus
@@ -368,9 +364,11 @@ def brute_force_transitive_count(r: int, n: int) -> int:
 
 
 def _brute_force_count(r: int, n: int, transitive: bool) -> int:
-    edge_count = _capped_comb(n, r, BRUTE_FORCE_EDGES)
-    if edge_count > BRUTE_FORCE_EDGES:
-        raise TooLarge(f"over 2^{BRUTE_FORCE_EDGES} colorings is beyond brute force")
+    if not 2 <= r <= n:
+        raise InvalidArgument(f"need 2 <= r <= n, got r={_brief(r)}, n={_brief(n)}")
+    edge_count = _capped_comb(n, r, TABLE_CAP.bit_length())
+    if 2 ** edge_count > TABLE_CAP:
+        raise TooLarge(f"over {TABLE_CAP} colorings (the table cap) is beyond brute force")
     idx = colex_layout(n, r + 1).deletion
     shifts = np.arange(edge_count, dtype=np.uint32)
     total = 0
@@ -400,7 +398,7 @@ def project(c: SignFunction, i: int) -> SignFunction:
         raise InvalidArgument("projection needs uniformity >= 3")
     _require_binary(c)
     if not c.r <= i <= c.n:
-        raise InvalidArgument(f"need r <= i <= n, got i={i}")
+        raise InvalidArgument(f"need r <= i <= n, got i={_brief(i)}")
     return SignFunction(c.r - 1, i - 1, c.colors[comb(i - 1, c.r):comb(i, c.r)])
 
 
@@ -470,7 +468,7 @@ def find_avoiding_coloring(
     (coloring or None, node count).
     """
     if m < r:
-        raise InvalidArgument(f"need m >= r, got m={m}, r={r}")
+        raise InvalidArgument(f"need m >= r, got m={_brief(m)}, r={_brief(r)}")
     nodes = [0]
     return _first_avoider(r, n, m, nodes, max_edges, max_nodes), nodes[0]
 
@@ -486,7 +484,7 @@ def ramsey_number(
     """Least N forcing monochromatic m-vertex paths, searched up to n_max;
     ``max_nodes`` bounds the whole run, summed over every vertex count."""
     if not 2 <= r <= m <= n_max:
-        raise InvalidArgument(f"need 2 <= r <= m <= n_max, got r={r}, m={m}, n_max={n_max}")
+        raise InvalidArgument(f"need 2 <= r <= m <= n_max, got {_brief((r, m, n_max))}")
     witness = None
     nodes = [0]
     for n in range(m, n_max + 1):
@@ -506,19 +504,23 @@ class AtLeast:
         return f"AtLeast(2^{self.bits})"
 
 
-def tow(h: int, x, max_bits: int = 10 ** 6):
+def tow(h: int, x, max_bits: int = TABLE_CAP):
     """Iterated exponentiation: height-1 applications of 2^_ to x.
 
     Exact when every intermediate fits in ``max_bits`` bits; otherwise a
     symbolic AtLeast(max_bits), meaning the value is at least 2^max_bits.
     Accepts nonpositive x (the intermediate values then pass through
-    floats), which keeps size invariants checkable at small parameters.
+    floats), which keeps size invariants checkable at small parameters;
+    a float intermediate that would leave the float range raises TooLarge.
     """
     if h < 1:
-        raise InvalidArgument(f"need height >= 1, got {h}")
+        raise InvalidArgument(f"need height >= 1, got {_brief(h)}")
     val = x
     for _ in range(h - 1):
         if val > max_bits:
             return AtLeast(max_bits)
-        val = 2 ** val
+        try:
+            val = 2 ** val
+        except OverflowError:
+            raise TooLarge(f"2^{_brief(val)} leaves the float range") from None
     return val

@@ -23,7 +23,7 @@ from math import comb
 
 import numpy as np
 
-from .core import SignFunction, check_size, colex_layout, monotone_violation
+from .core import SignFunction, _brief, check_size, colex_layout, monotone_violation
 from .errors import InvalidArgument, InvalidWiring, NotMonotone, NotRealizable
 
 Crossing = tuple[int, int]
@@ -41,14 +41,14 @@ class WiringDiagram:
         """``trace[t]``: the top-to-bottom wire order after t crossings; validates the sweep."""
         n = self.n
         if n < 1:
-            raise InvalidWiring(f"need at least one wire, got n={n}")
+            raise InvalidWiring(f"need at least one wire, got n={_brief(n)}")
         if len(self.sweep) != comb(n, 2):
-            raise InvalidWiring(f"expected {comb(n, 2)} crossings, got {len(self.sweep)}")
+            raise InvalidWiring(f"expected {_brief(comb(n, 2))} crossings, got {len(self.sweep)}")
         order = list(range(1, n + 1))
         trace = [tuple(order)]
         for step, pair in enumerate(self.sweep):
             if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
-                raise InvalidWiring(f"step {step}: bad crossing {pair!r}")
+                raise InvalidWiring(f"step {step}: bad crossing {_brief(pair)}")
             a, b = pair
             pos = order.index(a)
             # a < b have not crossed yet exactly while a is above b.

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import SignFunction, _require_binary, colex_layout
+from .core import SignFunction, _brief, _require_binary, colex_layout
 from .errors import InvalidArgument
 
 
@@ -89,5 +89,5 @@ def longest_mono_paths(c: SignFunction) -> PathReport:
 def contains_path(c: SignFunction, m: int) -> bool:
     """Whether some monochromatic monotone path spans at least m vertices."""
     if m < c.r:
-        raise InvalidArgument(f"path must span at least r={c.r} vertices, got m={m}")
+        raise InvalidArgument(f"path must span at least r={c.r} vertices, got m={_brief(m)}")
     return longest_mono_paths(c).best >= m

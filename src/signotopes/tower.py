@@ -31,25 +31,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import SignFunction, _brief, _check_shape, colex_layout
+from .core import TABLE_CAP, SignFunction, _brief, check_size, colex_layout
 from .errors import InvalidArgument, TooLarge
-
-#: Cap on the number of ground-set elements.
-ELEMENT_CAP = 2 ** 20
-
-#: Largest level exponent :func:`tower_sizes` materializes (N_k = 2^exponent).
-EXPONENT_CAP = 4096
 
 
 def tower_sizes(r: int, n: int) -> list[int]:
     """Sizes N_1..N_r of the tower levels; index k holds N_k (index 0 unused)."""
     if r < 2 or n < 1:
-        raise InvalidArgument(f"need r >= 2 and n >= 1, got r={r}, n={n}")
+        raise InvalidArgument(f"need r >= 2 and n >= 1, got r={_brief(r)}, n={_brief(n)}")
     sizes = [0, 2, 2 * n]
     for level in range(3, r + 1):
         exponent = sizes[-1] // 2
-        if exponent > EXPONENT_CAP:
-            raise TooLarge(f"level {level} would hold over 2^{EXPONENT_CAP} elements")
+        if exponent >= TABLE_CAP:  # 2^exponent has exponent + 1 bits
+            raise TooLarge(f"level {level} size 2^{_brief(exponent)} exceeds the table cap in bits")
         size = 2 ** exponent
         if size == sizes[-1] < r:  # n <= 2: stuck at 2 or 4, refused without r steps
             raise InvalidArgument(f"levels stop growing at {size} elements, below r={_brief(r)}")
@@ -76,9 +70,8 @@ class TowerGroundSet:
         self.r = r
         self.n = n
         self.sizes = tower_sizes(r, n)
-        if self.sizes[r] > ELEMENT_CAP:
-            raise TooLarge(f"ground set for r={_brief(r)}, n={_brief(n)} has "
-                           f"{_brief(self.sizes[r])} elements (cap {ELEMENT_CAP})")
+        if self.sizes[r] > TABLE_CAP:
+            raise TooLarge(f"{_brief(self.sizes[r])} elements exceed the table cap {TABLE_CAP}")
         self.size = self.sizes[r]
 
     # -- element structure --------------------------------------------------
@@ -167,7 +160,7 @@ class TowerGroundSet:
         level, codes = self._codes(seq)
         if not 0 <= times <= min(len(codes) - 1, level - 1):
             raise InvalidArgument(
-                f"iteration count {times} outside 0..min(k-1, r-1) for "
+                f"iteration count {_brief(times)} outside 0..min(k-1, r-1) for "
                 f"k={len(codes)}, r={level}"
             )
         if any(x == y for x, y in zip(codes, codes[1:])):
@@ -189,7 +182,7 @@ class TowerGroundSet:
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
-        _check_shape(self.r, self.size)
+        check_size(self.r, self.size)
         codes = colex_layout(self.size, self.r).edges - 1
         for level in range(self.r, 1, -1):
             size = self.sizes[level]
@@ -285,7 +278,7 @@ class TowerGroundSet:
 
     def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.r:
-            raise InvalidArgument(f"level {level} outside 1..{self.r}")
+            raise InvalidArgument(f"level {_brief(level)} outside 1..{self.r}")
 
     def _codes(self, els: Iterable[TowerElement]) -> tuple[int, list[int]]:
         """Level and codes of a nonempty run of valid elements: the one element check."""
@@ -297,10 +290,10 @@ class TowerGroundSet:
         size = self.sizes[level]
         for el in els:
             if el.level != level:
-                raise InvalidArgument(f"levels differ: {level} vs {el.level}")
+                raise InvalidArgument(f"levels differ: {level} vs {_brief(el.level)}")
             if not 0 <= el.code < size:
                 raise InvalidArgument(
-                    f"code {el.code} outside level-{level} range 0..{size - 1}"
+                    f"code {_brief(el.code)} outside level-{level} range 0..{size - 1}"
                 )
         return level, [el.code for el in els]
 

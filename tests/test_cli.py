@@ -85,7 +85,8 @@ class TestTower:
         assert emitted.n == 8 and emitted.r == 3
 
     def test_cap_exits_three(self, capsys):
-        code, _, err = run(capsys, "tower", "--r", "3", "--n", "21")  # 2^21 elements
+        # 2^21 elements: the ground set fits the table cap, its coloring does not
+        code, _, err = run(capsys, "tower", "--r", "3", "--n", "21")
         assert code == 3
         assert "resource cap" in err
 

@@ -17,7 +17,31 @@ from signotopes import (
     zero_lower_bound,
 )
 from signotopes.compositions import is_base_form, reduction_step
+from signotopes.core import TABLE_CAP
 from signotopes.errors import InvalidArgument, NoReduction, TooLarge
+
+
+def ref_compositions(m, parts=None):
+    """Compositions by recursion on the first part, in lexicographic order."""
+    if parts == 0 or (parts is not None and parts > m):
+        return
+    if parts == 1 or m == 1:
+        if parts in (None, 1):
+            yield (m,)
+        return
+    for first in range(1, m):
+        rest = parts - 1 if parts is not None else None
+        for tail in ref_compositions(m - first, rest):
+            yield (first,) + tail
+    if parts is None:
+        yield (m,)
+
+
+def ref_reduction(sigma):
+    """Reduction steps until a base form."""
+    while not is_base_form(sigma):
+        sigma = reduction_step(sigma)
+    return sigma
 
 
 def clause_sign(sigma):
@@ -70,6 +94,21 @@ class TestCompositions:
         assert len(set(got)) == len(got)
         assert all(min(s) >= 1 for s in got)
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_the_recursive_order(self, m):
+        for parts in [None, *range(m + 2)]:
+            assert list(compositions(m, parts)) == list(ref_compositions(m, parts))
+
+    def test_long_compositions_stay_off_the_call_stack(self):
+        assert next(compositions(5000)) == (1,) * 5000
+        assert next(compositions(5000, 2)) == (1, 4999)
+
+    def test_totals_up_to_table_cap(self):
+        assert len(next(compositions(TABLE_CAP))) == TABLE_CAP
+        for m, parts in [(TABLE_CAP + 1, None), (TABLE_CAP + 1, 2), (10 ** 5000, 1)]:
+            with pytest.raises(TooLarge, match="table cap"):
+                next(compositions(m, parts))
+
 
 class TestReduction:
     def test_examples(self):
@@ -105,6 +144,22 @@ class TestReduction:
     def test_invalid_parts(self):
         with pytest.raises(InvalidArgument):
             reduction((2, 0))
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_closed_form_matches_the_step_loop(self, m):
+        for sigma in compositions(m):
+            if len(sigma) == 1 or all(p == 1 for p in sigma):
+                with pytest.raises(NoReduction):
+                    reduction(sigma)
+            else:
+                assert reduction(sigma) == ref_reduction(sigma)
+
+    def test_long_compositions_reduce_at_once(self):
+        start = time.perf_counter()
+        assert reduction((1, 10 ** 7)) == (1, 2)
+        assert sign((1, 10 ** 7)) == sign((1, 2))
+        assert reduction((10 ** 7, 1, 5)) == (10 ** 7, 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestSign:
@@ -205,6 +260,9 @@ class TestBlockColoring:
         for h in (21, 22, 10 ** 6):  # 3^21 vertices goes through check_size
             with pytest.raises(TooLarge, match="table cap"):
                 block_coloring(3, h)
+        for r in (2 ** 22, 10 ** 5000):  # r^h >= 2^22 > TABLE_CAP without forming it
+            with pytest.raises(TooLarge, match="table cap"):
+                block_coloring(r, 1)
         assert time.perf_counter() - start < 1
 
 
@@ -239,6 +297,17 @@ class TestCompletions:
         t = block_coloring(4, 2)  # 48 zeros
         with pytest.raises(TooLarge):
             next(completions(t, mode="all"))
+        # 2^21 <= TABLE_CAP < 2^22: 21 zeros are admitted, 22 refused
+        for n, zeros, admitted in [(7, 21, True), (8, 22, False)]:
+            colors = np.full(comb(n, 2), -1, dtype=np.int8)
+            colors[:zeros] = 0
+            fun = SignFunction(2, n, colors, ternary_allowed=True)
+            t = TernaryColoring(fun, r=2, h=1, n=n, m=n, zero_positions=tuple(range(zeros)))
+            if admitted:
+                assert next(completions(t, mode="all")) == SignFunction.constant(2, n)
+            else:
+                with pytest.raises(TooLarge, match="table cap"):
+                    next(completions(t, mode="all"))
 
     def test_bad_mode(self):
         t = block_coloring(3, 2)
@@ -271,3 +340,10 @@ class TestZeroLowerBound:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             zero_lower_bound(3, 1)
+        # refused once (r-1)(h-1) bits(r) > TABLE_CAP; for r = 3 that is h > 677,041
+        assert 2 * 677_040 * 2 <= TABLE_CAP < 2 * 677_041 * 2
+        for r, h in [(10 ** 5, 2), (3, 10 ** 5), (3, 677_041)]:
+            assert zero_lower_bound(r, h) > 0
+        for r, h in [(10 ** 6, 2), (3, 677_042), (10 ** 5000, 10 ** 5000)]:
+            with pytest.raises(TooLarge, match="table cap"):
+                zero_lower_bound(r, h)

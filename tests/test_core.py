@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,15 @@ class TestColex:
             for rank in (10 ** 30 - 1, 10 ** 30):
                 assert colex_rank(colex_unrank(rank, r)) == rank
 
+    def test_unrank_brackets_each_vertex_by_bit_length(self):
+        # bisecting from hi = i + rank took 6 s for a 3,000-digit rank at r = 7
+        start = time.perf_counter()
+        for r in (1, 2, 7):
+            assert colex_rank(colex_unrank(10 ** 2999 + 3, r)) == 10 ** 2999 + 3
+        assert time.perf_counter() - start < 1
+        with pytest.raises(TooLarge, match="table cap"):
+            colex_unrank(0, TABLE_CAP + 1)
+
     def test_rejects_bad_tuples(self):
         with pytest.raises(InvalidEdge):
             colex_rank((2, 2, 3))
@@ -168,6 +178,12 @@ class TestSignFunction:
             SignFunction(2, 3, np.array([1, 2, 1], dtype=np.int8))
         with pytest.raises(InvalidEdge, match="illegal color character 'x'"):
             SignFunction.from_string(3, 4, "x---")
+        for chars, bad in [("-\u00e9--", "'\u00e9'"), ("--\ud800-", "'\\\\ud800'")]:
+            with pytest.raises(InvalidEdge, match=f"illegal color character {bad}"):
+                SignFunction.from_string(3, 4, chars)
+        for color in (2, 300, -10 ** 5000):
+            with pytest.raises(InvalidEdge, match="illegal color value"):
+                SignFunction.constant(3, 4, color)
         with pytest.raises(TernaryNotAllowed):
             SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8))
         SignFunction(2, 3, np.array([1, 0, 1], dtype=np.int8), ternary_allowed=True)
@@ -370,6 +386,9 @@ class TestFileFormat:
             ("MONO 1\nr=3, n=4\n-+-+\n", 2, 1),
             ("MONO 1\nr=3 n=4\n-+-\n", 3, 4),
             ("MONO 1\nr=3 n=4\n-+x+\n", 3, 3),
+            ("MONO 1\nr=3 n=4\n-+-\u00e9\n", 3, 4),
+            ("MONO 1\nr=3 n=4\n-\ud800-+\n", 3, 2),
+            ("MONO 1\nr=3 n=4\n\U0001f600+-+-\n", 3, 1),
             ("MONO 1\nr=3 n=4\n-+-+\njunk\n", 4, 1),
         ],
     )

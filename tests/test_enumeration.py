@@ -21,6 +21,7 @@ from signotopes import (
     tow,
 )
 from signotopes import enumeration
+from signotopes.core import TABLE_CAP
 from signotopes.enumeration import AtLeast, _path_pruner, _search
 from signotopes.errors import InvalidArgument, TooLarge
 
@@ -47,11 +48,23 @@ class TestEnumerate:
             assert len(list(enumerate_monotone(r, r + 1))) == 2 * r + 2
 
     def test_golden_count_k36_against_brute_force(self):
-        # 20 edges: the largest size the 2^C(n,r) filtering oracle covers
+        # 20 edges, well inside the 2^C(n,r) filtering oracle's 21
         assert brute_force_monotone_count(3, 6) == 908
         assert count_monotone(3, 6).count == 908
         with pytest.raises(TooLarge, match="beyond brute force"):
             brute_force_monotone_count(2, 8)  # 28 edges
+        # 2^21 <= TABLE_CAP < 2^22: 21 edges are walked, 22 and more refused
+        assert 2 ** 21 <= TABLE_CAP < 2 ** 22
+        assert brute_force_monotone_count(20, 21) == 42
+        assert brute_force_transitive_count(20, 21) == 2 ** 20 + 2
+        for r in (21, 22, 23):
+            for count in (brute_force_monotone_count, brute_force_transitive_count):
+                with pytest.raises(TooLarge, match="beyond brute force"):
+                    count(r, r + 1)
+        for r, n in [(1, 5), (3, 2), (0, 3), (2, -1), (10 ** 5000, 3), (3, -10 ** 5000)]:
+            for count in (brute_force_monotone_count, brute_force_transitive_count):
+                with pytest.raises(InvalidArgument, match="need 2 <= r <= n"):
+                    count(r, n)
 
     def test_pair_count_equals_factorial(self):
         # frozen from brute force; coincides with the permutation count
@@ -378,6 +391,13 @@ class TestTow:
         out = tow(4, 4, max_bits=1000)
         assert out == AtLeast(1000)
         assert "2^1000" in repr(out)
+        assert tow(3, 21) == 2 ** 2 ** 21  # the default max_bits is TABLE_CAP >= 2^21
+        assert tow(3, 22) == AtLeast(TABLE_CAP)
+        # -5 climbs through floats to 129211.8, and 2^129211.8 is past the float range
+        for h, x in [(10, -5), (2, 2000.5), (2, -10 ** 5000)]:
+            with pytest.raises(TooLarge, match="float range"):
+                tow(h, x)
+        assert tow(2, -2000) == 0.0
 
     def test_validation(self):
         with pytest.raises(InvalidArgument):

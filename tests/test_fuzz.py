@@ -1,21 +1,38 @@
-"""Fuzzing of the ``.mono`` parser and of the CLI exit-code contract.
+"""Fuzzing of the ``.mono`` parser, the CLI exit-code contract and the API.
 
 Inputs are valid files with up to three one-character edits, so most of
 them are near misses that each trip one parse check; a few headers sit
-at or past the table cap.  The constructor subcommands get integer
-arguments that are either small or 100 to 3,000 digits long.
+at or past the table cap.  The constructor subcommands and the public
+entry points get integer arguments that are either small or 100 to
+3,000 digits long.
 """
 
 import contextlib
 import io
+import time
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from signotopes import dumps, loads
+from signotopes import (
+    SignFunction,
+    TowerGroundSet,
+    block_coloring,
+    colex_rank,
+    colex_unrank,
+    completions,
+    compositions,
+    count_monotone,
+    dumps,
+    find_avoiding_coloring,
+    loads,
+    ramsey_number,
+    tow,
+    zero_lower_bound,
+)
 from signotopes.cli import dispatch
-from signotopes.errors import ParseError, TooLarge
+from signotopes.errors import ParseError, SignotopeError, TooLarge
 
 EDIT_CHARS = "-+0\nrn= MONO1x\r"
 LARGE_HEADERS = [(2, 175), (2, 176), (3, 65), (1200, 1200)]
@@ -90,3 +107,38 @@ def test_constructor_exit_code_contract(command, data):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = dispatch(argv)
     assert code in (0, 1, 2, 3)
+
+
+NODES = 20000
+BLOCKS = block_coloring(3, 2)
+# each entry point with its int arguments; generators are asked for a first item
+API = {
+    "count_monotone": (2, lambda r, n: count_monotone(r, n, max_nodes=NODES)),
+    "count_monotone(workers)": (1, lambda w: count_monotone(3, 4, workers=w)),  # one job
+    "ramsey_number": (3, lambda r, m, n: ramsey_number(r, m, n, max_nodes=NODES)),
+    "find_avoiding_coloring": (3, lambda r, n, m: find_avoiding_coloring(r, n, m,
+                                                                         max_nodes=NODES)),
+    "TowerGroundSet": (2, TowerGroundSet),
+    "SignFunction.constant": (3, SignFunction.constant),
+    "colex_rank": (3, lambda a, b, n: colex_rank((a, b), n)),
+    "colex_unrank": (2, colex_unrank),
+    "compositions": (2, lambda m, parts: next(compositions(m, parts), None)),
+    "compositions(m)": (1, lambda m: next(compositions(m), None)),
+    "zero_lower_bound": (2, zero_lower_bound),
+    "tow": (2, tow),
+    "completions(count)": (2, lambda count, seed: next(completions(BLOCKS, "sample", count, seed))),
+    "block_coloring": (2, block_coloring),
+}
+
+
+@given(name=st.sampled_from(sorted(API)), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_api_refuses_huge_arguments_with_package_errors(name, data):
+    arity, call = API[name]
+    args = [data.draw(st.one_of(st.integers(-1, 7), HUGE), label=f"arg {i}") for i in range(arity)]
+    start = time.perf_counter()
+    try:
+        call(*args)
+    except SignotopeError:
+        pass
+    assert time.perf_counter() - start < 1

@@ -13,6 +13,7 @@ from signotopes import (
     tower_coloring,
     tower_sizes,
 )
+from signotopes.core import TABLE_CAP
 from signotopes.errors import InvalidArgument, TooLarge
 
 
@@ -161,6 +162,19 @@ class TestGroundSet:
             tower_sizes(6, 4)  # exponent itself is astronomical
         with pytest.raises(TooLarge):
             TowerGroundSet(5, 3).coloring()  # 256 vertices, ~8.8e9 edges
+        # ground sets hold at most TABLE_CAP elements
+        assert TowerGroundSet(3, 21).size == 2 ** 21 <= TABLE_CAP
+        assert TowerGroundSet(2, TABLE_CAP // 2).size == TABLE_CAP == 2 * 1_354_080
+        for r, n in [(3, 22), (2, TABLE_CAP // 2 + 1)]:
+            with pytest.raises(TooLarge, match="table cap"):
+                TowerGroundSet(r, n)
+        # a level has at most TABLE_CAP bits: level 4 of n has 2^(n-1) + 1
+        for n in range(14, 23):
+            assert tower_sizes(4, n)[4].bit_length() == 2 ** (n - 1) + 1 <= TABLE_CAP
+        assert tower_sizes(5, 5)[5] == 2 ** 2 ** 15
+        for r, n in [(4, 23), (6, 4)]:
+            with pytest.raises(TooLarge, match="table cap"):
+                tower_sizes(r, n)
 
     def test_sigma_is_order_reversing_involution(self):
         ground = TowerGroundSet(3, 4)
