@@ -1,11 +1,13 @@
 """The acceptance criteria as runnable checks.
 
-Each criterion returns a result with enough detail to audit the run.
-``tests/test_acceptance.py`` and the ``selftest`` CLI subcommand both
-execute this registry, so there is a single source of truth.  Expected
-values are either pinned small integers, closed-form formulas evaluated
-in place, or recomputed here by an independent oracle (brute-force
-filtering, subset search, a clause-by-clause sign recursion).
+Each criterion returns whether it passed and enough detail to audit the
+run; ``run_criteria`` gives it the id and title listed in ``CRITERIA``.
+``tests/test_acceptance.py`` and the ``selftest`` CLI subcommand both run
+the registry through ``run_criteria``, so there is a single source of
+truth.  Expected values are either pinned small integers, closed-form
+formulas evaluated in place, or recomputed here by an independent oracle
+(brute-force filtering, subset search, a clause-by-clause sign
+recursion).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ class CriterionResult:
     details: dict
 
 
-def _criterion_1() -> CriterionResult:
+def _criterion_1() -> tuple[bool, dict]:
     """Exact monotone/transitive counts on r+1 vertices for r = 2..6."""
     details = {}
     ok = True
@@ -59,7 +61,7 @@ def _criterion_1() -> CriterionResult:
         trans = brute_force_transitive_count(r, r + 1)
         details[f"r={r}"] = {"monotone": mono, "transitive": trans}
         ok = ok and mono == 2 * r + 2 and trans == 2 ** r + 2
-    return CriterionResult(1, "small-complete counts", ok, details)
+    return ok, details
 
 
 def _reverify_witness(witness: SignFunction, m: int) -> dict:
@@ -87,7 +89,7 @@ def _reverify_witness(witness: SignFunction, m: int) -> dict:
     }
 
 
-def _criterion_2() -> CriterionResult:
+def _criterion_2() -> tuple[bool, dict]:
     """Small exact Ramsey numbers, witnesses re-verified through the CLI."""
     targets = [
         (2, 3, 6, (3 - 1) ** 2 + 1),
@@ -109,10 +111,10 @@ def _criterion_2() -> CriterionResult:
             good = good and recheck["avoids"]
         details[f"r={r},m={m}"] = entry
         ok = ok and good
-    return CriterionResult(2, "exact small Ramsey numbers", ok, details)
+    return ok, details
 
 
-def _criterion_3() -> CriterionResult:
+def _criterion_3() -> tuple[bool, dict]:
     """Tower builds: sizes, monotonicity, path bound, 8-element ground set facts."""
     details = {}
     ok = True
@@ -151,7 +153,7 @@ def _criterion_3() -> CriterionResult:
     }
     details["ground_set_8"] = figure
     ok = ok and all(figure.values())
-    return CriterionResult(3, "tower construction", ok, details)
+    return ok, details
 
 
 def _check_lemmas(ground: TowerGroundSet, triples, quads, seqs) -> dict:
@@ -194,7 +196,7 @@ def _check_ground_set_random(ground: TowerGroundSet, samples: int, seed: int) ->
     return _check_lemmas(ground, triples, quads, seqs)
 
 
-def _criterion_4() -> CriterionResult:
+def _criterion_4() -> tuple[bool, dict]:
     """Structural verifiers, exhaustive on five ground sets + seeded random.
 
     Each verifier's 100,000 random samples are drawn in one batch from seed 20240811.
@@ -208,7 +210,7 @@ def _criterion_4() -> CriterionResult:
     res = _check_ground_set_random(TowerGroundSet(3, 5), samples=100_000, seed=20240811)
     details["random r=3,n=5 (100000 per verifier)"] = res
     ok = ok and all(res.values())
-    return CriterionResult(4, "ground-set verifiers", ok, details)
+    return ok, details
 
 
 def _sign_by_clauses(sigma: tuple[int, ...]) -> int | None:
@@ -226,7 +228,7 @@ def _sign_by_clauses(sigma: tuple[int, ...]) -> int | None:
     return _sign_by_clauses(reduced)
 
 
-def _criterion_5() -> CriterionResult:
+def _criterion_5() -> tuple[bool, dict]:
     """Composition signs and the block colorings with their completions."""
     details = {}
     ok = True
@@ -279,7 +281,7 @@ def _criterion_5() -> CriterionResult:
         ok = ok and entry["transversal_zeros"] >= entry["zero_lower_bound"]
         if expected_zeros is not None:
             ok = ok and entry["zeros"] == expected_zeros
-    return CriterionResult(5, "compositions and block colorings", ok, details)
+    return ok, details
 
 
 #: Exact labeled counts S_3(n), the number of simple arrangements of n
@@ -288,7 +290,7 @@ def _criterion_5() -> CriterionResult:
 GOLDEN_COUNTS_R3 = {4: 8, 5: 62, 6: 908, 7: 24_698, 8: 1_232_944}
 
 
-def _criterion_6() -> CriterionResult:
+def _criterion_6() -> tuple[bool, dict]:
     """Counting: exact values by the join, goldens, and the upper bound."""
     details = {}
     ok = True
@@ -312,10 +314,10 @@ def _criterion_6() -> CriterionResult:
             good = good and brute == report.count
         details[f"n={n}"] = entry
         ok = ok and good
-    return CriterionResult(6, "signotope counting", ok, details)
+    return ok, details
 
 
-def _criterion_7() -> CriterionResult:
+def _criterion_7() -> tuple[bool, dict]:
     """Projections stay monotone and separate distinct colorings."""
     details = {}
     ok = True
@@ -337,7 +339,7 @@ def _criterion_7() -> CriterionResult:
             "projections_monotone": all_projections_monotone,
         }
         ok = ok and len(signatures) == total and all_projections_monotone
-    return CriterionResult(7, "projection properties", ok, details)
+    return ok, details
 
 
 def _oracle_longest(c: SignFunction) -> tuple[int, int]:
@@ -364,7 +366,7 @@ def _witness_valid(c: SignFunction, witness: tuple[int, ...], color: int, length
     )
 
 
-def _criterion_8() -> CriterionResult:
+def _criterion_8() -> tuple[bool, dict]:
     """Path DP equals the subset-search oracle on seeded random colorings."""
     details = {}
     ok = True
@@ -382,10 +384,10 @@ def _criterion_8() -> CriterionResult:
                     witnesses_ok = witnesses_ok and _witness_valid(c, witness, color, best)
         details[f"r={r},n={n}"] = {"agreements": agreements, "witnesses_ok": witnesses_ok}
         ok = ok and agreements == 200 and witnesses_ok
-    return CriterionResult(8, "path DP oracle equivalence", ok, details)
+    return ok, details
 
 
-def _criterion_9() -> CriterionResult:
+def _criterion_9() -> tuple[bool, dict]:
     """Geometry: acyclicity, sign round trip, and byte-stable SVG."""
     details = {}
     ok = True
@@ -407,10 +409,10 @@ def _criterion_9() -> CriterionResult:
     digest = hashlib.sha256(first.encode()).hexdigest()
     details["svg"] = {"stable": first == second, "sha256": digest}
     ok = ok and first == second
-    return CriterionResult(9, "wiring diagrams", ok, details)
+    return ok, details
 
 
-CRITERIA: list[tuple[int, str, Callable[[], CriterionResult]]] = [
+CRITERIA: list[tuple[int, str, Callable[[], tuple[bool, dict]]]] = [
     (1, "small-complete counts", _criterion_1),
     (2, "exact small Ramsey numbers", _criterion_2),
     (3, "tower construction", _criterion_3),
@@ -431,9 +433,8 @@ def run_criteria(only: int | None = None,
     results = []
     for cid, title, fn in chosen:
         start = time.perf_counter()
-        result = fn()
+        passed, details = fn()
         elapsed = time.perf_counter() - start
-        status = "PASS" if result.passed else "FAIL"
-        log(f"{status} criterion {cid}: {title} ({elapsed:.2f}s)")
-        results.append(result)
+        log(f"{'PASS' if passed else 'FAIL'} criterion {cid}: {title} ({elapsed:.2f}s)")
+        results.append(CriterionResult(cid, title, passed, details))
     return results

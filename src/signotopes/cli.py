@@ -1,13 +1,18 @@
 """Command-line front end.
 
-One JSON manifest per run goes to stdout; human-readable notes go to
-stderr, so scripts never parse prose.  Exit codes: 0 success, 1
+Each subcommand returns its exit code and the body of its manifest
+(``parameters``, ``result``, and ``seed`` where a run draws at random);
+``dispatch`` adds ``subcommand``, ``tool_version`` and ``wall_time_s``
+and prints the one JSON manifest of the run to stdout.  Human-readable
+notes go to stderr, so scripts never parse prose.  A run that fails
+before it has a result prints no manifest.  Exit codes: 0 success, 1
 verification failure, 2 usage error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -37,22 +42,6 @@ EXIT_USAGE = 2
 EXIT_TOO_LARGE = 3
 
 
-def _manifest(subcommand: str, params: dict, result: dict, start: float,
-              seed: int | None = None) -> dict:
-    return {
-        "subcommand": subcommand,
-        "parameters": params,
-        "seed": seed,
-        "tool_version": __version__,
-        "wall_time_s": round(time.perf_counter() - start, 6),
-        "result": result,
-    }
-
-
-def _emit(manifest: dict) -> None:
-    print(json.dumps(manifest, sort_keys=True))
-
-
 def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -61,7 +50,7 @@ def _coloring_payload(c: SignFunction) -> dict:
     return {"r": c.r, "n": c.n, "colors": c.color_string()}
 
 
-def _cmd_verify(args, start) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     c = read_file(args.infile)
     witness = monotone_violation(c)
     result = {
@@ -69,32 +58,24 @@ def _cmd_verify(args, start) -> int:
         "witness": list(witness) if witness else None,
         "transitive": is_transitive(c),
     }
-    _emit(_manifest("verify", {"in": args.infile}, result, start))
-    if witness is not None:
-        _note(f"not monotone: violating subset {witness}")
-        return EXIT_VERIFY_FAILED
-    _note("monotone")
-    return EXIT_OK
+    _note("monotone" if witness is None else f"not monotone: violating subset {witness}")
+    code = EXIT_OK if witness is None else EXIT_VERIFY_FAILED
+    return code, {"parameters": {"in": args.infile}, "result": result}
 
 
-def _cmd_path(args, start) -> int:
+def _cmd_path(args) -> tuple[int, dict]:
     c = read_file(args.infile)
     rep = longest_mono_paths(c)
     records = [
         {"color": "-", "length": rep.best_minus, "witness": list(rep.witness_minus)},
         {"color": "+", "length": rep.best_plus, "witness": list(rep.witness_plus)},
     ]
-    if args.jsonl:
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
-    else:
-        _emit(_manifest("path", {"in": args.infile}, {"paths": records}, start))
     _note(f"longest minus path: {rep.best_minus} {rep.witness_minus}")
     _note(f"longest plus path:  {rep.best_plus} {rep.witness_plus}")
-    return EXIT_OK
+    return EXIT_OK, {"parameters": {"in": args.infile}, "result": {"paths": records}}
 
 
-def _cmd_tower(args, start) -> int:
+def _cmd_tower(args) -> tuple[int, dict]:
     ground = TowerGroundSet(args.r, args.n)
     coloring = ground.coloring()
     result = {
@@ -116,10 +97,9 @@ def _cmd_tower(args, start) -> int:
     if args.emit:
         write_file(coloring, args.emit)
         result["emitted"] = args.emit
-    _emit(_manifest("tower", {"r": args.r, "n": args.n, "verify": args.verify},
-                    result, start))
     _note(f"built coloring on {ground.size} vertices")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    params = {"r": args.r, "n": args.n, "verify": args.verify}
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK, {"parameters": params, "result": result}
 
 
 def _parse_verify_mode(spec: str) -> tuple[str, int, int]:
@@ -131,7 +111,7 @@ def _parse_verify_mode(spec: str) -> tuple[str, int, int]:
     raise InvalidArgument(f"bad verify mode {spec!r}; use all or sample:COUNT:SEED")
 
 
-def _cmd_comp(args, start) -> int:
+def _cmd_comp(args) -> tuple[int, dict]:
     ternary = block_coloring(args.r, args.h)
     result = {
         "n": ternary.n,
@@ -159,23 +139,23 @@ def _cmd_comp(args, start) -> int:
     if args.emit:
         write_file(ternary.fun, args.emit)
         result["emitted"] = args.emit
-    _emit(_manifest("comp", {"r": args.r, "h": args.h, "verify": args.verify},
-                    result, start, seed=seed))
     _note(f"block coloring on {ternary.n} vertices, {result['zeros']} zeros")
-    return EXIT_VERIFY_FAILED if failed else EXIT_OK
+    params = {"r": args.r, "h": args.h, "verify": args.verify}
+    return (EXIT_VERIFY_FAILED if failed else EXIT_OK,
+            {"parameters": params, "result": result, "seed": seed})
 
 
-def _cmd_count(args, start) -> int:
+def _cmd_count(args) -> tuple[int, dict]:
     report = count_monotone(args.r, args.n, max_edges=args.max_edges,
                             max_nodes=args.max_nodes, workers=args.workers)
     result = {key: getattr(report, key)
               for key in ("count", "nodes", "exponent", "upper_exponent", "bounds_ok")}
-    _emit(_manifest("count", {"r": args.r, "n": args.n}, result, start))
     _note(f"{report.count} monotone colorings ({report.nodes} nodes)")
-    return EXIT_OK if report.bounds_ok else EXIT_VERIFY_FAILED
+    code = EXIT_OK if report.bounds_ok else EXIT_VERIFY_FAILED
+    return code, {"parameters": {"r": args.r, "n": args.n}, "result": result}
 
 
-def _cmd_ramsey(args, start) -> int:
+def _cmd_ramsey(args) -> tuple[int, dict]:
     report = ramsey_number(args.r, args.path, args.max,
                            max_edges=args.max_edges, max_nodes=args.max_nodes)
     result = {
@@ -187,26 +167,24 @@ def _cmd_ramsey(args, start) -> int:
     if args.witness and report.witness is not None:
         write_file(report.witness, args.witness)
         result["witness_file"] = args.witness
-    _emit(_manifest("ramsey", {"r": args.r, "path": args.path, "max": args.max},
-                    result, start))
     if report.number is None:
         _note(f"unresolved up to {args.max}: number is at least {report.lower_bound}")
     else:
         _note(f"number = {report.number}")
-    return EXIT_OK
+    params = {"r": args.r, "path": args.path, "max": args.max}
+    return EXIT_OK, {"parameters": params, "result": result}
 
 
-def _cmd_project(args, start) -> int:
+def _cmd_project(args) -> tuple[int, dict]:
     c = read_file(args.infile)
     p = project(c, args.i)
     write_file(p, args.out)
-    _emit(_manifest("project", {"in": args.infile, "i": args.i, "out": args.out},
-                    {"r": p.r, "n": p.n}, start))
     _note(f"projected onto vertex {args.i}: r={p.r}, n={p.n}")
-    return EXIT_OK
+    params = {"in": args.infile, "i": args.i, "out": args.out}
+    return EXIT_OK, {"parameters": params, "result": {"r": p.r, "n": p.n}}
 
 
-def _cmd_wiring(args, start) -> int:
+def _cmd_wiring(args) -> tuple[int, dict]:
     c = read_file(args.infile)
     w = wiring_diagram(c)
     result = {"crossings": len(w.sweep)}
@@ -218,23 +196,18 @@ def _cmd_wiring(args, start) -> int:
         with open(args.sweep, "w", newline="\n") as fh:
             fh.write(sweep_text(w))
         result["sweep_file"] = args.sweep
-    _emit(_manifest("wiring", {"in": args.infile}, result, start))
     _note(f"swept {len(w.sweep)} crossings")
-    return EXIT_OK
+    return EXIT_OK, {"parameters": {"in": args.infile}, "result": result}
 
 
-def _cmd_selftest(args, start) -> int:
+def _cmd_selftest(args) -> tuple[int, dict]:
     from .acceptance import run_criteria
 
     results = run_criteria(only=args.only, log=_note)
-    payload = [
-        {"id": res.id, "title": res.title, "passed": res.passed, "details": res.details}
-        for res in results
-    ]
-    _emit(_manifest("selftest", {"only": args.only},
-                    {"criteria": payload, "all_passed": all(r.passed for r in results)},
-                    start))
-    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAILED
+    passed = all(res.passed for res in results)
+    result = {"criteria": [dataclasses.asdict(res) for res in results], "all_passed": passed}
+    code = EXIT_OK if passed else EXIT_VERIFY_FAILED
+    return code, {"parameters": {"only": args.only}, "result": result}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("path", help="longest monochromatic monotone paths")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--jsonl", action="store_true", help="one JSON line per color")
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("tower", help="build the tower coloring")
@@ -313,7 +285,7 @@ def dispatch(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     start = time.perf_counter()
     try:
-        return args.func(args, start)
+        code, body = args.func(args)
     except TooLarge as exc:
         _note(f"resource cap: {exc}")
         return EXIT_TOO_LARGE
@@ -324,6 +296,10 @@ def dispatch(argv: list[str] | None = None) -> int:
     except SignotopeError as exc:  # NotMonotone, NotRealizable
         _note(f"verification failure: {exc}")
         return EXIT_VERIFY_FAILED
+    manifest = {"subcommand": args.command, "seed": None, "tool_version": __version__, **body,
+                "wall_time_s": round(time.perf_counter() - start, 6)}
+    print(json.dumps(manifest, sort_keys=True))
+    return code
 
 
 def main() -> None:

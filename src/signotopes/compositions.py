@@ -163,7 +163,8 @@ def completions(
 
     ``mode="all"`` walks all 2^z fillings (z = number of zeros), refused
     when 2^z exceeds TABLE_CAP; ``mode="sample"`` draws ``count``
-    fillings from a PCG64 generator seeded with ``seed``, reproducibly.
+    fillings, at most TABLE_CAP, from a PCG64 generator seeded with
+    ``seed``, reproducibly.
     """
     zeros = np.array(t.zero_positions, dtype=np.int64)
     base = np.asarray(t.fun.colors)
@@ -180,6 +181,8 @@ def completions(
         if count < 1 or seed < 0:
             raise InvalidArgument(
                 f"sample mode needs count >= 1 and seed >= 0, got {_brief((count, seed))}")
+        if count > TABLE_CAP:
+            raise TooLarge(f"{_brief(count)} samples exceed the table cap {TABLE_CAP}")
         rng = np.random.default_rng(seed)
         for _ in range(count):
             colors = base.copy()

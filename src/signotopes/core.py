@@ -89,12 +89,20 @@ def edges_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
     """All r-subsets of [n] in colex order, streamed: ``colex_layout(n, r).edges``."""
     if r < 0:
         raise InvalidEdge(f"need r >= 0, got r={_brief(r)}")
-    if r == 0:
-        yield ()
+    if r > max(n, 0):
         return
-    for v in range(r, n + 1):
-        for rest in edges_colex(v - 1, r - 1):
-            yield rest + (v,)
+    edge = [*range(1, r + 1), n + 1]  # n + 1 bounds the last element
+    while True:
+        yield tuple(edge[:r])
+        # Colex successor: raise the first element with room below the next one
+        # and reset the elements before it to 1, 2, ...
+        j = 0
+        while j < r and edge[j] + 1 == edge[j + 1]:
+            j += 1
+        if j == r:
+            return
+        edge[j] += 1
+        edge[:j] = range(1, j + 1)
 
 
 class ColexLayout:

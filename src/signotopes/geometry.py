@@ -23,8 +23,9 @@ from math import comb
 
 import numpy as np
 
-from .core import SignFunction, _brief, check_size, colex_layout, monotone_violation
-from .errors import InvalidArgument, InvalidWiring, NotMonotone, NotRealizable
+from .core import (TABLE_CAP, SignFunction, _brief, _capped_comb, check_size, colex_layout,
+                   monotone_violation)
+from .errors import InvalidArgument, InvalidWiring, NotMonotone, NotRealizable, TooLarge
 
 Crossing = tuple[int, int]
 
@@ -38,10 +39,16 @@ class WiringDiagram:
 
     @cached_property
     def trace(self) -> tuple[tuple[int, ...], ...]:
-        """``trace[t]``: the top-to-bottom wire order after t crossings; validates the sweep."""
+        """``trace[t]``: the top-to-bottom wire order after t crossings; validates the sweep.
+
+        Its (C(n,2)+1)·n positions are refused over TABLE_CAP before the walk.
+        """
         n = self.n
         if n < 1:
             raise InvalidWiring(f"need at least one wire, got n={_brief(n)}")
+        if (_capped_comb(n, 2, TABLE_CAP) + 1) * n > TABLE_CAP:
+            raise TooLarge(f"the trace of {_brief(n)} wires holds more than the table cap "
+                           f"{TABLE_CAP} positions")
         if len(self.sweep) != comb(n, 2):
             raise InvalidWiring(f"expected {_brief(comb(n, 2))} crossings, got {len(self.sweep)}")
         order = list(range(1, n + 1))

@@ -51,6 +51,36 @@ class TestVerify:
         assert code == 2
 
 
+MANIFEST_KEYS = {"subcommand", "parameters", "seed", "tool_version", "wall_time_s", "result"}
+
+
+class TestManifestContract:
+    @pytest.mark.parametrize("argv,want", [
+        (("verify", "--in", "ok.mono"), 0),
+        (("verify", "--in", "bad.mono"), 1),
+        (("path", "--in", "ok.mono"), 0),
+        (("tower", "--r", "3", "--n", "3"), 0),
+        (("comp", "--r", "3", "--h", "2", "--verify", "sample:5:1"), 0),
+        (("count", "--r", "3", "--n", "4"), 0),
+        (("ramsey", "--r", "2", "--path", "3", "--max", "5"), 0),
+        (("project", "--in", "bad.mono", "--i", "4", "--out", "out.mono"), 0),
+        (("wiring", "--in", "ok.mono"), 0),
+        (("selftest", "--only", "1"), 0),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else str(v))
+    def test_stdout_is_one_manifest(self, tmp_path, monkeypatch, capsys, argv, want):
+        monkeypatch.chdir(tmp_path)
+        write_file(SignFunction.constant(3, 4), tmp_path / "ok.mono")
+        write_file(EXAMPLE_134, tmp_path / "bad.mono")
+        code = dispatch(list(argv))
+        out = capsys.readouterr().out
+        assert code == want
+        assert out.endswith("\n") and out.count("\n") == 1
+        manifest = json.loads(out)
+        assert isinstance(manifest, dict)
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["subcommand"] == argv[0]
+
+
 class TestPath:
     def test_manifest(self, tmp_path, capsys):
         f = tmp_path / "c.mono"
@@ -59,15 +89,6 @@ class TestPath:
         assert code == 0
         paths = manifest["result"]["paths"]
         assert paths[0] == {"color": "-", "length": 5, "witness": [1, 2, 3, 4, 5]}
-
-    def test_jsonl(self, tmp_path, capsys):
-        f = tmp_path / "c.mono"
-        write_file(SignFunction.constant(3, 5), f)
-        code = dispatch(["path", "--in", str(f), "--jsonl"])
-        out = capsys.readouterr().out.strip().splitlines()
-        assert code == 0
-        assert len(out) == 2
-        assert json.loads(out[0])["color"] == "-"
 
 
 class TestTower:
@@ -165,6 +186,15 @@ class TestComp:
     def test_bad_mode_exits_two(self, capsys):
         code, _, _ = run(capsys, "comp", "--r", "3", "--h", "2", "--verify", "meh")
         assert code == 2
+
+    def test_sample_count_over_the_table_cap_exits_three(self, capsys):
+        start = time.perf_counter()
+        code, manifest, err = run(
+            capsys, "comp", "--r", "3", "--h", "2", "--verify", "sample:1000000000000:1",
+        )
+        assert code == 3 and manifest is None
+        assert "table cap" in err
+        assert time.perf_counter() - start < 1
 
 
 class TestCount:

@@ -292,6 +292,10 @@ class TestCompletions:
         assert a == b
         assert a != c
         assert all(is_monotone(x) for x in a)
+        # the sample count is refused over TABLE_CAP before the first draw
+        assert next(completions(t, mode="sample", count=TABLE_CAP, seed=42)) == a[0]
+        with pytest.raises(TooLarge, match="table cap"):
+            next(completions(t, mode="sample", count=TABLE_CAP + 1, seed=42))
 
     def test_all_mode_cap(self):
         t = block_coloring(4, 2)  # 48 zeros

@@ -136,6 +136,10 @@ class TestColex:
         with pytest.raises(InvalidEdge, match="need r >= 0"):
             list(edges_colex(3, -1))
 
+    def test_edges_colex_deep_rank_is_lazy(self):
+        # r past the interpreter's recursion limit: the successor walk keeps no call stack
+        assert next(edges_colex(1100, 1050)) == tuple(range(1, 1051))
+
 
 class TestSizeLimit:
     def test_capped_comb_is_comb_clipped_past_the_cap(self):

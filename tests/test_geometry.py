@@ -180,6 +180,16 @@ class TestWiringValidation:
             signs_from_wiring(w)
         assert "trace" not in w.__dict__
 
+    def test_trace_size_is_checked_before_the_walk(self):
+        # (C(n,2)+1)·n positions: 2,664,550 at n = 175, 2,710,576 at n = 176
+        def bubble(n):
+            return WiringDiagram(n, tuple((i, j) for j in range(2, n + 1) for i in range(1, j)))
+        assert bubble(175).trace[-1] == tuple(range(175, 0, -1))
+        w = bubble(176)
+        with pytest.raises(TooLarge, match="table cap"):
+            w.trace
+        assert "trace" not in w.__dict__
+
 
 class TestSvg:
     def test_single_wire(self):
