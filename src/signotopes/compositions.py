@@ -21,7 +21,7 @@ of replacing the 0 entries by signs yields a monotone coloring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, groupby
+from itertools import groupby
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -46,9 +46,15 @@ def compositions(m: int, parts: int | None = None) -> Iterator[Composition]:
     if parts is None:  # digit j of w is 1 when a part ends at j: counting down is lexicographic
         for w in range(2 ** (m - 1) - 1, -1, -1):
             yield tuple(len(run) + 1 for run in f"{w:0{m}b}"[1:].split("1"))
-    elif 0 < parts <= m:  # the ends of the first parts-1 parts, in lexicographic order
-        for ends in combinations(range(1, m), parts - 1):
+    elif 0 < parts <= m:  # the ends of the first parts-1 parts, stepped in lexicographic order
+        ends = list(range(1, parts))
+        while True:
             yield tuple(b - a for a, b in zip((0, *ends), (*ends, m)))
+            # step the last end below its largest value, m - parts + 1 + i; those after follow it
+            i = next((i for i in reversed(range(parts - 1)) if ends[i] < m - parts + 1 + i), -1)
+            if i < 0:
+                return
+            ends[i:] = range(ends[i] + 1, ends[i] + parts - i)
 
 
 def _validate(sigma: Sequence[int]) -> Composition:

@@ -1,14 +1,13 @@
 """Backtracking enumeration, counting, projections, and Ramsey search.
 
 Every search runs on one iterative engine, `_search`, which assigns
-edges in colex order.  The constraint of an (r+1)-subset involves its
-r+1 r-subsets, of which exactly one — the one obtained by deleting the
-smallest element — has the largest colex rank; the constraint is
-evaluated the moment that edge is colored, which is the earliest
-possible time.  Branches violating a constraint are cut immediately, so
-every leaf is a monotone coloring and, by induction, every monotone
-coloring is reached exactly once.  A hook per edge extends the engine:
-Ramsey search plugs in `_path_pruner`, the counting join its bitset filter.
+edges in colex order.  Of the r-subsets of an (r+1)-subset, the one
+without the smallest element comes last, so on entering its level the
+engine reads the other r colors and decides, once, which colors it may
+take: a 2-bit mask read off a table of sign patterns.  Every leaf is
+monotone, and each monotone coloring is reached exactly once.  One hook
+per level narrows the mask: Ramsey search plugs in `_path_pruner`, the
+counting join its bitset filter.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial, log2
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -79,17 +79,16 @@ def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None
     check_size(r, n)
 
 
-def _consistent(colors: list[int], constraint_ranks: tuple[int, ...]) -> bool:
-    changes = 0
-    prev = colors[constraint_ranks[0]]
-    for t in constraint_ranks[1:]:
-        cur = colors[t]
-        if cur != prev:
-            changes += 1
-            if changes > 1:
-                return False
-            prev = cur
-    return True
+@lru_cache(maxsize=None)
+def _level_masks(r: int, n: int):
+    """(pattern, heads): ``heads[k]`` reads the head, the r edges before k, of each
+    deletion row ending at edge k (rank 1 has none: one edge never changes sign).
+    ``pattern`` maps the 2r heads with at most one sign change to the colors k may
+    take (bit 0: -1, bit 1: +1): both, or the head's last; a missing head allows none."""
+    constraints, _ = _search_tables(r, n)
+    pattern = {head: 3 if j in (0, r) else 1 << (head[-1] > 0)
+               for j in range(r + 1) for a in (-1, 1) for head in [(a,) * j + (-a,) * (r - j)]}
+    return pattern, [[itemgetter(*row[:-1]) for row in rows if r > 1] for rows in constraints]
 
 
 def _search(
@@ -100,52 +99,58 @@ def _search(
     max_nodes: int | None = None,
     prefix: Sequence[int] = (),
     rng: random.Random | None = None,
-    hook: Callable[[int, list[int]], bool] | None = None,
+    hook: Callable[[int, list[int], int], int] | None = None,
 ) -> Iterator[list[int]]:
     """Depth-first search yielding the shared color list at every leaf.
 
-    The caller has admitted (r, n) and checked ``prefix``; the counting
-    join walks rank 1, which has no constraints.  A leaf is a full
-    consistent coloring; copy what you keep.  Each level tries -1
-    before +1 unless ``rng`` swaps them, one ``rng.random()`` per
-    non-leaf level entered.  ``prefix`` pins the first edges, uncounted;
-    one failing the checks yields nothing.  ``hook(k, colors)``, if
-    given, runs after edge k passes the constraints, prefix edges
-    included; False cuts the branch.
-    ``nodes[0]`` adds up attempted assignments, each counted before its
-    checks, and is current at every yield and at the end; past
-    ``max_nodes`` the search raises TooLarge.
+    The caller has admitted (r, n) and checked ``prefix``.  A leaf is a
+    full consistent coloring; copy what you keep.  Entering level k
+    decides once which colors edge k may take, as a mask (bit 0: -1,
+    bit 1: +1): the constraint rows ending at k, then, if a color is
+    left, ``hook(k, colors, mask)`` returns the mask narrowed to the
+    colors it allows.  ``prefix`` pins the first edges through the same
+    step, uncounted; one outside its mask yields nothing.  Each level
+    tries -1 before +1 unless ``rng`` swaps them, one ``rng.random()``
+    per non-leaf level entered.  ``nodes[0]`` adds up attempts, each
+    counted before its mask test, and is current at every yield and at
+    the end; past ``max_nodes`` the search raises TooLarge.
     """
     edge_count = comb(n, r)
-    constraints, _ = _search_tables(r, n)
+    pattern, heads = _level_masks(r, n)
+    lookup = pattern.get
     colors = [0] * edge_count
 
-    def fits(k: int, col: int) -> bool:
-        colors[k] = col
-        for cr in constraints[k]:
-            if not _consistent(colors, cr):
-                return False
-        return hook is None or hook(k, colors)
+    def allowed(k: int) -> int:
+        mask = 3
+        for head in heads[k]:
+            mask &= lookup(head(colors), 0)
+        return hook(k, colors, mask) if mask and hook is not None else mask
 
-    if not all(fits(k, col) for k, col in enumerate(prefix)):
-        return
+    for k, col in enumerate(prefix):
+        if not allowed(k) >> (col > 0) & 1:
+            return
+        colors[k] = col
     limit = float("inf") if max_nodes is None else max_nodes
     count = nodes[0]
-    stack: list[tuple[int, int]] = []  # untried (edge, color), next on top
+    stack: list[tuple[int, int, int]] = []  # untried (edge, color, allowed), next on top
     k = len(prefix)
     while True:
         if k == edge_count:
             nodes[0] = count
             yield colors
         else:
-            first = 1 if rng is not None and rng.random() < 0.5 else -1
-            stack += ((k, -first), (k, first))
+            mask = allowed(k)
+            if rng is not None and rng.random() < 0.5:
+                stack += ((k, -1, mask & 1), (k, 1, mask & 2))
+            else:
+                stack += ((k, 1, mask & 2), (k, -1, mask & 1))
         while stack:
-            k, col = stack.pop()
+            k, col, ok = stack.pop()
             count += 1
             if count > limit:
                 raise TooLarge(f"search exceeded node budget {max_nodes}")
-            if fits(k, col):
+            if ok:
+                colors[k] = col
                 k += 1
                 break
         else:
@@ -236,11 +241,12 @@ def _join(
     engine walks p, a rank-(r-1) coloring of [n-1], in colex order.  For
     an r-subset U of [n-1] the deletion sequence of U + {n} is
     (c(U), p's deletion sequence of U); the engine completes the latter
-    at p's edge U - min(U).  If it then changes sign, it ends in the
-    color just assigned, so c(U) must be the opposite one: the bitset of
-    rows still valid is ANDed with that column, and an empty bitset cuts
-    the p-subtree.  Yields (p's shared color list, bitset) for every
-    full p.
+    at p's edge U - min(U).  If it then changes sign, it ends in p's
+    color there, so c(U) must be the opposite one.  Entering that edge,
+    the hook decides both its colors in one pass: each color's bitset of
+    rows still valid is ANDed with the columns it needs, and a color
+    whose bitset is empty is not allowed.  Yields (p's shared color
+    list, the bitset of its last color) for every full p.
 
     A depth-j bitset counts the consistent partial colorings of [n] on
     the first C(n-1, r) + j edges that extend a row.  The table holds
@@ -250,31 +256,31 @@ def _join(
     ``nodes[0]``; past ``limit`` that raises TooLarge.
     """
     size, plus = table
-    mask = (1 << size) - 1
-    minus = [mask ^ col for col in plus]
+    full = (1 << size) - 1
+    minus = [full ^ col for col in plus]
     _, preds = _search_tables(r - 1, n - 1)
     # Group k holds the U with p-edge k last; the groups are runs of U ranks.
     heads = [tuple(zip(firsts, range(lo, lo + len(firsts))))
              for firsts, lo in zip(preds, accumulate(map(len, preds), initial=0))]
     edges = len(preds)
-    bits = [mask] * (edges + 1)
+    bits = [(full, full)] * (edges + 1)  # bits[k + 1]: valid rows if p-edge k is -1, if +1
 
-    def hook(k: int, colors: list[int]) -> bool:
-        col = colors[k]
-        need = minus if col > 0 else plus
-        valid = bits[k]
+    def hook(k: int, colors: list[int], mask: int) -> int:
+        valid_minus = valid_plus = bits[k][colors[k - 1] > 0]  # either half of bits[0]: all rows
         for first, u in heads[k]:
-            if colors[first] != col:
-                valid &= need[u]
-        bits[k + 1] = valid
-        if not valid:
-            return False
+            if colors[first] > 0:
+                valid_minus &= plus[u]
+            else:
+                valid_plus &= minus[u]
+        bits[k + 1] = valid_minus, valid_plus
+        mask &= (valid_minus != 0) | (valid_plus != 0) << 1
         if k + 1 < edges:
-            _add_nodes(nodes, 4 * valid.bit_count(), limit)
-        return True
+            _add_nodes(nodes, 4 * ((mask & 1 and valid_minus.bit_count())
+                                   + (mask >> 1 and valid_plus.bit_count())), limit)
+        return mask
 
     for colors in _search(r - 1, n - 1, [0], hook=hook):
-        yield colors, bits[edges]
+        yield colors, bits[edges][colors[-1] > 0]
 
 
 def _extend(table: _Table, leaves: list[tuple[list[int], int]]) -> _Table:
@@ -428,20 +434,23 @@ class RamseyReport:
     nodes: int
 
 
-def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int]], bool]:
-    """Engine hook cutting a branch that holds a monochromatic m-vertex path,
-    found by an incremental DP over path-ending windows."""
+def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int], int], int]:
+    """Engine hook allowing the colors of edge k that close no monochromatic
+    m-vertex path.  One pass over the windows that can precede k gives the
+    longest path ending at k for both colors; both are kept per edge."""
     _, preds = _search_tables(r, n)
-    plen = [0] * len(preds)
+    longest = [(0, 0)] * len(preds)  # per edge: (if colored -1, if colored +1)
 
-    def hook(k: int, colors: list[int]) -> bool:
-        col = colors[k]
-        longest = r
+    def hook(k: int, colors: list[int], mask: int) -> int:
+        to_minus = to_plus = r
         for p in preds[k]:
-            if colors[p] == col and plen[p] >= longest:
-                longest = plen[p] + 1
-        plen[k] = longest
-        return longest < m
+            if colors[p] > 0:
+                if longest[p][1] >= to_plus:
+                    to_plus = longest[p][1] + 1
+            elif longest[p][0] >= to_minus:
+                to_minus = longest[p][0] + 1
+        longest[k] = to_minus, to_plus
+        return mask & ((to_minus < m) | (to_plus < m) << 1)
 
     return hook
 

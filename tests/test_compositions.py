@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ class TestCompositions:
     def test_long_compositions_stay_off_the_call_stack(self):
         assert next(compositions(5000)) == (1,) * 5000
         assert next(compositions(5000, 2)) == (1, 4999)
+
+    def test_part_count_memory_does_not_grow_with_m(self):
+        tracemalloc.start()
+        try:
+            first = next(compositions(TABLE_CAP, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (1, TABLE_CAP - 1)
+        assert peak < 64 * 1024  # a pool of all TABLE_CAP - 1 candidate ends traced 108 MB
 
     def test_totals_up_to_table_cap(self):
         assert len(next(compositions(TABLE_CAP))) == TABLE_CAP

@@ -1,4 +1,5 @@
 import os
+import random
 import time
 
 import numpy as np
@@ -22,7 +23,8 @@ from signotopes import (
 )
 from signotopes import enumeration
 from signotopes.core import TABLE_CAP
-from signotopes.enumeration import AtLeast, _path_pruner, _search
+from signotopes.enumeration import (AtLeast, _level_masks, _path_pruner, _search,
+                                    _search_tables)
 from signotopes.errors import InvalidArgument, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
@@ -375,6 +377,161 @@ class TestPathPruner:
     @pytest.mark.parametrize("r,m,n,count", [(3, 5, 7, 15_904), (4, 6, 7, 7_082)])
     def test_baseline_counts(self, r, m, n, count):
         assert pruned_leaves(r, n, m) == count
+
+
+def reference_consistent(colors, constraint_ranks):
+    changes = 0
+    prev = colors[constraint_ranks[0]]
+    for t in constraint_ranks[1:]:
+        cur = colors[t]
+        if cur != prev:
+            changes += 1
+            if changes > 1:
+                return False
+            prev = cur
+    return True
+
+
+def reference_search(r, n, nodes, *, max_nodes=None, prefix=(), rng=None, hook=None):
+    """The engine before the per-level color masks: every attempt runs the
+    constraint rows of its edge, then ``hook(k, colors) -> bool``."""
+    edge_count = comb(n, r)
+    constraints, _ = _search_tables(r, n)
+    colors = [0] * edge_count
+
+    def fits(k, col):
+        colors[k] = col
+        for cr in constraints[k]:
+            if not reference_consistent(colors, cr):
+                return False
+        return hook is None or hook(k, colors)
+
+    if not all(fits(k, col) for k, col in enumerate(prefix)):
+        return
+    limit = float("inf") if max_nodes is None else max_nodes
+    count = nodes[0]
+    stack = []
+    k = len(prefix)
+    while True:
+        if k == edge_count:
+            nodes[0] = count
+            yield colors
+        else:
+            first = 1 if rng is not None and rng.random() < 0.5 else -1
+            stack += ((k, -first), (k, first))
+        while stack:
+            k, col = stack.pop()
+            count += 1
+            if count > limit:
+                raise TooLarge(f"search exceeded node budget {max_nodes}")
+            if fits(k, col):
+                k += 1
+                break
+        else:
+            nodes[0] = count
+            return
+
+
+def reference_path_pruner(r, n, m):
+    """The pruner before both colors were decided in one pass."""
+    _, preds = _search_tables(r, n)
+    plen = [0] * len(preds)
+
+    def hook(k, colors):
+        col = colors[k]
+        longest = r
+        for p in preds[k]:
+            if colors[p] == col and plen[p] >= longest:
+                longest = plen[p] + 1
+        plen[k] = longest
+        return longest < m
+
+    return hook
+
+
+def walk(search, r, n, **kwargs):
+    """Every leaf in order with the node count at its yield, then the final
+    count, or the leaves seen before TooLarge and None."""
+    nodes = [0]
+    leaves = []
+    try:
+        for colors in search(r, n, nodes, **kwargs):
+            leaves.append((tuple(colors), nodes[0]))
+    except TooLarge:
+        return leaves, None
+    return leaves, nodes[0]
+
+
+def same_walk(r, n, m=None, seed=None, **kwargs):
+    """Walk both engines, the path pruner hooked in when ``m`` is given."""
+    walks = [
+        walk(search, r, n, hook=pruner(r, n, m) if m else None,
+             rng=None if seed is None else random.Random(seed), **kwargs)
+        for search, pruner in [(_search, _path_pruner), (reference_search, reference_path_pruner)]
+    ]
+    assert walks[0] == walks[1]
+    return walks[0]
+
+
+ENGINE_SIZES = [(2, 6), (3, 6), (4, 6), (4, 7), (5, 7)]
+
+
+class TestEngineAgainstReference:
+    """The per-level mask engine walks the tree of the per-attempt engine:
+    the same leaves in the same order, and the same node count at every
+    yield, at the end and at the budget's cut-off."""
+
+    @pytest.mark.parametrize("r,n", ENGINE_SIZES)
+    def test_exhaustive(self, r, n):
+        leaves, nodes = same_walk(r, n)
+        rep = count_monotone(r, n)
+        assert (len(leaves), nodes) == (rep.count, rep.nodes)
+
+    @pytest.mark.parametrize("r,n", ENGINE_SIZES)
+    def test_random_prefixes(self, r, n):
+        draw = random.Random(r * 100 + n)
+        inconsistent = 0
+        for _ in range(12):
+            prefix = [draw.choice((-1, 1)) for _ in range(draw.randint(0, comb(n, r)))]
+            leaves, _ = same_walk(r, n, prefix=prefix)
+            inconsistent += not leaves
+        assert inconsistent > 0  # some draws pin a non-monotone start
+
+    def test_numpy_prefix(self):
+        prefix = np.array([-1, 1, 1, 1], dtype=np.int8)
+        assert same_walk(3, 6, prefix=prefix)[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("r,n", [(2, 6), (3, 6), (4, 6)])
+    def test_seeded_order(self, r, n, seed):
+        same_walk(r, n, seed=seed)
+        same_walk(r, n, m=r + 2, seed=seed)
+
+    @pytest.mark.parametrize("r,n,ms", [
+        (2, 7, (3, 4, 5)), (3, 6, (4, 5, 6)), (3, 7, (4, 5)), (4, 7, (5, 6)), (5, 7, (6, 7)),
+    ])
+    def test_path_pruner(self, r, n, ms):
+        for m in ms:
+            same_walk(r, n, m=m)
+            same_walk(r, n, m=m, prefix=(-1, 1, 1))
+
+    @pytest.mark.parametrize("r,n,m", [(3, 6, None), (2, 7, 4), (4, 6, 5)])
+    def test_node_budget_cut_off(self, r, n, m):
+        leaves, total = same_walk(r, n, m=m)
+        assert same_walk(r, n, m=m, max_nodes=total) == (leaves, total)
+        for budget in (total - 1, total // 2, total // 7, 1, 0):
+            cut, end = same_walk(r, n, m=m, max_nodes=budget)
+            assert end is None and cut == [leaf for leaf in leaves if leaf[1] <= budget]
+
+    def test_large_rank_builds_no_exponential_table(self):
+        # The pattern table holds the 2r heads with at most one sign
+        # change, not all 2^r, so a large r costs nothing before the walk.
+        assert len(_level_masks(150, 150)[0]) == 300
+        assert len(list(enumerate_monotone(30, 30))) == 2
+        assert find_avoiding_coloring(30, 30, 30) is not None
+        assert ramsey_number(30, 30, 30).number == 30
+        with pytest.raises(TooLarge):  # its join walks rank 29 on [30]
+            count_monotone(30, 31, max_nodes=10**5)
 
 
 class TestTow:

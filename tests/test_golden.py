@@ -130,6 +130,17 @@ def test_avoider():
     assert sha(dumps(avoider)) == "b8dee6c54b0c1e5be486eeebe9fa34eaf6de78eb80cb113e146ea8c2d34897e5"
 
 
+@pytest.mark.parametrize("n,nodes,digest", [
+    (9, 56_365, "888d63de8e65abd17f9e21aa1de870ccac462a437542d23b1f33f67cfe4e43b9"),
+    # the ramsey benchmark's avoider search
+    (10, 1_456_213, "039438ff0b2d8298513eb9c1f544d078dd6123bd2991e88d753a423493430077"),
+])
+def test_avoider_r3_m5(n, nodes, digest):
+    avoider, total = find_avoiding_coloring(3, n, 5, max_edges=120)
+    assert total == nodes
+    assert sha(dumps(avoider)) == digest
+
+
 def halved_engine(r, n):
     """The engine below the first edge minus: the half the counting join builds."""
     nodes = [0]
