@@ -370,6 +370,8 @@ def is_transitive(c: SignFunction) -> bool:
 # LF line endings, trailing newline.
 
 _HEADER_RE = re.compile(r"^r=(\d+) n=(\d+)$")
+#: The longest file an admitted coloring writes: C(n, r) <= TABLE_CAP / r, r and n <= TABLE_CAP.
+MAX_FILE_BYTES = len(f"MONO 1\nr={TABLE_CAP} n={TABLE_CAP}\n\n") + TABLE_CAP // 2
 
 
 def _decode(chars: str) -> tuple[np.ndarray, int | None]:
@@ -402,7 +404,7 @@ def loads(text: str) -> SignFunction:
     check_size(r, n)
     body = lines[2]
     expected = comb(n, r)
-    colors, bad = _decode(body)
+    colors, bad = _decode(body[:expected])  # a longer line is refused by its length
     if bad is not None:
         raise ParseError(f"illegal color character {body[bad]!r}", line=3, column=bad + 1)
     if len(body) != expected:
@@ -424,7 +426,9 @@ def write_file(c: SignFunction, path) -> None:
 
 def read_file(path) -> SignFunction:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read(MAX_FILE_BYTES + 1)  # one byte past the longest file is refused unread
+    if len(data) > MAX_FILE_BYTES:
+        raise TooLarge(f"{path} is longer than {MAX_FILE_BYTES} bytes, the longest .mono file")
     try:
         text = data.decode()
     except UnicodeDecodeError as exc:

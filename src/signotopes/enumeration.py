@@ -7,7 +7,8 @@ engine reads the other r colors and decides, once, which colors it may
 take: a 2-bit mask read off a table of sign patterns.  Every leaf is
 monotone, and each monotone coloring is reached exactly once.  One hook
 per level narrows the mask: Ramsey search plugs in `_path_pruner`, the
-counting join its bitset filter.
+counting join its bitset filter.  The engine and both hooks read one
+cached table per (r, n), `_search_tables`: the grouped deletion table.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -29,7 +30,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from math import comb, factorial, log2
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -49,22 +49,25 @@ _Table = tuple[int, list[int]]
 
 @lru_cache(maxsize=None)
 def _search_tables(r: int, n: int):
-    """Per-(r, n) tables: per-rank constraints and per-rank path preds.
-
-    ``constraints[k]`` lists the rows of the (r+1)-subset deletion table
-    whose last column, the colex-largest r-subset, is k: the ranks of the
-    r-subsets in deletion order (largest element deleted first).
-    ``preds[k]`` holds their first columns, edge k with its largest vertex
-    dropped and a smaller one prepended: the windows that can precede it
-    in a monotone path.
-    """
+    """(starts, preds, heads, pattern): the (r+1)-subset deletion table of [n]
+    with its rows grouped by their last column, the colex-largest r-subset k,
+    into the runs ``starts[k]:starts[k + 1]`` (deleting the smallest element
+    keeps colex order).  ``preds[k]`` holds the first column of k's run, the
+    windows that can precede k in a monotone path; ``heads[k]`` reads each
+    row's head, the r edges before k (rank 1 has none: one edge never
+    changes sign).  ``pattern`` maps the 2r heads with at most one sign
+    change to the colors k may take (bit 0: -1, bit 1: +1): both, or the
+    head's last; a missing head allows none."""
     table = colex_layout(n, r + 1).deletion
-    rows = [tuple(row) for row in table.tolist()]
-    # Deleting the smallest element keeps colex order: the groups are runs.
-    runs = np.searchsorted(table[:, -1], np.arange(comb(n, r) + 1)).tolist()
-    constraints = [rows[lo:hi] for lo, hi in zip(runs, runs[1:])]
-    preds = tuple(tuple(row[0] for row in group) for group in constraints)
-    return constraints, preds
+    starts = np.searchsorted(table[:, -1], np.arange(comb(n, r) + 1)).tolist()
+    preds, heads = [], []
+    for lo, hi in zip(starts, starts[1:]):
+        columns = table[lo:hi, :-1].T.tolist()
+        preds.append(tuple(columns[0]))
+        heads.append(list(map(itemgetter, *columns)) if r > 1 else [])
+    pattern = {head: 3 if j in (0, r) else 1 << (head[-1] > 0)
+               for j in range(r + 1) for a in (-1, 1) for head in [(a,) * j + (-a,) * (r - j)]}
+    return starts, preds, heads, pattern
 
 
 def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
@@ -77,18 +80,6 @@ def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None
         raise TooLarge(f"r={_brief(r)}, n={_brief(n)} has more than {_brief(max_edges)} "
                        f"edges (search cap); pass max_edges explicitly to override")
     check_size(r, n)
-
-
-@lru_cache(maxsize=None)
-def _level_masks(r: int, n: int):
-    """(pattern, heads): ``heads[k]`` reads the head, the r edges before k, of each
-    deletion row ending at edge k (rank 1 has none: one edge never changes sign).
-    ``pattern`` maps the 2r heads with at most one sign change to the colors k may
-    take (bit 0: -1, bit 1: +1): both, or the head's last; a missing head allows none."""
-    constraints, _ = _search_tables(r, n)
-    pattern = {head: 3 if j in (0, r) else 1 << (head[-1] > 0)
-               for j in range(r + 1) for a in (-1, 1) for head in [(a,) * j + (-a,) * (r - j)]}
-    return pattern, [[itemgetter(*row[:-1]) for row in rows if r > 1] for rows in constraints]
 
 
 def _search(
@@ -106,7 +97,7 @@ def _search(
     The caller has admitted (r, n) and checked ``prefix``.  A leaf is a
     full consistent coloring; copy what you keep.  Entering level k
     decides once which colors edge k may take, as a mask (bit 0: -1,
-    bit 1: +1): the constraint rows ending at k, then, if a color is
+    bit 1: +1): the deletion rows ending at k, then, if a color is
     left, ``hook(k, colors, mask)`` returns the mask narrowed to the
     colors it allows.  ``prefix`` pins the first edges through the same
     step, uncounted; one outside its mask yields nothing.  Each level
@@ -116,7 +107,7 @@ def _search(
     the end; past ``max_nodes`` the search raises TooLarge.
     """
     edge_count = comb(n, r)
-    pattern, heads = _level_masks(r, n)
+    _, _, heads, pattern = _search_tables(r, n)
     lookup = pattern.get
     colors = [0] * edge_count
 
@@ -258,16 +249,14 @@ def _join(
     size, plus = table
     full = (1 << size) - 1
     minus = [full ^ col for col in plus]
-    _, preds = _search_tables(r - 1, n - 1)
-    # Group k holds the U with p-edge k last; the groups are runs of U ranks.
-    heads = [tuple(zip(firsts, range(lo, lo + len(firsts))))
-             for firsts, lo in zip(preds, accumulate(map(len, preds), initial=0))]
+    # Row u of p's deletion table is the r-subset U of [n-1] of rank u, in U - min(U)'s run.
+    starts, preds, _, _ = _search_tables(r - 1, n - 1)
     edges = len(preds)
     bits = [(full, full)] * (edges + 1)  # bits[k + 1]: valid rows if p-edge k is -1, if +1
 
     def hook(k: int, colors: list[int], mask: int) -> int:
         valid_minus = valid_plus = bits[k][colors[k - 1] > 0]  # either half of bits[0]: all rows
-        for first, u in heads[k]:
+        for u, first in enumerate(preds[k], starts[k]):
             if colors[first] > 0:
                 valid_minus &= plus[u]
             else:
@@ -287,10 +276,11 @@ def _extend(table: _Table, leaves: list[tuple[list[int], int]]) -> _Table:
     """The table of the pairs (c, p) at the join's leaves, grouped by p."""
     size, plus = table
     rows = [np.flatnonzero(_unpack(bits, size)) for _, bits in leaves]
-    sizes = [len(group) for group in rows]
+    sizes = np.array([len(group) for group in rows])
     rows = np.concatenate(rows)
-    p_plus = np.repeat(np.array([p for p, _ in leaves], dtype=np.int8).T > 0, sizes, axis=1)
-    return len(rows), [_pack(_unpack(col, size)[rows]) for col in plus] + list(map(_pack, p_plus))
+    p_plus = np.array([p for p, _ in leaves], dtype=np.int8).T > 0  # (p-edges, leaves)
+    return len(rows), ([_pack(_unpack(col, size)[rows]) for col in plus]  # one column at a time
+                       + [_pack(np.repeat(col, sizes)) for col in p_plus])
 
 
 def _join_worker(args) -> tuple[int, int]:
@@ -438,7 +428,7 @@ def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int], int], int]
     """Engine hook allowing the colors of edge k that close no monochromatic
     m-vertex path.  One pass over the windows that can precede k gives the
     longest path ending at k for both colors; both are kept per edge."""
-    _, preds = _search_tables(r, n)
+    _, preds, _, _ = _search_tables(r, n)
     longest = [(0, 0)] * len(preds)  # per edge: (if colored -1, if colored +1)
 
     def hook(k: int, colors: list[int], mask: int) -> int:
@@ -513,21 +503,21 @@ class AtLeast:
         return f"AtLeast(2^{self.bits})"
 
 
-def tow(h: int, x, max_bits: int = TABLE_CAP):
+def tow(h: int, x):
     """Iterated exponentiation: height-1 applications of 2^_ to x.
 
-    Exact when every intermediate fits in ``max_bits`` bits; otherwise a
-    symbolic AtLeast(max_bits), meaning the value is at least 2^max_bits.
+    Exact when every intermediate fits in TABLE_CAP bits; otherwise a
+    symbolic AtLeast(TABLE_CAP), meaning the value is at least 2^TABLE_CAP.
     Accepts nonpositive x (the intermediate values then pass through
     floats), which keeps size invariants checkable at small parameters;
     a float intermediate that would leave the float range raises TooLarge.
     """
-    if h < 1:
-        raise InvalidArgument(f"need height >= 1, got {_brief(h)}")
+    if h < 1 or x != x:  # x != x: NaN, which never passes the cap
+        raise InvalidArgument(f"need height >= 1 and x not NaN, got h={_brief(h)}, x={_brief(x)}")
     val = x
     for _ in range(h - 1):
-        if val > max_bits:
-            return AtLeast(max_bits)
+        if val > TABLE_CAP:
+            return AtLeast(TABLE_CAP)
         try:
             val = 2 ** val
         except OverflowError:

@@ -8,7 +8,7 @@ import pytest
 
 from signotopes import SignFunction, loads, read_file, write_file
 from signotopes.cli import dispatch
-from signotopes.core import colex_layout
+from signotopes.core import MAX_FILE_BYTES, colex_layout
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
 
@@ -49,6 +49,14 @@ class TestVerify:
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "verify", "--in", "/nonexistent.mono")
         assert code == 2
+
+    def test_file_longer_than_any_coloring_exits_three(self, tmp_path, capsys):
+        f = tmp_path / "long.mono"
+        head = b"MONO 1\nr=2 n=3\n"
+        f.write_bytes(head + b"-" * (MAX_FILE_BYTES + 1 - len(head)))
+        code, manifest, err = run(capsys, "verify", "--in", str(f))
+        assert code == 3 and manifest is None
+        assert "resource cap" in err
 
 
 MANIFEST_KEYS = {"subcommand", "parameters", "seed", "tool_version", "wall_time_s", "result"}

@@ -22,7 +22,7 @@ from signotopes import (
     transitive_violation,
     write_file,
 )
-from signotopes.core import TABLE_CAP, _capped_comb, check_size
+from signotopes.core import MAX_FILE_BYTES, TABLE_CAP, _capped_comb, check_size
 from signotopes.errors import InvalidEdge, ParseError, TernaryNotAllowed, TooLarge
 
 
@@ -394,6 +394,8 @@ class TestFileFormat:
             ("MONO 1\nr=3 n=4\n-\ud800-+\n", 3, 2),
             ("MONO 1\nr=3 n=4\n\U0001f600+-+-\n", 3, 1),
             ("MONO 1\nr=3 n=4\n-+-+\njunk\n", 4, 1),
+            # past C(n, r) nothing is decoded: the length is the error
+            ("MONO 1\nr=3 n=4\n-+-+x\n", 3, 6),
         ],
     )
     def test_parse_errors_carry_position(self, text, line, col):
@@ -401,6 +403,31 @@ class TestFileFormat:
             loads(text)
         assert err.value.line == line
         assert err.value.column == col
+
+    def test_long_colors_line_is_measured_not_decoded(self):
+        text = "MONO 1\nr=2 n=3\n" + "-" * 10**7 + "\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.line, err.value.column) == (3, 10**7 + 1)
+        # The split lines copy the text once; decoding all of it traced 95 MB.
+        assert peak < len(text) + (1 << 20)
+
+    def test_file_longer_than_any_coloring_is_refused_unread(self, tmp_path):
+        # (8, 20) has the most colors of any admitted (r, n): 125,970.
+        assert len(dumps(SignFunction.constant(8, 20))) <= MAX_FILE_BYTES
+        head = b"MONO 1\nr=2 n=3\n"
+        target = tmp_path / "long.mono"
+        target.write_bytes(head + b"-" * (MAX_FILE_BYTES + 1 - len(head)))
+        with pytest.raises(TooLarge):
+            read_file(target)
+        target.write_bytes(head + b"-" * (MAX_FILE_BYTES - len(head)))
+        with pytest.raises(ParseError, match="expected 3 colors"):
+            read_file(target)
 
 
 class TestSymmetries:

@@ -1,6 +1,7 @@
 import os
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from signotopes import (
     tow,
 )
 from signotopes import enumeration
-from signotopes.core import TABLE_CAP
-from signotopes.enumeration import (AtLeast, _level_masks, _path_pruner, _search,
+from signotopes.core import TABLE_CAP, colex_layout
+from signotopes.enumeration import (AtLeast, _extend, _join, _path_pruner, _search,
                                     _search_tables)
 from signotopes.errors import InvalidArgument, TooLarge
 
@@ -228,6 +229,23 @@ class TestCountJoin:
             count_monotone(3, 9, max_edges=84, max_nodes=30_000_000)
         assert time.perf_counter() - start < 2
 
+    def test_extend_packs_one_column_at_a_time(self):
+        # The last extend of S_3(9) builds the 616,472 colorings of [8] with the first
+        # edge minus; spreading the p-columns as one dense bool matrix traced 21.5 MB.
+        inf = float("inf")
+        table, nodes = (1, [0]), [0]
+        for m in range(4, 8):
+            table = _extend(table, [(list(p), bits) for p, bits in _join(3, m, table, nodes, inf)])
+        leaves = [(list(p), bits) for p, bits in _join(3, 8, table, nodes, inf)]
+        tracemalloc.start()
+        try:
+            size, _ = _extend(table, leaves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == 1_232_944 // 2  # S_3(8), halved by the color swap
+        assert peak < 14 << 20
+
     def test_argument_validation(self):
         with pytest.raises(InvalidArgument):
             count_monotone(1, 3)
@@ -392,11 +410,19 @@ def reference_consistent(colors, constraint_ranks):
     return True
 
 
+def reference_constraints(r, n):
+    """The rows of the (r+1)-subset deletion table, listed under their last entry."""
+    constraints = [[] for _ in range(comb(n, r))]
+    for row in colex_layout(n, r + 1).deletion.tolist():
+        constraints[row[-1]].append(row)
+    return constraints
+
+
 def reference_search(r, n, nodes, *, max_nodes=None, prefix=(), rng=None, hook=None):
     """The engine before the per-level color masks: every attempt runs the
     constraint rows of its edge, then ``hook(k, colors) -> bool``."""
     edge_count = comb(n, r)
-    constraints, _ = _search_tables(r, n)
+    constraints = reference_constraints(r, n)
     colors = [0] * edge_count
 
     def fits(k, col):
@@ -434,7 +460,7 @@ def reference_search(r, n, nodes, *, max_nodes=None, prefix=(), rng=None, hook=N
 
 def reference_path_pruner(r, n, m):
     """The pruner before both colors were decided in one pass."""
-    _, preds = _search_tables(r, n)
+    preds = [[row[0] for row in rows] for rows in reference_constraints(r, n)]
     plen = [0] * len(preds)
 
     def hook(k, colors):
@@ -526,7 +552,7 @@ class TestEngineAgainstReference:
     def test_large_rank_builds_no_exponential_table(self):
         # The pattern table holds the 2r heads with at most one sign
         # change, not all 2^r, so a large r costs nothing before the walk.
-        assert len(_level_masks(150, 150)[0]) == 300
+        assert len(_search_tables(150, 150)[3]) == 300
         assert len(list(enumerate_monotone(30, 30))) == 2
         assert find_avoiding_coloring(30, 30, 30) is not None
         assert ramsey_number(30, 30, 30).number == 30
@@ -545,10 +571,11 @@ class TestTow:
         assert abs(tow(3, -1) - 2 ** 0.5) < 1e-12
 
     def test_symbolic_overflow(self):
-        out = tow(4, 4, max_bits=1000)
-        assert out == AtLeast(1000)
-        assert "2^1000" in repr(out)
-        assert tow(3, 21) == 2 ** 2 ** 21  # the default max_bits is TABLE_CAP >= 2^21
+        assert tow(4, 4) == 2 ** 65536
+        out = tow(5, 4)
+        assert out == AtLeast(TABLE_CAP)
+        assert f"2^{TABLE_CAP}" in repr(out)
+        assert tow(3, 21) == 2 ** 2 ** 21  # the cap is TABLE_CAP >= 2^21 bits
         assert tow(3, 22) == AtLeast(TABLE_CAP)
         # -5 climbs through floats to 129211.8, and 2^129211.8 is past the float range
         for h, x in [(10, -5), (2, 2000.5), (2, -10 ** 5000)]:
@@ -559,3 +586,5 @@ class TestTow:
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             tow(0, 3)
+        with pytest.raises(InvalidArgument):  # NaN never passes the cap: refused, not iterated
+            tow(10**7, float("nan"))

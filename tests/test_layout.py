@@ -52,7 +52,16 @@ def test_deletion_rows_are_link_sequences(n, k):
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 10) for r in range(1, 6) if n >= r])
 def test_search_tables_match_reference(n, r):
-    assert _search_tables(r, n) == reference_search_tables(r, n)
+    starts, preds, heads, _ = _search_tables(r, n)
+    constraints, want_preds = reference_search_tables(r, n)
+    table = [tuple(row) for row in colex_layout(n, r + 1).deletion.tolist()]
+    assert len(starts) == len(constraints) + 1 and starts[-1] == len(table)
+    assert [table[lo:hi] for lo, hi in zip(starts, starts[1:])] == constraints
+    assert list(preds) == list(want_preds)
+    # Rank 1 reads no heads: a sequence of two colors changes sign at most once.
+    probe = list(range(comb(n, r)))
+    assert [[head(probe) for head in group] for group in heads] == [
+        [row[:-1] for row in rows] if r > 1 else [] for rows in constraints]
 
 
 def test_tables_are_read_only():
