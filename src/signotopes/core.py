@@ -370,6 +370,7 @@ def is_transitive(c: SignFunction) -> bool:
 # LF line endings, trailing newline.
 
 _HEADER_RE = re.compile(r"^r=(\d+) n=(\d+)$")
+_CONTENT_RE = re.compile(r"[^\n]+")  # one line's content
 #: The longest file an admitted coloring writes: C(n, r) <= TABLE_CAP / r, r and n <= TABLE_CAP.
 MAX_FILE_BYTES = len(f"MONO 1\nr={TABLE_CAP} n={TABLE_CAP}\n\n") + TABLE_CAP // 2
 
@@ -387,7 +388,7 @@ def dumps(c: SignFunction) -> str:
 
 
 def loads(text: str) -> SignFunction:
-    lines = text.split("\n")
+    lines = text.split("\n", 3)  # the rest stays one string: only its first content is read
     if len(lines) < 3:
         raise ParseError("expected 3 lines (magic, header, colors)", line=len(lines), column=1)
     if lines[0] != "MONO 1":
@@ -413,9 +414,9 @@ def loads(text: str) -> SignFunction:
             line=3,
             column=len(body) + 1,
         )
-    for extra, content in enumerate(lines[3:], start=4):
-        if content:
-            raise ParseError(f"unexpected trailing content {content!r}", line=extra, column=1)
+    if len(lines) > 3 and (extra := _CONTENT_RE.search(lines[3])):
+        raise ParseError(f"unexpected trailing content {extra.group()!r}",
+                         line=4 + lines[3].count("\n", 0, extra.start()), column=1)
     return SignFunction(r, n, colors, ternary_allowed=bool((colors == ZERO).any()))
 
 

@@ -417,6 +417,19 @@ class TestFileFormat:
         # The split lines copy the text once; decoding all of it traced 95 MB.
         assert peak < len(text) + (1 << 20)
 
+    def test_trailing_content_after_many_newlines_is_found_without_splitting(self):
+        text = "MONO 1\nr=2 n=3\n---" + "\n" * 10**7 + "x"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="unexpected trailing content 'x'") as err:
+                loads(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.line, err.value.column) == (10**7 + 3, 1)
+        # Splitting at every newline traced 161 MB: one string per empty line.
+        assert peak < len(text) + (1 << 20)
+
     def test_file_longer_than_any_coloring_is_refused_unread(self, tmp_path):
         # (8, 20) has the most colors of any admitted (r, n): 125,970.
         assert len(dumps(SignFunction.constant(8, 20))) <= MAX_FILE_BYTES

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import time
@@ -558,6 +559,100 @@ class TestEngineAgainstReference:
         assert ramsey_number(30, 30, 30).number == 30
         with pytest.raises(TooLarge):  # its join walks rank 29 on [30]
             count_monotone(30, 31, max_nodes=10**5)
+
+
+def engine_first_avoider(r, n, m, max_nodes=None):
+    """The reference: the engine's first leaf on [n] with the path pruner."""
+    nodes = [0]
+    leaf = next(_search(r, n, nodes, max_nodes=max_nodes, hook=_path_pruner(r, n, m)), None)
+    return (None if leaf is None else list(leaf)), nodes[0]
+
+
+def band_first_avoider(r, n, m, **kwargs):
+    found, nodes = find_avoiding_coloring(r, n, m, max_edges=2000, **kwargs)
+    return (None if found is None else found.colors.tolist()), nodes
+
+
+AVOIDER_SIZES = [(r, n, m) for r in range(2, 6) for m in range(r, r + 4)
+                 for n in range(r, (8 if r < 4 else 7) + 1)]
+
+
+class TestFirstAvoiderByBandJoin:
+    """`find_avoiding_coloring` walks the edges through vertex n as a join
+    per batch of avoiders on [n-1]; its leaf, node count and budget
+    cut-off are the engine's."""
+
+    @pytest.mark.parametrize("r,n,m", AVOIDER_SIZES)
+    def test_same_leaf_and_nodes(self, r, n, m):
+        leaf, total = engine_first_avoider(r, n, m)
+        assert band_first_avoider(r, n, m) == (leaf, total)
+        assert band_first_avoider(r, n, m, max_nodes=total) == (leaf, total)
+
+    def test_sizes_cover_both_outcomes(self):
+        found = [engine_first_avoider(r, n, m)[0] is not None for r, n, m in AVOIDER_SIZES]
+        assert 0 < found.count(False) < found.count(True)
+
+    # The row that extends is the 11th, 6th, 2nd and 2nd avoider on
+    # [n-1]; on 5 vertices no avoider extends.
+    @pytest.mark.parametrize("r,n,m", [(2, 8, 4), (3, 6, 4), (3, 7, 5), (4, 6, 5), (2, 5, 3)])
+    def test_node_budget(self, r, n, m):
+        leaf, total = engine_first_avoider(r, n, m)
+        for budget in (total - 1, total // 2, 1, 0):
+            with pytest.raises(TooLarge):
+                engine_first_avoider(r, n, m, max_nodes=budget)
+            with pytest.raises(TooLarge):
+                band_first_avoider(r, n, m, max_nodes=budget)
+
+    def test_budget_bounds_the_engine_on_n_minus_1(self):
+        # 60,158,006 nodes without a budget, about 9 s on 2 vCPUs; the engine on [10]
+        # runs out of this one within a few ms
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            find_avoiding_coloring(3, 11, 5, max_edges=165, max_nodes=10**4)
+        assert time.perf_counter() - start < 2
+
+    @pytest.mark.parametrize("r,n,m,row", [(2, 8, 4, 10), (3, 6, 4, 5), (2, 7, 4, 3)])
+    def test_overrun_after_the_extending_row_is_no_answer(self, monkeypatch, r, n, m, row):
+        # The engine on [n-1] runs out of budget while it collects the rows
+        # after the one that extends: that row's leaf is still the answer.
+        search = enumeration._search
+        cut = []
+
+        def budgeted(r_, n_, nodes, **kwargs):
+            leaves = search(r_, n_, nodes, **kwargs)
+            if (r_, n_) == (r, n - 1):
+                for i, colors in enumerate(leaves):
+                    yield colors
+                    if i == row:
+                        cut.append(i)
+                        raise TooLarge("search exceeded node budget")
+            yield from leaves
+
+        expected = engine_first_avoider(r, n, m)
+        monkeypatch.setattr(enumeration, "_search", budgeted)
+        assert band_first_avoider(r, n, m) == expected
+        assert cut == [row]
+
+    def test_overrun_before_any_row_extends_raises(self, monkeypatch):
+        search = enumeration._search
+
+        def budgeted(r_, n_, nodes, **kwargs):
+            leaves = search(r_, n_, nodes, **kwargs)
+            if (r_, n_) == (2, 7):
+                yield from itertools.islice(leaves, 10)  # the row that extends is the 11th
+                raise TooLarge("search exceeded node budget")
+            yield from leaves
+
+        monkeypatch.setattr(enumeration, "_search", budgeted)
+        with pytest.raises(TooLarge):
+            band_first_avoider(2, 8, 4)
+
+    def test_first_leaf_of_a_large_band(self):
+        # p has rank 29 and its one deletion row comes last: the engine's
+        # first leaf is 31 nodes deep, an exhaustive walk of the band 2^30.
+        assert band_first_avoider(30, 31, 31) == engine_first_avoider(30, 31, 31)
+        assert band_first_avoider(2, 46, 47) == engine_first_avoider(2, 46, 47)
+        assert find_avoiding_coloring(3, 6, 3) == (None, 2)  # m = r: no edge is allowed
 
 
 class TestTow:

@@ -141,6 +141,19 @@ def test_avoider_r3_m5(n, nodes, digest):
     assert sha(dumps(avoider)) == digest
 
 
+# These two were recorded on the engine alone, before the edges through
+# vertex n were walked as a join per batch of avoiders on [n-1].
+def test_refutation_on_its_own():
+    # the exhaustive step inside ramsey_number(2, 4, 12): no avoider on [9] extends
+    assert find_avoiding_coloring(2, 10, 4, max_edges=200) == (None, 259_590)
+
+
+def test_avoider_r4_m6():
+    avoider, total = find_avoiding_coloring(4, 9, 6, max_edges=200)
+    assert total == 435_983
+    assert sha(dumps(avoider)) == "2cf90ab4cbc05eddd181e1641249ff4aa033696337025e1d92db2f113bed8c08"
+
+
 def halved_engine(r, n):
     """The engine below the first edge minus: the half the counting join builds."""
     nodes = [0]
