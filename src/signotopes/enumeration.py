@@ -21,15 +21,17 @@ exactly, without visiting the nodes.  The color swap pairs the monotone
 colorings without fixed points, so the join keeps only those coloring
 the first edge minus and doubles the count.
 
-First-leaf Ramsey search walks the same band as a join.  A path
-through vertex n enters its last window from a window of [n-1], so
-which colors p may take there is fixed by c alone.  The avoiders c on
-[n-1] come off the engine in batches; one `_join` walk of the band per
-batch finds the first c that extends, and the engine then searches [n]
-from that c only.  The leaf is the engine's: the first c that extends
-holds its first leaf.  So is the node count: a band where no leaf
-exists is walked exhaustively by the engine too, and the join counts it
-from popcounts.
+First-leaf Ramsey search walks every band as a join, one vertex at a
+time.  A path through vertex k enters its last window from a window of
+[k-1], so which colors p may take there, and how long a path each color
+ends, are fixed by c alone.  From the two one-edge avoiders on [r],
+each level k walks the band through k once per batch of avoiders on
+[k-1] and yields the avoiders on [k] in the engine's order; the last
+level stops at the first row that extends.  The leaf is the engine's,
+and so is the node count: the engine's count at a leaf is its row's
+count, plus the totals of every earlier band, plus the attempts in its
+own band up to the leaf.  Band totals come from popcounts; only the
+chain of rows above the answer is counted leaf by leaf.
 """
 
 from __future__ import annotations
@@ -241,6 +243,7 @@ def _join(
     nodes: list[int],
     limit: float,
     masks: list[tuple[int, int]] | None = None,
+    steps: list[int] | None = None,
 ) -> Iterator[tuple[list[int], int]]:
     """Walk the extensions p of the monotone rank-r colorings of [n-1].
 
@@ -256,7 +259,9 @@ def _join(
     whose bitset is empty is not allowed.  ``masks``, if given, holds
     per p-edge the rows allowed to color it -1 and +1, ANDed in as well;
     it is read on entering each edge, so narrowing it between leaves
-    prunes the rest of the walk.  Yields (p's shared color list, the
+    prunes the rest of the walk.  ``steps``, if given, counts the
+    attempts of the walk of p itself: for a one-row table, the engine's
+    attempts in that row's band.  Yields (p's shared color list, the
     bitset of its last color) for every full p.
 
     A depth-j bitset counts the consistent partial colorings of [n] on
@@ -291,19 +296,29 @@ def _join(
                                    + (mask >> 1 and valid_plus.bit_count())), limit)
         return mask
 
-    for colors in _search(r - 1, n - 1, [0], hook=hook):
+    for colors in _search(r - 1, n - 1, [0] if steps is None else steps, hook=hook):
         yield colors, bits[edges][colors[-1] > 0]
+
+
+def _leaf_rows(size: int, leaves: Sequence[int]) -> tuple[np.ndarray, list[int]]:
+    """The rows of each leaf bitset in turn, as one int32 array allocated
+    once from the popcount sum, and the popcounts."""
+    counts = [bits.bit_count() for bits in leaves]
+    rows = np.empty(sum(counts), dtype=np.int32)
+    at = 0
+    for bits, count in zip(leaves, counts):
+        rows[at:at + count] = np.flatnonzero(_unpack(bits, size))
+        at += count
+    return rows, counts
 
 
 def _extend(table: _Table, leaves: list[tuple[list[int], int]]) -> _Table:
     """The table of the pairs (c, p) at the join's leaves, grouped by p."""
     size, plus = table
-    rows = [np.flatnonzero(_unpack(bits, size)) for _, bits in leaves]
-    sizes = np.array([len(group) for group in rows])
-    rows = np.concatenate(rows)
+    rows, counts = _leaf_rows(size, [bits for _, bits in leaves])
     p_plus = np.array([p for p, _ in leaves], dtype=np.int8).T > 0  # (p-edges, leaves)
     return len(rows), ([_pack(_unpack(col, size)[rows]) for col in plus]  # one column at a time
-                       + [_pack(np.repeat(col, sizes)) for col in p_plus])
+                       + [_pack(np.repeat(col, counts)) for col in p_plus])
 
 
 def _join_worker(args) -> tuple[int, int]:
@@ -450,8 +465,7 @@ class RamseyReport:
 def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int], int], int]:
     """Engine hook allowing the colors of edge k that close no monochromatic
     m-vertex path.  One pass over the windows that can precede k gives the
-    longest path ending at k for both colors; both are kept per edge, in
-    the list ``hook.longest``, current for the edges below k."""
+    longest path ending at k for both colors; both are kept per edge."""
     _, preds, _, _ = _search_tables(r, n)
     longest = [(0, 0)] * len(preds)  # per edge: (if colored -1, if colored +1)
 
@@ -466,106 +480,252 @@ def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int], int], int]
         longest[k] = to_minus, to_plus
         return mask & ((to_minus < m) | (to_plus < m) << 1)
 
-    hook.longest = longest
     return hook
 
 
-def _walk_band(r: int, n: int, table: _Table,
-               masks: list[tuple[int, int]]) -> tuple[int, int | None]:
-    """Walk the band through vertex n once by `_join`, for every row of
-    ``table``: (the engine's nodes in the rows' bands, the lowest row that
-    extends, or None).  Once a row extends, ``masks`` is narrowed to the
-    rows below it, which alone can still lower the answer; the node total
-    is then partial."""
-    walked = [0]
-    first = None
-    for _, bits in _join(r, n, table, walked, float("inf"), masks):
-        first = (bits & -bits).bit_length() - 1
-        low = (1 << first) - 1
-        masks[:] = [(minus & low, plus & low) for minus, plus in masks]
-    return 2 * table[0] + walked[0] // 2, first
+def _columns(flags: np.ndarray) -> list[int]:
+    """The columns of a (rows, columns) bool matrix as bitsets, bit i of
+    column t set when ``flags[i, t]``; up to 64 rows take one list call."""
+    packed = np.packbits(flags, axis=0, bitorder="little")  # (bytes, columns)
+    words = np.zeros((flags.shape[1], -(-len(packed) // 8) * 8), dtype=np.uint8)
+    words[:, :len(packed)] = packed.T
+    if words.shape[1] == 8:
+        return words.view("<u8").ravel().tolist()
+    return [int.from_bytes(word.tobytes(), "little") for word in words]
 
 
-def _first_extendable(r: int, n: int, m: int, nodes: list[int],
-                      max_nodes: int | None) -> list[int] | None:
-    """The first avoider c on [n-1] in engine order with an avoiding
-    extension to [n], with ``nodes[0]`` set to the engine's count on
-    entering its band; None, with the exhaustive total, when none does.
+def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """For rows c on [k-1] given as plus flags and ``ends`` (the longest
+    monochromatic path ending at each edge, in its color), the longest
+    ending at each p-edge S + {k} if it is colored -1 and if +1:
+    (2, rows, p-edges).  Such a path enters from a window {a} + S of c of
+    that color, the run of S in p's deletion table, so it is
+    max(r, 1 + the run's longest end in that color)."""
+    starts = np.array(_search_tables(r - 1, k - 1)[0])
+    lo, used = starts[:-1], starts[:-1] < starts[1:]  # a p-edge containing 1 has no window
+    longest = np.zeros((2, len(plus), len(lo)), dtype=ends.dtype)
+    for color, flags in enumerate((~plus, plus)):
+        longest[color][:, used] = np.maximum.reduceat(np.where(flags, ends, 0), lo[used], axis=1)
+    np.maximum(longest, r - 1, out=longest)
+    longest += 1
+    return longest
 
-    The engine with the path pruner yields the avoiders on [n-1] in
-    batches, doubling from one row and each holding at most TABLE_CAP
-    colors.  A path through vertex n enters its last window from a window
-    W of [n-1], so p(W - min W) may not take W's color where W already
-    ends an (m-1)-vertex path: per batch these are static row masks, and
-    one `_join` walk of the band decides every row.  A batch where no row
-    extends adds its exact band total; in the batch that holds c, the
-    rows before it are walked again for theirs.  The engine on [n-1] runs
-    under ``max_nodes``: its count is below the full search's, so running
-    out with c not yet yielded means the full search runs out too.
-    """
-    limit = float("inf") if max_nodes is None else max_nodes
-    edges = comb(n - 1, r)
-    starts = _search_tables(r - 1, n - 1)[0]
-    pruner = _path_pruner(r, n - 1, m)
-    found = [nodes[0]]
-    engine = _search(r, n - 1, found, max_nodes=max_nodes, hook=pruner)
-    band = 0  # the engine's nodes in the bands of every batch walked
-    size = 1
+
+class _Base:
+    """The avoiders on [r], its one edge -1 and then +1, which the engine
+    yields after 1 and 2 attempts on top of ``offset``."""
+
+    def __init__(self, offset: int):
+        self.offset = offset
+
+    def count(self, i: int, rank: int) -> int:
+        return self.offset + i + 1
+
+
+class _Band:
+    """A batch of avoiders on [k-1] whose band through vertex k is walked
+    as one join: the rows as a table with per-p-edge masks (see `_join`),
+    where each row came from, and ``before``, the engine's nodes in the
+    bands of every earlier batch.  The caller sets ``total``, the nodes in
+    this batch's bands, and for a batch of one row walked leaf by leaf,
+    ``steps``, the attempts in its band up to each leaf.  The engine's
+    count at one row's leaves is computed on demand, down the chain of
+    the batches it came from."""
+
+    def __init__(self, r: int, k: int, table: _Table, masks: list[tuple[int, int]],
+                 sources, before: int):
+        self.r, self.k, self.table, self.masks, self.before = r, k, table, masks, before
+        self.bands, self.rows, self.ranks = sources
+        self.total = 0
+        self.steps: list[int] = []
+
+    def entry(self, i: int) -> int:
+        """The engine's count on entering row i's band: the rows before it
+        are walked again for their band total."""
+        band, row, rank = self.bands[i], int(self.rows[i]), int(self.ranks[i])
+        low = (1 << i) - 1
+        walked = [0]
+        if i:
+            for _ in _join(self.r, self.k, (i, [col & low for col in self.table[1]]), walked,
+                           float("inf"), [(minus & low, plus & low) for minus, plus in self.masks]):
+                pass
+        return band.count(row, rank) + self.before + 2 * i + walked[0] // 2
+
+    def count(self, i: int, rank: int) -> int:
+        """The engine's count at the leaf of row i's band with that rank."""
+        return self.entry(i) + (self.steps[rank] if self.steps else self.leaf(i, rank)[1])
+
+    def leaf(self, i: int, rank: int) -> tuple[list[int], int]:
+        """p at the leaf of row i's band with that rank, and the engine's
+        attempts in that band up to it: the walk of row i alone is the
+        engine's walk of its band."""
+        steps = [0]
+        one = (1, [col >> i & 1 for col in self.table[1]])
+        leaves = _join(self.r, self.k, one, [0], float("inf"),
+                       [(minus >> i & 1, plus >> i & 1) for minus, plus in self.masks], steps)
+        for _ in range(rank + 1):
+            p, _ = next(leaves)
+        return list(p), steps[0]
+
+
+def _pull(source: Iterator, held: list, size: int):
+    """Up to ``size`` avoider rows, the block held over from the last pull
+    first, then off ``source``: (plus, ends, sources, overrun), all but
+    ``overrun`` None when no row is left.  A TooLarge that ``source``
+    raises ends the pull early and comes back as ``overrun``; ``sources``
+    is (batches, rows there, ranks), one entry per row."""
+    parts, bands, got, overrun = [], [], 0, None
+    while got < size:
+        if not held:
+            try:
+                held.append(next(source))
+            except StopIteration:
+                break
+            except TooLarge as exc:
+                overrun = exc
+                break
+        plus, ends, band, rows, ranks = held.pop()
+        if len(plus) > size - got:
+            cut = size - got
+            held.append((plus[cut:], ends[cut:], band, rows[cut:], ranks[cut:]))
+            plus, ends, rows, ranks = plus[:cut], ends[:cut], rows[:cut], ranks[:cut]
+        parts.append((plus, ends, rows, ranks))
+        bands += [band] * len(plus)
+        got += len(plus)
+    if not parts:
+        return None, None, None, overrun
+    plus, ends, rows, ranks = (np.concatenate(column) for column in zip(*parts))
+    return plus, ends, (bands, rows, ranks), overrun
+
+
+def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
+    """The avoiders on [k-1] in engine order, in batches doubling from one
+    row, each holding at most TABLE_CAP colors: yields (`_Band`, plus
+    flags, ends, `_longest_through`) per batch.  The caller walks the
+    band and sets ``total``, which goes to ``before`` and ``spent[0]``.
+    TooLarge is raised once the bands walked at this level alone pass
+    ``limit``, since the engine walks every band of a batch before it
+    moves past the batch's last row, and once a TooLarge from the level
+    below has cut a batch short and that batch is walked: a search within
+    the budget ends among the rows already yielded."""
+    source = _avoiders(r, k - 1, m, limit, spent, base)
+    held: list = []
+    before, size = 0, 1
     while True:
-        rows: list[bytes] = []  # per edge: bit 0 colored plus, bit 1 ends an (m-1)-path
-        counts = []
-        overrun = None
-        try:
-            for colors in engine:
-                rows.append(bytes([(c > 0) | (ends[c > 0] >= m - 1) << 1
-                                   for ends, c in zip(pruner.longest, colors)]))
-                counts.append(found[0])
-                if len(rows) == size:
-                    break
-        except TooLarge as exc:
-            overrun = exc
-        if rows:
-            codes = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), edges)
-            plus = codes & 1 == 1
-            closes_minus, closes_plus = codes == 2, codes == 3  # W colored -1 / +1 ends one
-            table = (len(rows), [_pack(col) for col in plus.T])
-            masks = [(_pack(~closes_minus[:, lo:hi].any(axis=1)),
-                      _pack(~closes_plus[:, lo:hi].any(axis=1)))
-                     for lo, hi in zip(starts, starts[1:])]
-            walked, first = _walk_band(r, n, table, masks)
-            if first is not None:
-                low = (1 << first) - 1  # masks now holds these rows only, none extends
-                before = _walk_band(r, n, (first, [col & low for col in table[1]]), masks)[0]
-                nodes[0] = counts[first] + band + before
-                return (plus[first] * 2 - 1).tolist()
-            band += walked
+        plus, ends, sources, overrun = _pull(source, held, size)
+        if plus is not None:
+            longest = _longest_through(r, k, plus, ends)
+            masks = list(zip(_columns(longest[0] < m), _columns(longest[1] < m)))
+            band = _Band(r, k, (len(plus), _columns(plus)), masks, sources, before)
+            yield band, plus, ends, longest
+            before += band.total
+            spent[0] += band.total
+            if overrun is None and base.offset + before > limit:
+                overrun = TooLarge(f"search exceeded node budget {limit}")
         if overrun is not None:
             raise overrun
-        if len(rows) < size:
-            nodes[0] = found[0]
-            _add_nodes(nodes, band, limit)
-            return None
-        size = min(2 * size, TABLE_CAP // edges)  # at least 1: check_size admitted (r, n)
+        if plus is None or len(plus) < size:
+            return
+        size = min(2 * size, TABLE_CAP // comb(k - 1, r))  # at least 1: check_size admitted (r, n)
+
+
+def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
+    """The avoiders on [k] in the path-pruned engine's order, as blocks
+    (plus flags, ends, batch, rows there, ranks among their extensions).
+
+    Each batch of avoiders on [k-1] (`_batches`) walks its band through
+    vertex k once by `_join`, with the masks `_longest_through` gives,
+    and its leaves come out sorted by row, then by p in walk order, which
+    is the engine's own order of p.  A batch of one row yields its leaves
+    as the walk finds them.  The new ends are `_longest_through`'s at p's
+    colors; they fit in uint8, since check_size keeps n below 256.
+    """
+    if k == r:
+        if m > r:  # one edge: a path of r vertices either way
+            yield (np.array([[False], [True]]), np.full((2, 1), r, dtype=np.uint8), base,
+                   np.arange(2), np.zeros(2, dtype=np.int32))
+        return
+    chunk = 256  # rows per block: a batch's avoiders are built as they are pulled
+    for band, plus, ends, longest in _batches(r, k, m, limit, spent, base):
+        walked, steps = [0], [0]
+        walk = _join(r, k, band.table, walked, float("inf"), band.masks, steps)
+        if len(plus) == 1:
+            for rank, (p, _) in enumerate(walk):
+                band.steps.append(steps[0])
+                yield (*_grown(plus, ends, longest, [0], np.array([p]) > 0), band,
+                       np.zeros(1, dtype=np.int32), np.array([rank]))
+        else:
+            leaves = [(list(p), bits) for p, bits in walk]
+            rows, counts = _leaf_rows(len(plus), [bits for _, bits in leaves])
+            order = np.argsort(rows, kind="stable")
+            rows, which = rows[order], np.repeat(np.arange(len(leaves)), counts)[order]
+            ranks = np.arange(len(rows)) - np.searchsorted(rows, rows)
+            flags = np.array([p for p, _ in leaves], dtype=np.int8) > 0
+            for lo in range(0, len(rows), chunk):
+                part = slice(lo, lo + chunk)
+                yield (*_grown(plus, ends, longest, rows[part], flags[which[part]]), band,
+                       rows[part], ranks[part])
+        band.total = 2 * len(plus) + walked[0] // 2
+
+
+def _grown(plus, ends, longest, rows, p):
+    """Rows ``rows`` of a batch extended by the p's with plus flags ``p``:
+    the plus flags and ends of the avoiders on [k]."""
+    return (np.hstack((plus[rows], p)),
+            np.hstack((ends[rows], np.where(p, longest[1][rows], longest[0][rows]))))
+
+
+def _first_leaf(r: int, n: int, m: int, nodes: list[int],
+                max_nodes: int | None) -> list[int] | None:
+    """The path-pruned engine's first leaf on [n] > [r], with ``nodes[0]``
+    advanced to its count; None, with the exhaustive total, when there is
+    none.  Past ``max_nodes`` raises TooLarge, as the engine would.
+
+    The leaf lies in the band of the first avoider c on [n-1] in engine
+    order that extends.  One `_join` walk of the band decides every row
+    of a batch.  Once a row extends, the masks are narrowed to the rows
+    below it, which alone can still lower the answer.  A batch where no
+    row extends adds its exact band total; in the batch that holds c,
+    the rows before it are walked again for theirs, and c's band is
+    walked alone up to its first leaf.
+    """
+    limit = float("inf") if max_nodes is None else max_nodes
+    spent = [2]  # the engine's two attempts on [r], then every band walked exhaustively
+    for band, plus, _, _ in _batches(r, n, m, limit, spent, _Base(nodes[0])):
+        walked = [0]
+        first = None
+        masks = list(band.masks)  # narrowed below; the band keeps its own
+        for _, bits in _join(r, n, band.table, walked, float("inf"), masks):
+            first = (bits & -bits).bit_length() - 1
+            low = (1 << first) - 1
+            masks[:] = [(to_minus & low, to_plus & low) for to_minus, to_plus in masks]
+        if first is not None:
+            p, steps = band.leaf(first, 0)
+            nodes[0] = band.entry(first)
+            _add_nodes(nodes, steps, limit)
+            return (plus[first] * 2 - 1).tolist() + p
+        band.total = 2 * len(plus) + walked[0] // 2
+    _add_nodes(nodes, spent[0], limit)
+    return None
 
 
 def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
                    max_nodes: int | None) -> SignFunction | None:
     """Admit (r, n), then the path-pruned search's first leaf; ``nodes[0]`` accumulates.
 
-    The edges through vertex n, last in colex order, are walked as a join
-    per batch of avoiders on [n-1] (`_first_extendable`); only the first
-    avoider that extends is searched on [n], as the engine's prefix.  The
-    leaf and the count are the engine's on [n]: the engine also reaches
-    its first leaf under the first avoider that extends, after walking
-    the whole band of every avoider before it, which the join counts
-    exactly.
+    The engine runs only for n = r.  Otherwise `_first_leaf` walks the
+    band through vertex n per batch of the avoiders on [n-1] that
+    `_avoiders` yields, one vertex count at a time, each level walking
+    its own band the same way.  Leaf and count are the engine's on [n]:
+    the engine reaches its first leaf under the first avoider on [n-1]
+    that extends, after walking the whole band of every avoider before
+    it, and the same holds one vertex down for every avoider on the way.
     """
     _check_limits(r, n, max_edges, max_nodes)
-    prefix: Sequence[int] = ()
-    if n > r and (prefix := _first_extendable(r, n, m, nodes, max_nodes)) is None:
-        return None
-    colors = next(_search(r, n, nodes, max_nodes=max_nodes, prefix=prefix,
-                          hook=_path_pruner(r, n, m)), None)
+    if n > r:
+        colors = _first_leaf(r, n, m, nodes, max_nodes)
+    else:
+        colors = next(_search(r, n, nodes, max_nodes=max_nodes, hook=_path_pruner(r, n, m)), None)
     return None if colors is None else SignFunction(r, n, np.array(colors, dtype=np.int8))
 
 

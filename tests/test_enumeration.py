@@ -1,4 +1,3 @@
-import itertools
 import os
 import random
 import time
@@ -170,6 +169,22 @@ class TestCount:
 JOIN_SIZES = [(r, n) for r in range(2, 7) for n in range(r, 10) if comb(n, r) <= 35]
 
 
+def last_extend_of_s3_9():
+    """(rows, traced peak) of the last extend of S_3(9), which builds the
+    616,472 colorings of [8] with the first edge minus."""
+    inf = float("inf")
+    table, nodes = (1, [0]), [0]
+    for m in range(4, 8):
+        table = _extend(table, [(list(p), bits) for p, bits in _join(3, m, table, nodes, inf)])
+    leaves = [(list(p), bits) for p, bits in _join(3, 8, table, nodes, inf)]
+    tracemalloc.start()
+    try:
+        size, _ = _extend(table, leaves)
+        return size, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCountJoin:
     """The extension join against the backtracking engine it replaced."""
 
@@ -231,21 +246,15 @@ class TestCountJoin:
         assert time.perf_counter() - start < 2
 
     def test_extend_packs_one_column_at_a_time(self):
-        # The last extend of S_3(9) builds the 616,472 colorings of [8] with the first
-        # edge minus; spreading the p-columns as one dense bool matrix traced 21.5 MB.
-        inf = float("inf")
-        table, nodes = (1, [0]), [0]
-        for m in range(4, 8):
-            table = _extend(table, [(list(p), bits) for p, bits in _join(3, m, table, nodes, inf)])
-        leaves = [(list(p), bits) for p, bits in _join(3, 8, table, nodes, inf)]
-        tracemalloc.start()
-        try:
-            size, _ = _extend(table, leaves)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # Spreading the p-columns as one dense bool matrix traced 21.5 MB.
+        size, peak = last_extend_of_s3_9()
         assert size == 1_232_944 // 2  # S_3(8), halved by the color swap
         assert peak < 14 << 20
+
+    def test_extend_indexes_rows_once_in_int32(self):
+        # 7.44 MB with one int32 row index sized by the popcount sum; an int64
+        # array per leaf and their concatenation traced 10.3 MB.
+        assert last_extend_of_s3_9()[1] < 7.5 * 2**20
 
     def test_argument_validation(self):
         with pytest.raises(InvalidArgument):
@@ -577,10 +586,69 @@ AVOIDER_SIZES = [(r, n, m) for r in range(2, 6) for m in range(r, r + 4)
                  for n in range(r, (8 if r < 4 else 7) + 1)]
 
 
+def reference_ends(r, constraints, colors):
+    """Per edge, the longest monochromatic path ending there in its color."""
+    ends = []
+    for k, rows in enumerate(constraints):
+        ends.append(max([r] + [ends[row[0]] + 1 for row in rows if colors[row[0]] == colors[k]]))
+    return ends
+
+
+LEVEL_SIZES = [(r, n, m) for r in range(2, 6) for m in range(r, r + 4)
+               for n in range(r, (8 if r == 2 else 7) + 1)]
+
+
+class TestLevels:
+    """`_avoiders` yields the avoiders on [n] in the engine's order, each
+    with its path ends and the engine's count at its yield, and leaves
+    the engine's exhaustive total in ``spent``."""
+
+    @pytest.mark.parametrize("r,n,m", LEVEL_SIZES)
+    def test_every_yield(self, r, n, m):
+        leaves, total = walk(_search, r, n, hook=_path_pruner(r, n, m))
+        # a count walks the chain of batches below again: every yield is
+        # counted up to 100 leaves, evenly spread ones beyond
+        step = max(1, len(leaves) // 100)
+        constraints = reference_constraints(r, n)
+        spent = [2]
+        seen, counts = [], {}
+        for plus, ends, band, rows, ranks in enumeration._avoiders(
+                r, n, m, float("inf"), spent, enumeration._Base(0)):
+            for flags, row_ends, row, rank in zip(plus, ends, rows, ranks):
+                seen.append(tuple((flags * 2 - 1).tolist()))
+                if len(seen) % step == 0:
+                    assert row_ends.tolist() == reference_ends(r, constraints, seen[-1])
+                    counts[len(seen) - 1] = band.count(int(row), int(rank))
+        assert seen == [colors for colors, _ in leaves]
+        assert counts == {i: leaves[i][1] for i in counts}
+        assert spent[0] == total
+
+
+def overrun_in_level(monkeypatch, r, k, batch):
+    """Make the ``batch``-th join walk of the level on [k] raise TooLarge
+    after its last leaf; returns the batches cut."""
+    join = enumeration._join
+    calls, cut = [], []
+
+    def budgeted(r_, k_, *args, **kwargs):
+        leaves = join(r_, k_, *args, **kwargs)
+        if (r_, k_) == (r, k):
+            calls.append(k_)
+            if len(calls) == batch:
+                yield from leaves
+                cut.append(batch)
+                raise TooLarge("search exceeded node budget")
+        yield from leaves
+
+    monkeypatch.setattr(enumeration, "_join", budgeted)
+    return cut
+
+
 class TestFirstAvoiderByBandJoin:
     """`find_avoiding_coloring` walks the edges through vertex n as a join
-    per batch of avoiders on [n-1]; its leaf, node count and budget
-    cut-off are the engine's."""
+    per batch of avoiders on [n-1], which come off the same join one
+    vertex down; its leaf, node count and budget cut-off are the
+    engine's."""
 
     @pytest.mark.parametrize("r,n,m", AVOIDER_SIZES)
     def test_same_leaf_and_nodes(self, r, n, m):
@@ -604,48 +672,54 @@ class TestFirstAvoiderByBandJoin:
                 band_first_avoider(r, n, m, max_nodes=budget)
 
     def test_budget_bounds_the_engine_on_n_minus_1(self):
-        # 60,158,006 nodes without a budget, about 9 s on 2 vCPUs; the engine on [10]
-        # runs out of this one within a few ms
+        # 60,158,006 nodes without a budget; the levels below [11] run out
+        # of this one after a few batches each
         start = time.perf_counter()
         with pytest.raises(TooLarge):
             find_avoiding_coloring(3, 11, 5, max_edges=165, max_nodes=10**4)
         assert time.perf_counter() - start < 2
 
-    @pytest.mark.parametrize("r,n,m,row", [(2, 8, 4, 10), (3, 6, 4, 5), (2, 7, 4, 3)])
-    def test_overrun_after_the_extending_row_is_no_answer(self, monkeypatch, r, n, m, row):
-        # The engine on [n-1] runs out of budget while it collects the rows
-        # after the one that extends: that row's leaf is still the answer.
-        search = enumeration._search
-        cut = []
+    def test_budget_stops_the_levels_early(self, monkeypatch):
+        # Without a budget (3, 11, 5) walks 57 bands up to the one through
+        # 11; a budget of 10^4 passes a lower bound on the engine's count
+        # before any band through 10 is walked.
+        join = enumeration._join
+        walked = []
 
-        def budgeted(r_, n_, nodes, **kwargs):
-            leaves = search(r_, n_, nodes, **kwargs)
-            if (r_, n_) == (r, n - 1):
-                for i, colors in enumerate(leaves):
-                    yield colors
-                    if i == row:
-                        cut.append(i)
-                        raise TooLarge("search exceeded node budget")
-            yield from leaves
+        def counted(r, k, *args, **kwargs):
+            walked.append(k)
+            return join(r, k, *args, **kwargs)
 
-        expected = engine_first_avoider(r, n, m)
-        monkeypatch.setattr(enumeration, "_search", budgeted)
-        assert band_first_avoider(r, n, m) == expected
-        assert cut == [row]
+        monkeypatch.setattr(enumeration, "_join", counted)
+        with pytest.raises(TooLarge, match="node budget 10000"):
+            find_avoiding_coloring(3, 11, 5, max_edges=165, max_nodes=10**4)
+        assert 0 < max(walked) <= 9
+
+    def test_overrun_after_the_extending_row_is_no_answer(self, monkeypatch):
+        # The level on [n-1] runs out of budget after it yielded c*, the
+        # first avoider there that extends: c*'s first leaf is still the
+        # answer.  c* comes off the level's 2nd, 2nd and 7th batch; the next
+        # batch is pulled only to fill the batch on [n-1] that holds c*.
+        for r, n, m, batch in [(2, 7, 4, 3), (2, 9, 5, 3), (3, 10, 5, 8)]:
+            expected = band_first_avoider(r, n, m)
+            if r == 2:
+                assert expected == engine_first_avoider(r, n, m)
+            else:
+                assert expected[1] == 1_456_213  # the engine's, pinned in test_golden.py
+            with monkeypatch.context() as patch:
+                cut = overrun_in_level(patch, r, n - 1, batch)
+                assert band_first_avoider(r, n, m) == expected
+            assert cut == [batch]
 
     def test_overrun_before_any_row_extends_raises(self, monkeypatch):
-        search = enumeration._search
-
-        def budgeted(r_, n_, nodes, **kwargs):
-            leaves = search(r_, n_, nodes, **kwargs)
-            if (r_, n_) == (2, 7):
-                yield from itertools.islice(leaves, 10)  # the row that extends is the 11th
-                raise TooLarge("search exceeded node budget")
-            yield from leaves
-
-        monkeypatch.setattr(enumeration, "_search", budgeted)
-        with pytest.raises(TooLarge):
-            band_first_avoider(2, 8, 4)
+        # c* comes off the 4th batch on [7] and on [8]; a batch of several
+        # rows yields nothing when its walk raises.
+        for r, n, m, batch in [(2, 8, 4, 3), (2, 8, 4, 4), (3, 9, 5, 4)]:
+            with monkeypatch.context() as patch:
+                cut = overrun_in_level(patch, r, n - 1, batch)
+                with pytest.raises(TooLarge):
+                    band_first_avoider(r, n, m)
+            assert cut == [batch]
 
     def test_first_leaf_of_a_large_band(self):
         # p has rank 29 and its one deletion row comes last: the engine's

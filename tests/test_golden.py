@@ -134,9 +134,11 @@ def test_avoider():
     (9, 56_365, "888d63de8e65abd17f9e21aa1de870ccac462a437542d23b1f33f67cfe4e43b9"),
     # the ramsey benchmark's avoider search
     (10, 1_456_213, "039438ff0b2d8298513eb9c1f544d078dd6123bd2991e88d753a423493430077"),
+    # recorded before the bands below vertex n were walked as joins
+    (11, 60_158_006, "57fae985d55981aa23855440a48fcccb75b75ad8da9382ec08ceb7e5670c01d4"),
 ])
 def test_avoider_r3_m5(n, nodes, digest):
-    avoider, total = find_avoiding_coloring(3, n, 5, max_edges=120)
+    avoider, total = find_avoiding_coloring(3, n, 5, max_edges=165)
     assert total == nodes
     assert sha(dumps(avoider)) == digest
 
