@@ -23,6 +23,15 @@ notions coincide.  Both checks walk the (r+1)-subset deletion table one
 column at a time and count, per row, the sign changes seen so far: a row
 that changes twice breaks monotonicity, and breaks transitivity as well
 when its first and last colors agree.
+
+A :class:`SignFunction` validates its colors in one pass and stores
+whether they are binary, so the operations that need a binary coloring
+check it in O(1).  It decides both predicates on first use and keeps two
+ints, the colex ranks of the first monotone and the first transitive
+violation (-1 for none), not the two per-subset arrays they come from:
+those hold C(n, r+1) entries each, 17,550 for a completion of
+``block_coloring(3, 3)``, and a thousand checked completions held at
+once would keep 35 MB of them.
 """
 
 from __future__ import annotations
@@ -210,9 +219,14 @@ class SignFunction:
     """A coloring of all r-subsets of [n], stored in colex order.
 
     ``colors`` holds one of -1, +1 (and 0 only when ``ternary_allowed``).
-    Instances are immutable; the array is marked read-only, so they are
-    safe to share across workers.  Equality compares (r, n, colors) —
-    the ternary flag is a permission, not data.
+    Instances are immutable; the array is a read-only copy of the one
+    given, so they are safe to share across workers.  Equality compares
+    (r, n, colors) — the ternary flag is a permission, not data.
+
+    Validation is one pass: one byte scan of the int8 copy finds illegal
+    values and zeros together (other dtypes are range-checked before the
+    cast), and stores whether the coloring is binary.  The predicates are
+    cached as two ints, ``_violations``, outside equality and hashing.
     """
 
     r: int
@@ -230,14 +244,17 @@ class SignFunction:
             )
         if colors.dtype.kind not in "iu":
             raise InvalidEdge(f"colors must be integers, got dtype {colors.dtype}")
-        bad = (colors < -1) | (colors > 1)  # on the values as given, before the int8 cast
-        if bad.any():
-            raise InvalidEdge(f"illegal color value {colors[bad][0]}")
-        colors = colors.astype(np.int8)
-        if not self.ternary_allowed and (colors == 0).any():
+        if colors.dtype != np.int8:  # checked as given: the cast could wrap 255 to -1
+            _check_range(colors)
+        colors = colors.astype(np.int8)  # a copy: the caller may change its array later
+        rest = colors.tobytes().translate(None, b"\xff\x01")  # the entries neither -1 nor +1
+        if rest.strip(b"\0"):  # an illegal int8 value: name the first one
+            _check_range(colors)
+        if rest and not self.ternary_allowed:
             raise TernaryNotAllowed("0 entries require ternary_allowed=True")
         colors.setflags(write=False)
         object.__setattr__(self, "colors", colors)
+        object.__setattr__(self, "_binary", not rest)
 
     @classmethod
     def constant(cls, r: int, n: int, color: int = MINUS) -> "SignFunction":
@@ -259,7 +276,17 @@ class SignFunction:
 
     @property
     def is_binary(self) -> bool:
-        return not (self.colors == 0).any()
+        return self._binary
+
+    @cached_property
+    def _violations(self) -> tuple[int, int]:
+        """Colex ranks of the first (r+1)-subsets that break monotonicity and
+        transitivity, -1 for none; not the per-subset arrays (module docstring)."""
+        twice, ends_agree = _sign_changes(self)
+        if not twice.any():
+            return -1, -1
+        both = twice & ends_agree
+        return int(twice.argmax()), int(both.argmax()) if both.any() else -1
 
     def color(self, vertices: Sequence[int]) -> int:
         if len(vertices) != self.r:
@@ -292,6 +319,12 @@ class SignFunction:
         if len(s) > 40:
             s = s[:37] + "..."
         return f"SignFunction(r={self.r}, n={self.n}, {s!r})"
+
+
+def _check_range(colors: np.ndarray) -> None:
+    bad = (colors < -1) | (colors > 1)
+    if bad.any():
+        raise InvalidEdge(f"illegal color value {colors[bad][0]}")
 
 
 def _require_binary(c: SignFunction) -> None:
@@ -335,9 +368,8 @@ def _sign_changes(c: SignFunction) -> tuple[np.ndarray, np.ndarray]:
     return twice, first == prev
 
 
-def _first_violation(bad: np.ndarray, r: int) -> tuple[int, ...] | None:
-    rows = np.flatnonzero(bad)
-    return colex_unrank(int(rows[0]), r + 1) if len(rows) else None
+def _witness(row: int, r: int) -> tuple[int, ...] | None:
+    return colex_unrank(row, r + 1) if row >= 0 else None
 
 
 def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
@@ -345,21 +377,20 @@ def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
 
     Returns None when the coloring is monotone.
     """
-    return _first_violation(_sign_changes(c)[0], c.r)
+    return _witness(c._violations[0], c.r)
 
 
 def is_monotone(c: SignFunction) -> bool:
-    return monotone_violation(c) is None
+    return c._violations[0] < 0
 
 
 def transitive_violation(c: SignFunction) -> tuple[int, ...] | None:
     """First (in colex order) (r+1)-subset with equal end colors, not uniform."""
-    twice, ends_agree = _sign_changes(c)
-    return _first_violation(twice & ends_agree, c.r)
+    return _witness(c._violations[1], c.r)
 
 
 def is_transitive(c: SignFunction) -> bool:
-    return transitive_violation(c) is None
+    return c._violations[1] < 0
 
 
 # --- file format -----------------------------------------------------------

@@ -428,19 +428,28 @@ def project(c: SignFunction, i: int) -> SignFunction:
     The result colors the (r-1)-subsets of [i-1]; projections of a
     monotone coloring are monotone.
     """
-    if c.r < 3:
-        raise InvalidArgument("projection needs uniformity >= 3")
-    _require_binary(c)
-    if not c.r <= i <= c.n:
-        raise InvalidArgument(f"need r <= i <= n, got i={_brief(i)}")
-    return SignFunction(c.r - 1, i - 1, c.colors[comb(i - 1, c.r):comb(i, c.r)])
+    return _projections(c, (i,))[0]
 
 
 def projection_signature(c: SignFunction) -> tuple[SignFunction, ...]:
     """All projections (i = r..n).  Distinct colorings never share one:
     every edge is recoverable from the projection onto its largest vertex.
     """
-    return tuple(project(c, i) for i in range(c.r, c.n + 1))
+    return _projections(c, range(c.r, c.n + 1))
+
+
+def _projections(c: SignFunction, vertices) -> tuple[SignFunction, ...]:
+    """The projections onto each i in ``vertices``, from one check of c."""
+    r, n = c.r, c.n
+    if r < 3:
+        raise InvalidArgument("projection needs uniformity >= 3")
+    _require_binary(c)
+    out = []
+    for i in vertices:
+        if not r <= i <= n:
+            raise InvalidArgument(f"need r <= i <= n, got i={_brief(i)}")
+        out.append(SignFunction(r - 1, i - 1, c.colors[comb(i - 1, r):comb(i, r)]))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -52,16 +52,21 @@ class WiringDiagram:
         if len(self.sweep) != comb(n, 2):
             raise InvalidWiring(f"expected {_brief(comb(n, 2))} crossings, got {len(self.sweep)}")
         order = list(range(1, n + 1))
+        where = list(range(-1, n))  # where[wire]: its index in order
         trace = [tuple(order)]
         for step, pair in enumerate(self.sweep):
-            if len(pair) != 2 or not (1 <= pair[0] < pair[1] <= n):
+            try:  # unpacking refuses a triple, a list index refuses 1.0
+                a, b = pair
+                pa, pb = (where[a], where[b]) if 1 <= a < b <= n else (None, None)
+            except (TypeError, ValueError):
+                pa = None
+            if pa is None:
                 raise InvalidWiring(f"step {step}: bad crossing {_brief(pair)}")
-            a, b = pair
-            pos = order.index(a)
-            # a < b have not crossed yet exactly while a is above b.
-            if order[pos + 1:pos + 2] != [b]:
+            # a < b have not crossed yet exactly while a is directly above b.
+            if pb != pa + 1:
                 raise InvalidWiring(f"step {step}: wire {b} is not directly below {a} in {order}")
-            order[pos:pos + 2] = b, a
+            order[pa], order[pb] = order[pb], order[pa]
+            where[a], where[b] = pb, pa
             trace.append(tuple(order))
         return tuple(trace)
 
@@ -156,11 +161,13 @@ def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     validate_wiring(w)
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
+    # The pair (a, b) has colex rank (a - 1) + C(b - 1, 2) = a + b(b - 3)/2.
+    a, b = np.fromiter(chain.from_iterable(w.sweep), np.int64, 2 * len(w.sweep)).reshape(-1, 2).T
     position = np.empty(len(w.sweep), dtype=np.int64)
-    position[colex_layout(w.n, 2).rank(w.sweep)] = np.arange(len(w.sweep))
+    position[a + b * (b - 3) // 2] = np.arange(len(w.sweep))
     # Columns 1 and 2 of the triple deletion table are the pairs (i,k) and (j,k).
     faces = position[colex_layout(w.n, 3).deletion]
-    return SignFunction(3, w.n, np.where(faces[:, 1] < faces[:, 2], -1, 1))
+    return SignFunction(3, w.n, np.where(faces[:, 1] < faces[:, 2], np.int8(-1), np.int8(1)))
 
 
 def sweep_text(w: WiringDiagram) -> str:

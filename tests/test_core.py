@@ -1,3 +1,4 @@
+import pickle
 import time
 import tracemalloc
 
@@ -9,8 +10,10 @@ from math import comb
 
 from signotopes import (
     SignFunction,
+    block_coloring,
     colex_rank,
     colex_unrank,
+    completions,
     dumps,
     edges_colex,
     is_monotone,
@@ -209,6 +212,63 @@ class TestSignFunction:
             with pytest.raises(InvalidEdge, match=message):
                 SignFunction(r, n, np.array([], dtype=np.int8))
 
+    @pytest.mark.parametrize("ternary", [False, True])
+    def test_validation_messages(self, ternary):
+        # int8 colors are checked by one byte scan, other dtypes before their cast;
+        # the messages, and the first illegal value in index order, are those of
+        # the separate range check and zero scan this replaced
+        cases = [(np.array(colors, dtype=dtype), InvalidEdge, f"illegal color value {value}")
+                 for value in (2, -2, 127, -128)
+                 for colors, dtype in [([1, value, 1], np.int8), ([value, 0, -1], np.int8)]]
+        cases += [
+            (np.array([0, 5, 1], dtype=np.int8), InvalidEdge, "illegal color value 5"),
+            (np.array([1, -7, 0], dtype=np.int8), InvalidEdge, "illegal color value -7"),
+            (np.array([0, -3, 9], dtype=np.int8), InvalidEdge, "illegal color value -3"),
+            (np.array([1, 9, 3, 9, 1, 9], dtype=np.int8)[::2], InvalidEdge,
+             "illegal color value 3"),
+            (np.array([1, 255, 1], dtype=np.int16), InvalidEdge, "illegal color value 255"),
+            (np.array([1, 256, 1], dtype=np.int16), InvalidEdge, "illegal color value 256"),
+            (np.array([0, -255, 1], dtype=np.int16), InvalidEdge, "illegal color value -255"),
+            (np.array([1, -32768, 1], dtype=np.int16), InvalidEdge, "illegal color value -32768"),
+            (np.array([0, 65535, 1], dtype=np.uint16), InvalidEdge, "illegal color value 65535"),
+            (np.array([1, 257, 1], dtype=np.uint16), InvalidEdge, "illegal color value 257"),
+            (np.array([1, -1, 300], dtype=">i4"), InvalidEdge, "illegal color value 300"),
+            (np.array([[1, 1, 1]], dtype=np.int8), InvalidEdge,
+             "expected 3 colors for r=2, n=3, got shape (1, 3)"),
+            (np.array([[1], [1], [1]], dtype=np.int8), InvalidEdge,
+             "expected 3 colors for r=2, n=3, got shape (3, 1)"),
+            (np.array(1, dtype=np.int8), InvalidEdge, "expected 3 colors for r=2, n=3, got shape ()"),
+            ([1, 2 ** 70, 1], InvalidEdge, "colors must be integers, got dtype object"),
+        ]
+        for colors, kind, message in cases:
+            with pytest.raises(kind) as raised:
+                SignFunction(2, 3, colors, ternary_allowed=ternary)
+            assert type(raised.value) is kind and str(raised.value) == message
+        for colors in (np.array([1, 0, 1], dtype=np.int8), np.array([0, 1, 1], dtype=np.uint16),
+                       np.array([1, -1, 0], dtype=">i4"), [1, 0, -1]):
+            if ternary:
+                c = SignFunction(2, 3, colors, ternary_allowed=True)
+                assert 0 in c.colors.tolist() and not c.is_binary and c.colors.dtype == np.int8
+            else:
+                with pytest.raises(TernaryNotAllowed, match="^0 entries require ternary_allowed=True$"):
+                    SignFunction(2, 3, colors)
+        for colors in (np.array([1, -1, 1], dtype=np.int16),
+                       np.array([1, 1, 1], dtype=np.uint8), np.array([-1, 1, -1], dtype=">i4"),
+                       np.array([1, 9, -1, 9, 1, 9], dtype=np.int8)[::2]):
+            c = SignFunction(2, 3, colors, ternary_allowed=ternary)
+            assert c.is_binary and c.colors.dtype == np.int8
+            assert c.colors.tolist() == np.asarray(colors).tolist()
+
+    def test_colors_are_a_read_only_copy(self):
+        for dtype in (np.int8, np.int64):
+            given_colors = np.array([1, -1, 1], dtype=dtype)
+            c = SignFunction(2, 3, given_colors)
+            given_colors[:] = 5
+            assert c.colors.tolist() == [1, -1, 1]
+            assert not c.colors.flags.writeable
+            with pytest.raises(ValueError):
+                c.colors[0] = -1
+
     def test_vertex_cap(self):
         with pytest.raises(TooLarge):
             SignFunction.constant(3, 65)
@@ -339,6 +399,56 @@ class TestPredicates:
             for color in (-1, 1):
                 c = SignFunction.constant(r, r, color)
                 assert monotone_violation(c) is None and transitive_violation(c) is None
+
+    # (colors, monotone witness, transitive witness) at (3, 6), as the uncached scan gave them
+    WITNESSES = [("+----+++----+---++--", (1, 2, 3, 5), (1, 2, 3, 5)),
+                 ("++++++-++-+-----+-++", (2, 3, 4, 5), (1, 3, 5, 6)),
+                 ("+-+-++++++++++++++--", (1, 2, 3, 4), None),
+                 ("+++-++-+++++-+-+----", None, None)]
+
+    @pytest.mark.parametrize("chars,mono,trans", WITNESSES)
+    def test_cached_witnesses_do_not_depend_on_call_order(self, chars, mono, trans):
+        first, second = SignFunction.from_string(3, 6, chars), SignFunction.from_string(3, 6, chars)
+        assert transitive_violation(first) == trans and monotone_violation(first) == mono
+        assert monotone_violation(second) == mono and transitive_violation(second) == trans
+        assert is_monotone(first) == (mono is None) and is_transitive(first) == (trans is None)
+
+    @pytest.mark.parametrize("chars", [w[0] for w in WITNESSES])
+    def test_cached_state_is_invisible(self, chars):
+        checked, fresh = SignFunction.from_string(3, 6, chars), SignFunction.from_string(3, 6, chars)
+        is_monotone(checked), is_transitive(checked)
+        again = pickle.loads(pickle.dumps(checked))
+        for other in (fresh, again):
+            assert other == checked and hash(other) == hash(checked)
+            assert monotone_violation(other) == monotone_violation(checked)
+            assert transitive_violation(other) == transitive_violation(checked)
+        assert fresh.color_string() == checked.color_string() == again.color_string()
+        assert dumps(again) == dumps(fresh)
+
+    def test_ternary_refusal_is_not_cached(self):
+        c = SignFunction(3, 4, np.array([0, 1, 1, 1], dtype=np.int8), ternary_allowed=True)
+        for check in (is_monotone, transitive_violation, is_monotone):
+            with pytest.raises(TernaryNotAllowed):
+                check(c)
+
+    def test_checked_colorings_keep_no_arrays(self):
+        # A checked coloring keeps its two violation ranks, not the C(n, r+1)-entry
+        # arrays they come from: 17,550 entries for each completion here, which for a
+        # thousand held completions comes to 35 MB.  The bound is the 3.15 MB traced
+        # before the ranks were cached, with 0.85 MB to spare.
+        t = block_coloring(3, 3)
+        is_monotone(next(completions(t, mode="sample", count=1, seed=0)))  # builds the tables
+        tracemalloc.start()
+        try:
+            held = list(completions(t, mode="sample", count=1000, seed=1))
+            for c in held:
+                assert is_monotone(c) and is_transitive(c)
+                assert monotone_violation(c) is None and transitive_violation(c) is None
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert current < 4_000_000
+        assert [k for k, v in vars(held[0]).items() if isinstance(v, np.ndarray)] == ["colors"]
 
     @pytest.mark.parametrize("r,n", [(r, n) for r in range(2, 6) for n in range(r + 1, 10)])
     def test_first_violation_matches_reference_scan(self, r, n):

@@ -1,6 +1,7 @@
 import xml.etree.ElementTree as ET
 from math import comb
 
+import numpy as np
 import pytest
 
 from signotopes import (
@@ -164,6 +165,46 @@ class TestWiringValidation:
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidWiring):
             validate_wiring(WiringDiagram(3, ((1, 2),)))
+
+    OK_4 = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+    @pytest.mark.parametrize("sweep,message", [
+        (((1, 3), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)),
+         "step 0: wire 3 is not directly below 1 in [1, 2, 3, 4]"),
+        (((1, 2), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4)),
+         "step 1: wire 2 is not directly below 1 in [2, 1, 3, 4]"),
+        (OK_4[:-1], "expected 6 crossings, got 5"),
+        (((1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (3, 4)), "step 2: bad crossing (1, 5)"),
+        (((0, 1),) + OK_4[1:], "step 0: bad crossing (0, 1)"),
+        (((2, 1),) + OK_4[1:], "step 0: bad crossing (2, 1)"),
+        (((1, 2, 3),) + OK_4[1:], "step 0: bad crossing (1, 2, 3)"),
+        (((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (2, 4)),
+         "step 4: wire 4 is not directly below 3 in [3, 2, 4, 1]"),
+        # non-integer wires are refused as bad crossings
+        (((1.0, 2.0),) + OK_4[1:], "step 0: bad crossing (1.0, 2.0)"),
+        (((1, 2), (1.5, 3)) + OK_4[2:], "step 1: bad crossing (1.5, 3)"),
+        (((1, 2), (1, 3), (1, "4")) + OK_4[3:], "step 2: bad crossing (1, 4)"),
+    ])
+    def test_bad_sweep_messages(self, sweep, message):
+        with pytest.raises(InvalidWiring) as raised:
+            signs_from_wiring(WiringDiagram(4, sweep))
+        assert str(raised.value) == message
+
+    def test_numpy_and_list_wires_are_read_as_integers(self):
+        want = signs_from_wiring(WiringDiagram(4, self.OK_4))
+        trace = WiringDiagram(4, self.OK_4).trace
+        for sweep in (tuple((np.int64(a), np.int64(b)) for a, b in self.OK_4),
+                      tuple((np.uint8(a), np.int32(b)) for a, b in self.OK_4),
+                      tuple(list(pair) for pair in self.OK_4)):
+            w = WiringDiagram(4, sweep)
+            assert signs_from_wiring(w) == want
+            assert w.trace == trace and all(type(v) is int for row in w.trace for v in row)
+        c = tower_coloring(3, 6)  # 64 wires: colex ranks past the range of uint8
+        w = wiring_diagram(c)
+        assert signs_from_wiring(WiringDiagram(64, tuple(
+            (np.uint8(a), np.uint8(b)) for a, b in w.sweep))) == c
+        with pytest.raises(InvalidWiring, match=r"^step 1: wire 2 is not directly below 1 in \[2, 1, 3, 4\]$"):
+            validate_wiring(WiringDiagram(4, ((np.int64(1), np.int64(2)),) * 2 + self.OK_4[2:]))
 
     def test_non_integer_line_rejected(self):
         with pytest.raises(InvalidWiring):
