@@ -9,8 +9,6 @@ small monotone Ramsey numbers, and pseudoline wiring diagrams for the
 from .core import (
     SignFunction,
     colex_rank,
-    colex_unrank,
-    edges_colex,
     dumps,
     is_monotone,
     is_transitive,
@@ -59,7 +57,7 @@ from .geometry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SignFunction", "colex_rank", "colex_unrank", "edges_colex", "dumps",
+    "SignFunction", "colex_rank", "dumps",
     "is_monotone", "is_transitive", "link_sequence", "loads",
     "monotone_violation", "read_file", "transitive_violation", "write_file",
     "PathReport", "contains_path", "longest_mono_paths",

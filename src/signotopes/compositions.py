@@ -64,22 +64,6 @@ def _validate(sigma: Sequence[int]) -> Composition:
     return sigma
 
 
-def is_base_form(sigma: Sequence[int]) -> bool:
-    sigma = _validate(sigma)
-    if len(sigma) == 2 and sigma[0] > 1 and sigma[1] == 1:
-        return True
-    return len(sigma) >= 2 and sigma[-1] == 2 and all(p == 1 for p in sigma[:-1])
-
-
-def reduction_step(sigma: Sequence[int]) -> Composition:
-    sigma = _validate(sigma)
-    if len(sigma) == 1 and sigma[0] == 1:
-        raise NoReduction("cannot step below (1)")
-    if sigma[-1] > 1:
-        return sigma[:-1] + (sigma[-1] - 1,)
-    return sigma[:-1]
-
-
 def reduction(sigma: Sequence[int]) -> Composition:
     """The unique base form reached by reduction steps.
 

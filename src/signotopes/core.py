@@ -8,7 +8,7 @@ first) and a vectorized rank.  Colors are stored and written to files
 in this order, and the predicates, the path DP, the backtracking search,
 the constructions and the wiring code all read the layout, so there is
 exactly one edge order in the package.  The scalar :func:`colex_rank`
-and :func:`colex_unrank` serve single tuples, such as checked input.
+serves single tuples, such as checked input.
 
 ``TABLE_CAP`` is the one size limit: no call stores, walks or forms more
 than TABLE_CAP entries, elements, colorings or bits of an integer; each
@@ -73,45 +73,6 @@ def colex_rank(vertices: Sequence[int], n: int | None = None) -> int:
     if not vertices:
         raise InvalidEdge("empty vertex tuple")
     return rank
-
-
-def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
-    """Inverse of :func:`colex_rank`: the r-subset with the given rank."""
-    if rank < 0 or r < 1:
-        raise InvalidEdge(f"need rank >= 0 and r >= 1, got rank={_brief(rank)}, r={_brief(r)}")
-    if r > TABLE_CAP:
-        raise TooLarge(f"r={_brief(r)} vertices exceed the table cap {TABLE_CAP}")
-    rem = rank
-    out = []
-    for i in range(r, 0, -1):
-        lo, hi = i - 1, i << -(-rem.bit_length() // i)  # C(lo, i) <= rem < (hi/i)^i <= C(hi, i)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if comb(mid, i) <= rem else (lo, mid)
-        out.append(lo + 1)
-        rem -= comb(lo, i)
-    out.reverse()
-    return tuple(out)
-
-
-def edges_colex(n: int, r: int) -> Iterator[tuple[int, ...]]:
-    """All r-subsets of [n] in colex order, streamed: ``colex_layout(n, r).edges``."""
-    if r < 0:
-        raise InvalidEdge(f"need r >= 0, got r={_brief(r)}")
-    if r > max(n, 0):
-        return
-    edge = [*range(1, r + 1), n + 1]  # n + 1 bounds the last element
-    while True:
-        yield tuple(edge[:r])
-        # Colex successor: raise the first element with room below the next one
-        # and reset the elements before it to 1, 2, ...
-        j = 0
-        while j < r and edge[j] + 1 == edge[j + 1]:
-            j += 1
-        if j == r:
-            return
-        edge[j] += 1
-        edge[:j] = range(1, j + 1)
 
 
 class ColexLayout:
@@ -268,7 +229,7 @@ class SignFunction:
         colors, bad = _decode(chars)
         if bad is not None:
             raise InvalidEdge(f"illegal color character {chars[bad]!r}")
-        return cls(r, n, colors, ternary_allowed=bool((colors == ZERO).any()))
+        return cls(r, n, colors, ternary_allowed=True)  # the format admits 0
 
     @property
     def edge_count(self) -> int:
@@ -368,8 +329,9 @@ def _sign_changes(c: SignFunction) -> tuple[np.ndarray, np.ndarray]:
     return twice, first == prev
 
 
-def _witness(row: int, r: int) -> tuple[int, ...] | None:
-    return colex_unrank(row, r + 1) if row >= 0 else None
+def _witness(c: SignFunction, row: int) -> tuple[int, ...] | None:
+    """The (r+1)-subset of colex rank ``row`` as Python ints, None for -1."""
+    return tuple(colex_layout(c.n, c.r + 1).edges[row].tolist()) if row >= 0 else None
 
 
 def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
@@ -377,7 +339,7 @@ def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:
 
     Returns None when the coloring is monotone.
     """
-    return _witness(c._violations[0], c.r)
+    return _witness(c, c._violations[0])
 
 
 def is_monotone(c: SignFunction) -> bool:
@@ -386,7 +348,7 @@ def is_monotone(c: SignFunction) -> bool:
 
 def transitive_violation(c: SignFunction) -> tuple[int, ...] | None:
     """First (in colex order) (r+1)-subset with equal end colors, not uniform."""
-    return _witness(c._violations[1], c.r)
+    return _witness(c, c._violations[1])
 
 
 def is_transitive(c: SignFunction) -> bool:
@@ -448,7 +410,7 @@ def loads(text: str) -> SignFunction:
     if len(lines) > 3 and (extra := _CONTENT_RE.search(lines[3])):
         raise ParseError(f"unexpected trailing content {extra.group()!r}",
                          line=4 + lines[3].count("\n", 0, extra.start()), column=1)
-    return SignFunction(r, n, colors, ternary_allowed=bool((colors == ZERO).any()))
+    return SignFunction(r, n, colors, ternary_allowed=True)  # the format admits 0
 
 
 def write_file(c: SignFunction, path) -> None:

@@ -6,9 +6,10 @@ without the smallest element comes last, so on entering its level the
 engine reads the other r colors and decides, once, which colors it may
 take: a 2-bit mask read off a table of sign patterns.  Every leaf is
 monotone, and each monotone coloring is reached exactly once.  One hook
-per level narrows the mask: Ramsey search plugs in `_path_pruner`, the
-counting join its bitset filter.  The engine and both hooks read one
-cached table per (r, n), `_search_tables`: the grouped deletion table.
+per level can narrow the mask; its one user is `_join`, which walks the
+extensions of a table of colorings one vertex down with its bitset
+filter.  The engine and the join read one cached table per (r, n),
+`_search_tables`: the grouped deletion table.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -21,17 +22,21 @@ exactly, without visiting the nodes.  The color swap pairs the monotone
 colorings without fixed points, so the join keeps only those coloring
 the first edge minus and doubles the count.
 
-First-leaf Ramsey search walks every band as a join, one vertex at a
-time.  A path through vertex k enters its last window from a window of
-[k-1], so which colors p may take there, and how long a path each color
-ends, are fixed by c alone.  From the two one-edge avoiders on [r],
-each level k walks the band through k once per batch of avoiders on
-[k-1] and yields the avoiders on [k] in the engine's order; the last
-level stops at the first row that extends.  The leaf is the engine's,
-and so is the node count: the engine's count at a leaf is its row's
-count, plus the totals of every earlier band, plus the attempts in its
-own band up to the leaf.  Band totals come from popcounts; only the
-chain of rows above the answer is counted leaf by leaf.
+Ramsey search runs wholly on that join.  Its answer is the first leaf
+of the path-pruned engine, the engine with a hook that forbids the
+colors closing a monochromatic m-vertex path, but that engine is never
+run: every band is walked as a join, one vertex at a time.  On [r]
+itself the answer is the one edge -1, or none when m = r.  A path
+through vertex k enters its last window from a window of [k-1], so
+which colors p may take there, and how long a path each color ends, are
+fixed by c alone.  From the two one-edge avoiders on [r], each level k
+walks the band through k once per batch of avoiders on [k-1] and yields
+the avoiders on [k] in the engine's order; the last level stops at the
+first row that extends.  The leaf is the engine's, and so is the node
+count: the engine's count at a leaf is its row's count, plus the totals
+of every earlier band, plus the attempts in its own band up to the
+leaf.  Band totals come from popcounts; only the chain of rows above
+the answer is counted leaf by leaf.
 """
 
 from __future__ import annotations
@@ -471,27 +476,6 @@ class RamseyReport:
     nodes: int
 
 
-def _path_pruner(r: int, n: int, m: int) -> Callable[[int, list[int], int], int]:
-    """Engine hook allowing the colors of edge k that close no monochromatic
-    m-vertex path.  One pass over the windows that can precede k gives the
-    longest path ending at k for both colors; both are kept per edge."""
-    _, preds, _, _ = _search_tables(r, n)
-    longest = [(0, 0)] * len(preds)  # per edge: (if colored -1, if colored +1)
-
-    def hook(k: int, colors: list[int], mask: int) -> int:
-        to_minus = to_plus = r
-        for p in preds[k]:
-            if colors[p] > 0:
-                if longest[p][1] >= to_plus:
-                    to_plus = longest[p][1] + 1
-            elif longest[p][0] >= to_minus:
-                to_minus = longest[p][0] + 1
-        longest[k] = to_minus, to_plus
-        return mask & ((to_minus < m) | (to_plus < m) << 1)
-
-    return hook
-
-
 def _columns(flags: np.ndarray) -> list[int]:
     """The columns of a (rows, columns) bool matrix as bitsets, bit i of
     column t set when ``flags[i, t]``; up to 64 rows take one list call."""
@@ -722,19 +706,20 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
                    max_nodes: int | None) -> SignFunction | None:
     """Admit (r, n), then the path-pruned search's first leaf; ``nodes[0]`` accumulates.
 
-    The engine runs only for n = r.  Otherwise `_first_leaf` walks the
-    band through vertex n per batch of the avoiders on [n-1] that
-    `_avoiders` yields, one vertex count at a time, each level walking
-    its own band the same way.  Leaf and count are the engine's on [n]:
-    the engine reaches its first leaf under the first avoider on [n-1]
-    that extends, after walking the whole band of every avoider before
-    it, and the same holds one vertex down for every avoider on the way.
+    For n > r, `_first_leaf` walks the band through vertex n per batch of
+    the avoiders on [n-1] that `_avoiders` yields, one vertex count at a
+    time, each level walking its own band the same way.  Leaf and count
+    are the engine's on [n]: the engine reaches its first leaf under the
+    first avoider on [n-1] that extends, after walking the whole band of
+    every avoider before it, and the same holds one vertex down for every
+    avoider on the way.
     """
     _check_limits(r, n, max_edges, max_nodes)
     if n > r:
         colors = _first_leaf(r, n, m, nodes, max_nodes)
-    else:
-        colors = next(_search(r, n, nodes, max_nodes=max_nodes, hook=_path_pruner(r, n, m)), None)
+    else:  # the one edge of `_avoiders`' base: -1 on the first attempt, or no color if m = r
+        _add_nodes(nodes, 1 if m > r else 2, float("inf") if max_nodes is None else max_nodes)
+        colors = [-1] if m > r else None
     return None if colors is None else SignFunction(r, n, np.array(colors, dtype=np.int8))
 
 
@@ -748,8 +733,8 @@ def find_avoiding_coloring(
 ) -> tuple[SignFunction | None, int]:
     """A monotone coloring of K^r_n without monochromatic m-vertex paths.
 
-    The first leaf of the search with the path pruner on.  Returns
-    (coloring or None, node count).
+    The path-pruned engine's first leaf, found by the band join (module
+    docstring).  Returns (coloring or None, node count).
     """
     if m < r:
         raise InvalidArgument(f"need m >= r, got m={_brief(m)}, r={_brief(r)}")

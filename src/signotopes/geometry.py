@@ -151,14 +151,10 @@ def wiring_diagram(c: SignFunction) -> WiringDiagram:
     return WiringDiagram(n, tuple(sweep))
 
 
-def validate_wiring(w: WiringDiagram) -> None:
-    w.trace  # deriving the trace validates the sweep
-
-
 def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     """Colors from crossing order: (i,j,k) is minus iff k meets i before j."""
     check_size(3, max(w.n, 3))  # before the O(n^3) trace that validation derives
-    validate_wiring(w)
+    w.trace  # deriving the trace validates the sweep
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
     # The pair (a, b) has colex rank (a - 1) + C(b - 1, 2) = a + b(b - 3)/2.
@@ -173,21 +169,6 @@ def signs_from_wiring(w: WiringDiagram) -> SignFunction:
 def sweep_text(w: WiringDiagram) -> str:
     """One crossing per line, 'i j', in sweep order."""
     return "".join(f"{i} {j}\n" for i, j in w.sweep)
-
-
-def parse_sweep_text(n: int, text: str) -> WiringDiagram:
-    sweep = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        try:
-            a, b = map(int, line.split())
-        except ValueError:
-            raise InvalidWiring(f"bad sweep line {line!r}") from None
-        sweep.append((min(a, b), max(a, b)))
-    w = WiringDiagram(n, tuple(sweep))
-    validate_wiring(w)
-    return w
 
 
 # -- rendering ----------------------------------------------------------------

@@ -91,14 +91,6 @@ class TowerGroundSet:
         level, (code,) = self._codes([el])
         return TowerElement(level, self.sizes[level] - 1 - code)
 
-    def equivalent(self, a: TowerElement, b: TowerElement) -> bool:
-        return a.level == b.level and self.class_index(a) == self.class_index(b)
-
-    def class_index(self, el: TowerElement) -> int:
-        """Position of el's equivalence class in the class order."""
-        level, (code,) = self._codes([el])
-        return min(code, self.sizes[level] - 1 - code)
-
     def pair_of(self, el: TowerElement) -> tuple[int, int]:
         """Display form of a level-2 element: the pair it denotes."""
         level, (code,) = self._codes([el])

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from signotopes import SignFunction, loads, read_file, write_file
+from signotopes import SignFunction, loads, read_file, tower_coloring, write_file
 from signotopes.cli import dispatch
 from signotopes.core import MAX_FILE_BYTES, colex_layout
 
@@ -38,6 +38,22 @@ class TestVerify:
         assert manifest["result"]["monotone"] is False
         assert manifest["result"]["witness"] == [1, 2, 3, 4]
         assert manifest["result"]["transitive"] is True
+
+    def test_non_monotone_manifest_is_pinned(self, tmp_path, capsys):
+        # The 64-vertex tower coloring with three edges flipped.  The witness
+        # is read off the (r+1)-subset layout; the manifest, wall time aside,
+        # and the note on stderr are pinned as the rank's inverse gave them.
+        colors = tower_coloring(3, 6).colors.copy()
+        colors[[5, 40_000, 41_000]] *= -1
+        f = tmp_path / "bad64.mono"
+        write_file(SignFunction(3, 64, colors), f)
+        code, manifest, err = run(capsys, "verify", "--in", str(f))
+        assert manifest.pop("wall_time_s") >= 0
+        assert (code, manifest, err) == (1, {
+            "parameters": {"in": str(f)},
+            "result": {"monotone": False, "transitive": False, "witness": [1, 2, 3, 5]},
+            "seed": None, "subcommand": "verify", "tool_version": "0.1.0",
+        }, "not monotone: violating subset (1, 2, 3, 5)\n")
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         f = tmp_path / "broken.mono"

@@ -24,8 +24,7 @@ from signotopes import (
 )
 from signotopes import enumeration
 from signotopes.core import TABLE_CAP, colex_layout
-from signotopes.enumeration import (AtLeast, _extend, _join, _path_pruner, _search,
-                                    _search_tables)
+from signotopes.enumeration import AtLeast, _extend, _join, _search, _search_tables
 from signotopes.errors import InvalidArgument, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
@@ -382,8 +381,30 @@ def box_permutations(n, side):
     return total
 
 
+def path_pruner(r, n, m):
+    """Engine hook allowing the colors of edge k that close no monochromatic
+    m-vertex path: the path-pruned engine, the reference the band join of
+    Ramsey search reproduces.  One pass over the windows that can precede
+    k gives the longest path ending at k for both colors; both are kept."""
+    _, preds, _, _ = _search_tables(r, n)
+    longest = [(0, 0)] * len(preds)  # per edge: (if colored -1, if colored +1)
+
+    def hook(k, colors, mask):
+        to_minus = to_plus = r
+        for p in preds[k]:
+            if colors[p] > 0:
+                if longest[p][1] >= to_plus:
+                    to_plus = longest[p][1] + 1
+            elif longest[p][0] >= to_minus:
+                to_minus = longest[p][0] + 1
+        longest[k] = to_minus, to_plus
+        return mask & ((to_minus < m) | (to_plus < m) << 1)
+
+    return hook
+
+
 def pruned_leaves(r, n, m):
-    return sum(1 for _ in _search(r, n, [0], hook=_path_pruner(r, n, m)))
+    return sum(1 for _ in _search(r, n, [0], hook=path_pruner(r, n, m)))
 
 
 class TestPathPruner:
@@ -503,7 +524,7 @@ def same_walk(r, n, m=None, seed=None, **kwargs):
     walks = [
         walk(search, r, n, hook=pruner(r, n, m) if m else None,
              rng=None if seed is None else random.Random(seed), **kwargs)
-        for search, pruner in [(_search, _path_pruner), (reference_search, reference_path_pruner)]
+        for search, pruner in [(_search, path_pruner), (reference_search, reference_path_pruner)]
     ]
     assert walks[0] == walks[1]
     return walks[0]
@@ -573,7 +594,7 @@ class TestEngineAgainstReference:
 def engine_first_avoider(r, n, m, max_nodes=None):
     """The reference: the engine's first leaf on [n] with the path pruner."""
     nodes = [0]
-    leaf = next(_search(r, n, nodes, max_nodes=max_nodes, hook=_path_pruner(r, n, m)), None)
+    leaf = next(_search(r, n, nodes, max_nodes=max_nodes, hook=path_pruner(r, n, m)), None)
     return (None if leaf is None else list(leaf)), nodes[0]
 
 
@@ -583,7 +604,7 @@ def band_first_avoider(r, n, m, **kwargs):
 
 
 AVOIDER_SIZES = [(r, n, m) for r in range(2, 6) for m in range(r, r + 4)
-                 for n in range(r, (8 if r < 4 else 7) + 1)]
+                 for n in range(r, (8 if r < 4 else 7) + 1)] + [(30, 30, 30), (30, 30, 31)]
 
 
 def reference_ends(r, constraints, colors):
@@ -605,7 +626,7 @@ class TestLevels:
 
     @pytest.mark.parametrize("r,n,m", LEVEL_SIZES)
     def test_every_yield(self, r, n, m):
-        leaves, total = walk(_search, r, n, hook=_path_pruner(r, n, m))
+        leaves, total = walk(_search, r, n, hook=path_pruner(r, n, m))
         # a count walks the chain of batches below again: every yield is
         # counted up to 100 leaves, evenly spread ones beyond
         step = max(1, len(leaves) // 100)
@@ -661,8 +682,9 @@ class TestFirstAvoiderByBandJoin:
         assert 0 < found.count(False) < found.count(True)
 
     # The row that extends is the 11th, 6th, 2nd and 2nd avoider on
-    # [n-1]; on 5 vertices no avoider extends.
-    @pytest.mark.parametrize("r,n,m", [(2, 8, 4), (3, 6, 4), (3, 7, 5), (4, 6, 5), (2, 5, 3)])
+    # [n-1]; on 5 vertices no avoider extends, nor on [r] when m = r.
+    @pytest.mark.parametrize("r,n,m", [(2, 8, 4), (3, 6, 4), (3, 7, 5), (4, 6, 5), (2, 5, 3),
+                                       (2, 2, 2), (30, 30, 30)])
     def test_node_budget(self, r, n, m):
         leaf, total = engine_first_avoider(r, n, m)
         for budget in (total - 1, total // 2, 1, 0):

