@@ -17,6 +17,7 @@ import json
 import re
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from .compositions import block_coloring, completions, zero_lower_bound
@@ -210,7 +211,9 @@ def _cmd_selftest(args) -> tuple[int, dict]:
     return code, {"parameters": {"only": args.only}, "result": result}
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so it is built once."""
     parser = argparse.ArgumentParser(
         prog="signotopes",
         description="Monotone colorings of ordered uniform hypergraphs",

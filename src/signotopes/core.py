@@ -19,10 +19,17 @@ colors of its r-subsets (ordered by which element is deleted, largest
 deleted first) changes sign at most once.  It is *transitive* when equal
 colors on the two extreme r-subsets of an (r+1)-subset force all of its
 r-subsets to that color.  Monotone implies transitive; for r = 2 the two
-notions coincide.  Both checks walk the (r+1)-subset deletion table one
-column at a time and count, per row, the sign changes seen so far: a row
-that changes twice breaks monotonicity, and breaks transitivity as well
-when its first and last colors agree.
+notions coincide.  Both checks read the (r+1)-subsets in colex order, block
+by block, the block of v holding those whose largest vertex is v: each
+r-subset of [v-1] with v appended, as in the one-element extensions of
+Felsner and Weil (2001).  The small blocks are read together from one cached
+(r+1)-subset deletion table; a block of ``_STREAM_ROWS`` rows or more is
+read on its own, its faces gathered from a prefix of the r-subset deletion
+table, and the walk stops once both first violations are known, so no
+table of all C(n, r+1) subsets is formed past the small blocks.  Each
+block is walked one face (column) at a time, counting per row the sign
+changes seen so far: a row that changes twice breaks monotonicity, and
+breaks transitivity as well when its first and last colors agree.
 
 A :class:`SignFunction` validates its colors in one pass and stores
 whether they are binary, so the operations that need a binary coloring
@@ -39,6 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from math import comb
 from typing import Iterator, Sequence
 
@@ -162,9 +170,12 @@ def _capped_comb(n: int, k: int, cap: int) -> int:
 def check_size(r: int, n: int) -> None:
     """Admit an (r, n) coloring: 2 <= r <= n, colex tables within TABLE_CAP.
 
-    Its operations read ``colex_layout(n, k)`` for k = r-1, r and r+1;
-    with its sub-layouts that holds at most k * C(n+1, k) entries, each
-    a capped product, so a thousand-digit argument costs a few steps.
+    It measures ``colex_layout(n, k)`` for k = r-1, r and r+1, whose
+    sub-layouts bring it to at most k * C(n+1, k) entries, each a capped
+    product, so a thousand-digit argument costs a few steps.  The
+    predicates read the k = r+1 table only for their small blocks and
+    stream the rest (module docstring), so for them that count is an
+    upper bound, not their working set; it still sets the vertex limits.
     """
     if r < 2:
         raise InvalidEdge(f"uniformity must be >= 2, got {_brief(r)}")
@@ -243,11 +254,23 @@ class SignFunction:
     def _violations(self) -> tuple[int, int]:
         """Colex ranks of the first (r+1)-subsets that break monotonicity and
         transitivity, -1 for none; not the per-subset arrays (module docstring)."""
-        twice, ends_agree = _sign_changes(self)
-        if not twice.any():
-            return -1, -1
-        both = twice & ends_agree
-        return int(twice.argmax()), int(both.argmax()) if both.any() else -1
+        _require_binary(self)
+        r, n, colors = self.r, self.n, self.colors
+        h = _head(r, n)
+        mono, trans = _double_changes(colors[col] for col in colex_layout(h, r + 1).deletion.T)
+        for v in range(h + 1, n + 1):
+            if trans >= 0:  # a transitive violation is a monotone one: both are known
+                break
+            # Block v: each r-subset of [v-1] with v appended.  Deleting v leaves the
+            # r-subset itself, deleting another vertex an (r-1)-subset of it plus v.
+            w, lo = comb(v - 1, r), comb(v - 1, r + 1)
+            block, faces = colors[w:], colex_layout(n, r).deletion[:w]
+            m, t = _double_changes(chain([colors[:w]], (block[col] for col in faces.T)))
+            if mono < 0 <= m:
+                mono = lo + m
+            if t >= 0:
+                trans = lo + t
+        return mono, trans
 
     def color(self, vertices: Sequence[int]) -> int:
         if len(vertices) != self.r:
@@ -312,26 +335,50 @@ def link_sequence(c: SignFunction, subset: Sequence[int]) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def _sign_changes(c: SignFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Per (r+1)-subset in colex order: does its deletion sequence change
-    sign twice, and do its first and last colors agree?  Walks the deletion
-    table one contiguous column at a time."""
-    _require_binary(c)
-    table = colex_layout(c.n, c.r + 1).deletion
-    first = prev = c.colors[table[:, 0]]
-    once, twice = np.zeros((2, len(table)), dtype=bool)
-    for column in table.T[1:]:
-        cur = c.colors[column]
+#: A block of (r+1)-subsets with this many rows or more is checked on its own;
+#: the smaller blocks before it are read together from one cached table.  At
+#: the vertex limits of r = 2..5, warm checks ran as fast with 2^11 as with 2^12
+#: (2 vCPUs), and up to 1.3x slower with 2^13, 2.4x with 2^14 at r = 2.  2^12 is
+#: the top of the fast range; it keeps r = 3 colorings of up to 31 vertices whole.
+_STREAM_ROWS = 2 ** 12
+
+
+@lru_cache(maxsize=None)
+def _head(r: int, n: int) -> int:
+    """The largest h <= n such that the blocks of v = r+1..h hold, each,
+    C(v-1, r) < _STREAM_ROWS (r+1)-subsets; the blocks past h stream."""
+    h = r
+    while h < n and comb(h, r) < _STREAM_ROWS:
+        h += 1
+    return h
+
+
+def _double_changes(columns: Iterator[np.ndarray]) -> tuple[int, int]:
+    """Rows are deletion color sequences, given one face (column) at a time:
+    the first row that changes sign twice, and the first that does so with
+    equal first and last colors; -1 for none.  Counts changes per row."""
+    first = prev = next(columns)
+    once, twice = np.zeros((2, len(first)), dtype=bool)
+    for cur in columns:
         changed = cur != prev
         twice |= once & changed
         once |= changed
         prev = cur
-    return twice, first == prev
+    if not twice.any():
+        return -1, -1
+    both = twice & (first == prev)
+    return int(twice.argmax()), int(both.argmax()) if both.any() else -1
 
 
 def _witness(c: SignFunction, row: int) -> tuple[int, ...] | None:
-    """The (r+1)-subset of colex rank ``row`` as Python ints, None for -1."""
-    return tuple(colex_layout(c.n, c.r + 1).edges[row].tolist()) if row >= 0 else None
+    """The (r+1)-subset of colex rank ``row`` as Python ints, None for -1: in
+    the block of its largest vertex v, an r-subset of [v-1] with v appended."""
+    if row < 0:
+        return None
+    v = c.r + 1
+    while comb(v, c.r + 1) <= row:
+        v += 1
+    return (*colex_layout(c.n, c.r).edges[row - comb(v - 1, c.r + 1)].tolist(), v)
 
 
 def monotone_violation(c: SignFunction) -> tuple[int, ...] | None:

@@ -181,15 +181,30 @@ _MARGIN = 40
 
 
 def render_svg(w: WiringDiagram) -> str:
-    """Deterministic SVG: one polyline per wire, one glyph per crossing."""
+    """Deterministic SVG: one polyline per wire, one glyph per crossing.
+
+    A wire runs level between its crossings, so each level run of its points
+    is one join of the columns' ``"x,"`` strings on its height's string.
+    """
+    w.trace  # deriving the trace validates the sweep
     slots = len(w.sweep)
     width = 2 * _MARGIN + _SLOT * max(slots, 1)
     height = 2 * _MARGIN + _GAP * (w.n - 1)
-
-    # ys[t][wire - 1]: the wire's height after t crossings, the last row again for the line ends.
-    tracks = np.argsort(np.array(w.trace), axis=1)
-    ys = (_MARGIN + _GAP * np.vstack([tracks, tracks[-1:]])).tolist()
     xs = [_MARGIN + _SLOT * t for t in range(slots + 1)] + [_MARGIN + _SLOT * slots + _SLOT // 2]
+    heads = [f"{x}," for x in xs]
+    names = [str(_MARGIN + _GAP * track) for track in range(w.n)]
+
+    # runs[wire]: (first column, track) of each level run; a crossing moves a down, b up.
+    track = list(range(-1, w.n))
+    runs = [[(0, wire - 1)] for wire in range(w.n + 1)]
+    glyphs = []
+    for t, (a, b) in enumerate(w.sweep, start=1):
+        track[a] += 1
+        track[b] -= 1
+        runs[a].append((t, track[a]))
+        runs[b].append((t, track[b]))
+        gx, gy = xs[t] - _SLOT // 2, (2 * _MARGIN + _GAP * (track[a] + track[b])) // 2
+        glyphs.append(f'<circle class="crossing" cx="{gx}" cy="{gy}" r="3" fill="black"/>')
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -197,20 +212,20 @@ def render_svg(w: WiringDiagram) -> str:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for wire, column in enumerate(zip(*ys), start=1):
-        pts = " ".join(f"{px},{py}" for px, py in zip(xs, column))
+    for wire in range(1, w.n + 1):
+        starts = runs[wire] + [(len(xs), None)]
+        pts = " ".join((names[k] + " ").join(heads[s:e]) + names[k]
+                       for (s, k), (e, _) in zip(starts, starts[1:]))
         color = _WIRE_COLORS[(wire - 1) % len(_WIRE_COLORS)]
         lines.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
         lines.append(
-            f'<text x="{_MARGIN - 14}" y="{column[0] + 4}" '
+            f'<text x="{_MARGIN - 14}" y="{_MARGIN + _GAP * (wire - 1) + 4}" '
             f'font-size="12" font-family="monospace">{wire}</text>'
         )
     lines.append('<g class="crossings">')
-    for t, (a, b) in enumerate(w.sweep, start=1):
-        gx, gy = xs[t] - _SLOT // 2, (ys[t][a - 1] + ys[t][b - 1]) // 2
-        lines.append(f'<circle class="crossing" cx="{gx}" cy="{gy}" r="3" fill="black"/>')
+    lines += glyphs
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -41,8 +41,8 @@ class TestVerify:
 
     def test_non_monotone_manifest_is_pinned(self, tmp_path, capsys):
         # The 64-vertex tower coloring with three edges flipped.  The witness
-        # is read off the (r+1)-subset layout; the manifest, wall time aside,
-        # and the note on stderr are pinned as the rank's inverse gave them.
+        # is read off the r-subset layout of its block; the manifest, wall time
+        # aside, and the note on stderr are pinned as the rank's inverse gave them.
         colors = tower_coloring(3, 6).colors.copy()
         colors[[5, 40_000, 41_000]] *= -1
         f = tmp_path / "bad64.mono"
@@ -54,6 +54,18 @@ class TestVerify:
             "result": {"monotone": False, "transitive": False, "witness": [1, 2, 3, 5]},
             "seed": None, "subcommand": "verify", "tool_version": "0.1.0",
         }, "not monotone: violating subset (1, 2, 3, 5)\n")
+
+    @pytest.mark.parametrize("flips,code", [([], 0), ([39_800, 40_000, 41_000], 1)])
+    def test_verify_of_the_64_vertex_tower_stays_small(self, tmp_path, cli_child_rss, flips, code):
+        # Blocks 32..64 are checked one at a time, and the witness, here in block 64,
+        # is read off the r-subset layout: no C(64, 4)-row table of 20 MB is formed.
+        # The interpreter with numpy takes about 30 MB, the whole check about 34 MB.
+        colors = tower_coloring(3, 6).colors.copy()
+        colors[flips] *= -1
+        write_file(SignFunction(3, 64, colors), tmp_path / "t.mono")
+        exit_code, rss_mb = cli_child_rss("verify", "--in", "t.mono")
+        assert exit_code == code
+        assert rss_mb < 42
 
     def test_malformed_file_exits_two(self, tmp_path, capsys):
         f = tmp_path / "broken.mono"

@@ -19,6 +19,7 @@ from signotopes import (
     loads,
     monotone_violation,
     read_file,
+    tower_coloring,
     transitive_violation,
     write_file,
 )
@@ -51,6 +52,29 @@ def ref_first_violation(color_of, n, r, transitive=False):
         elif sum(1 for a, b in zip(seq, seq[1:]) if a != b) > 1:
             return s
     return None
+
+
+def reference_sign_changes(c):
+    """The whole-table kernel: per (r+1)-subset in colex order, does its deletion
+    sequence change sign twice, and do its first and last colors agree?"""
+    table = colex_layout(c.n, c.r + 1).deletion
+    first = prev = c.colors[table[:, 0]]
+    once, twice = np.zeros((2, len(table)), dtype=bool)
+    for column in table.T[1:]:
+        cur = c.colors[column]
+        changed = cur != prev
+        twice |= once & changed
+        once |= changed
+        prev = cur
+    return twice, first == prev
+
+
+def reference_violations(c):
+    """First monotone and first transitive violation, off the whole-table kernel."""
+    twice, ends_agree = reference_sign_changes(c)
+    edges = colex_layout(c.n, c.r + 1).edges
+    return tuple(tuple(edges[rows[0]].tolist()) if len(rows) else None
+                 for rows in (np.flatnonzero(twice), np.flatnonzero(twice & ends_agree)))
 
 
 def ref_is_monotone(color_of, n, r):
@@ -459,8 +483,68 @@ class TestPredicates:
         for colors in samples:
             c = SignFunction(r, n, colors)
             color_of = dict(zip(edges, colors.tolist()))
-            assert monotone_violation(c) == ref_first_violation(color_of, n, r)
-            assert transitive_violation(c) == ref_first_violation(color_of, n, r, transitive=True)
+            want = ref_first_violation(color_of, n, r), ref_first_violation(color_of, n, r, True)
+            assert (monotone_violation(c), transitive_violation(c)) == want
+            assert reference_violations(c) == want
+
+    # Sizes whose blocks past the split h = core._head(r, n) are checked one at a time.
+    STREAMED = [(3, 40), (3, 64), (4, 30), (2, 175)]
+
+    @staticmethod
+    def block_edge(rng, r, v):
+        """The colex rank of a random r-subset with largest vertex v."""
+        return int(rng.integers(comb(v - 1, r), comb(v, r)))
+
+    @staticmethod
+    def consecutive_faces(r, a, faces):
+        """The colex ranks of the given faces of {a, ..., a + r}, face j deleting
+        its (r+1-j)-th smallest element: in a constant coloring, flipping them
+        changes the deletion sequence of that (r+1)-subset alone."""
+        s = tuple(range(a, a + r + 1))
+        return [colex_rank(s[:r - j] + s[r - j + 1:]) for j in faces]
+
+    @pytest.mark.parametrize("r,n", STREAMED)
+    def test_first_violation_past_the_split_matches_whole_table_kernel(self, r, n):
+        from signotopes.core import _head
+
+        h = _head(r, n)
+        assert h < n
+        rng = np.random.default_rng(100 * r + n)
+        layout = colex_layout(n, r)
+        smallest = rng.choice((-1, 1), size=n + 1).astype(np.int8)
+        bases = [np.full(comb(n, r), -1, dtype=np.int8),
+                 smallest[layout.edges[:, 0]]]  # colored by the smallest vertex: monotone
+        if r == 3:
+            bases.append(tower_coloring(3, 6).colors[:comb(n, 3)].copy())  # the tower on [n]
+        samples = []
+        for base in bases:
+            samples.append(base)
+            for v in (r + 2, h, h + 1, (h + 1 + n) // 2, n):  # head, first streamed, middle, last
+                for k in range(1, 4):
+                    colors = base.copy()
+                    colors[[self.block_edge(rng, r, v) for _ in range(k)]] *= -1
+                    samples.append(colors)
+        for v in (h + 1, n):
+            # Constant but for {1, ..., r-1, v}: the first row of block v, {1, ..., r, v},
+            # is the first violation of both kinds.
+            colors = np.full(comb(n, r), -1, dtype=np.int8)
+            colors[colex_rank((*range(1, r), v))] = 1
+            assert reference_violations(SignFunction(r, n, colors)) == ((*range(1, r + 1), v),) * 2
+            samples.append(colors)
+        if r >= 3:
+            # Constant but for two planted subsets: {a, ..., a+r} with faces 1 and r flipped
+            # changes sign three times between unequal ends, a monotone violation only, and
+            # {b, ..., b+r} with face 1 flipped is a transitive one, in a later block.
+            for a, b in ((1, h), (h - r, h + 2), (h + 1 - r, n - r)):
+                colors = np.full(comb(n, r), -1, dtype=np.int8)
+                colors[self.consecutive_faces(r, a, (1, r)) + self.consecutive_faces(r, b, (1,))] = 1
+                c = SignFunction(r, n, colors)
+                assert reference_violations(c) == (tuple(range(a, a + r + 1)),
+                                                   tuple(range(b, b + r + 1)))
+                samples.append(colors)
+        for colors in samples:
+            c = SignFunction(r, n, colors)
+            assert (monotone_violation(c), transitive_violation(c)) == reference_violations(c)
 
 
 class TestFileFormat:
