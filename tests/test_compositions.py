@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from importlib import import_module
 from itertools import combinations, groupby, product
 from math import comb, factorial
 
@@ -10,11 +12,15 @@ from signotopes import (
     SignFunction,
     TernaryColoring,
     block_coloring,
+    colex_rank,
     completions,
     compositions,
     is_monotone,
+    monotone_violation,
+    random_monotone_coloring,
     reduction,
     sign,
+    transitive_violation,
     zero_lower_bound,
 )
 from signotopes.core import TABLE_CAP, colex_layout
@@ -270,6 +276,17 @@ class TestBlockColoring:
         want = [ref_block_color(r, h, edge) for edge in colex]
         assert block_coloring(r, h).fun.colors.tolist() == want
 
+    def test_largest_block_coloring_stays_small(self):
+        block_coloring(5, 2)  # builds the cached (25, 5) layout
+        tracemalloc.start()
+        try:
+            t = block_coloring(5, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(t.zero_positions) == 260
+        assert peak < 4_000_000  # int64 working arrays traced 7.27 MB, int16 ones 2.8 MB
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidArgument):
             block_coloring(2, 2)
@@ -342,6 +359,159 @@ class TestCompletions:
             next(completions(t, mode="sample", count=0))
         with pytest.raises(InvalidArgument, match="seed >= 0"):
             next(completions(t, mode="sample", count=1, seed=-1))
+
+
+def hand_built(r, n, colors, zeros):
+    """A TernaryColoring of the given colors, filled at the given positions."""
+    fun = SignFunction(r, n, np.asarray(colors, dtype=np.int8), ternary_allowed=True)
+    return TernaryColoring(fun, r=r, h=1, n=n, m=n, zero_positions=tuple(zeros))
+
+
+def fresh_violations(c):
+    """The violations of a new SignFunction of the same colors, decided from scratch."""
+    fresh = SignFunction(c.r, c.n, c.colors)
+    return monotone_violation(fresh), transitive_violation(fresh)
+
+
+@st.composite
+def templates(draw):
+    """Small hand-built templates: a monotone or random binary fixed part, and up
+    to six distinct positions to fill, each holding -1, 0 or +1 in the template."""
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 9))
+    size = comb(n, r)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        colors = random_monotone_coloring(r, n, int(rng.integers(2 ** 16)), max_edges=200).colors.copy()
+    else:
+        colors = rng.choice((-1, 1), size=size).astype(np.int8)
+    zeros = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=min(size, 6)))
+    colors[zeros] = rng.choice((-1, 0, 0, 1), size=len(zeros))
+    return hand_built(r, n, colors, zeros)
+
+
+def ref_rows(colors, n, r, zeros):
+    """Per (r+1)-subset in colex order, naively: the subset, whether a face is
+    among ``zeros``, whether it breaks monotonicity and whether transitivity."""
+    zeros = set(zeros)
+    out = []
+    for s in sorted(combinations(range(1, n + 1), r + 1), key=lambda e: e[::-1]):
+        faces = [colex_rank(s[:j] + s[j + 1:]) for j in range(r, -1, -1)]
+        seq = [colors[f] for f in faces]
+        twice = sum(a != b for a, b in zip(seq, seq[1:])) > 1
+        out.append((s, bool(zeros.intersection(faces)), twice, twice and seq[0] == seq[-1]))
+    return out
+
+
+def first(rows, keep=lambda row: True, column=2):
+    return next((i for i, row in enumerate(rows) if row[column] and keep(row)), -1)
+
+
+#: (r, n, edges colored + on an all - coloring, edges to fill, premise over the
+#: completions' rows).  Premises name where the first violation lies: among the
+#: subsets with a face to fill (touched) or the others (untouched).
+PLANTED = {
+    "untouched only": (2, 5, [(1, 3)], [(4, 5)], all, lambda rows: (
+        first(rows, lambda row: not row[1]) >= 0 > first(rows, lambda row: row[1]))),
+    "touched only": (2, 5, [], [(1, 3)], any, lambda rows: (
+        first(rows, lambda row: row[1]) >= 0 > first(rows, lambda row: not row[1]))),
+    "untouched first": (2, 5, [(1, 3)], [(3, 5)], any, lambda rows: (
+        0 <= first(rows, lambda row: not row[1]) < first(rows, lambda row: row[1]))),
+    "touched first": (2, 5, [(3, 5)], [(1, 3)], any, lambda rows: (
+        0 <= first(rows, lambda row: row[1]) < first(rows, lambda row: not row[1]))),
+    "transitive after monotone": (3, 5, [(1, 2, 4), (2, 3, 4), (1, 2, 5)], [(1, 3, 5)], any,
+                                  lambda rows: 0 <= first(rows) < first(rows, column=3)),
+}
+
+
+class TestDecidedCompletions:
+    """Completions arrive with their predicates decided from the subsets their
+    fills touch; the answers must be those of a coloring checked from scratch."""
+
+    @given(templates())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_fresh_check(self, t):
+        filled = [*completions(t, mode="all"), *completions(t, mode="sample", count=5, seed=3)]
+        assert len(filled) == 2 ** len(t.zero_positions) + 5
+        for c in filled:
+            assert (monotone_violation(c), transitive_violation(c)) == fresh_violations(c)
+            assert is_monotone(c) == (monotone_violation(c) is None)
+
+    @pytest.mark.parametrize("case", sorted(PLANTED))
+    def test_planted_violations(self, case):
+        r, n, plus, fill, quantifier, premise = PLANTED[case]
+        colors = np.full(comb(n, r), -1, dtype=np.int8)
+        colors[[colex_rank(e) for e in plus]] = 1
+        zeros = [colex_rank(e) for e in fill]
+        colors[zeros] = 0
+        seen = []
+        for c in completions(hand_built(r, n, colors, zeros)):
+            rows = ref_rows(c.colors.tolist(), n, r, zeros)
+            want = tuple(rows[i][0] if i >= 0 else None for i in (first(rows), first(rows, column=3)))
+            assert (monotone_violation(c), transitive_violation(c)) == want
+            seen.append(premise(rows))
+        assert len(seen) == 2 ** len(zeros) and quantifier(seen)
+
+    def test_block_colorings(self):
+        every = list(completions(block_coloring(3, 2), mode="all"))
+        assert len(every) == 64
+        sampled = list(completions(block_coloring(5, 2), mode="sample", count=200, seed=11))
+        for c in every + sampled:
+            assert fresh_violations(c) == (None, None)
+            assert monotone_violation(c) is None and transitive_violation(c) is None
+
+    @pytest.mark.parametrize("r,h", [(3, 3), (5, 2)])  # (5, 2): blocks 17..25 are streamed
+    @pytest.mark.parametrize("pick", [min, max])
+    def test_flipped_template_edge_is_found_in_each_completion(self, r, h, pick):
+        t = block_coloring(r, h)
+        colors = t.fun.colors.copy()
+        colors[pick(set(range(len(colors))) - set(t.zero_positions))] *= -1
+        flipped = hand_built(r, t.n, colors, t.zero_positions)
+        for c in completions(flipped, mode="sample", count=10, seed=2):
+            assert monotone_violation(c) is not None
+            assert (monotone_violation(c), transitive_violation(c)) == fresh_violations(c)
+
+
+class TestCompletionRefusals:
+    """Every refusal of ``completions`` comes before any work on the template."""
+
+    @pytest.fixture
+    def no_template_work(self, monkeypatch):
+        def touched(*args):
+            raise AssertionError("template work before a refusal")
+        # the package's ``compositions`` is the function, so the module is imported by name
+        monkeypatch.setattr(import_module("signotopes.compositions"), "_touched", touched)
+
+    def test_the_stub_stands_in_for_template_work(self, no_template_work):
+        with pytest.raises(AssertionError, match="template work"):
+            next(completions(block_coloring(3, 2), mode="sample", count=1))
+
+    @pytest.mark.parametrize("kwargs,error,match", [
+        ({"mode": "weird"}, InvalidArgument, "mode must be"),
+        ({"mode": "sample", "count": 0}, InvalidArgument, "count >= 1"),
+        ({"mode": "sample", "count": 1, "seed": -1}, InvalidArgument, "seed >= 0"),
+        ({"mode": "sample", "count": TABLE_CAP + 1}, TooLarge, "table cap"),
+        ({"mode": "all"}, TooLarge, "table cap"),
+    ])
+    def test_argument_refusals(self, no_template_work, kwargs, error, match):
+        t = block_coloring(4, 2)  # 48 zeros: mode "all" is over the cap
+        with pytest.raises(error, match=match):
+            next(completions(t, **kwargs))
+
+    @pytest.mark.parametrize("position,match", [
+        (-1, "zero position -1 out of range 0..83"),
+        (84, "zero position 84 out of range 0..83"),
+        pytest.param(10 ** 5000, "<16610-bit number> out of range", id="huge"),
+        ("repeat", "repeated"),
+    ])
+    @pytest.mark.parametrize("mode", ["all", "sample"])
+    def test_position_refusals(self, no_template_work, position, match, mode):
+        t = block_coloring(3, 2)
+        zeros = t.zero_positions
+        zeros = (zeros[0], *zeros) if position == "repeat" else (*zeros[:-1], position)
+        bad = TernaryColoring(t.fun, r=3, h=2, n=9, m=3, zero_positions=zeros)
+        with pytest.raises(InvalidArgument, match=match):
+            next(completions(bad, mode=mode, count=1))
 
 
 class TestZeroLowerBound:
