@@ -284,26 +284,29 @@ def _criterion_5() -> tuple[bool, dict]:
     return ok, details
 
 
-#: Exact labeled counts S_3(n), the number of simple arrangements of n
-#: pseudolines (OEIS A006245).  n <= 6 is re-derived below by the
-#: backtracking engine and n <= 5 by brute force on each run.
-GOLDEN_COUNTS_R3 = {4: 8, 5: 62, 6: 908, 7: 24_698, 8: 1_232_944}
+#: Exact labeled counts S_r(n), keyed by (r, n).  S_3(n) is the number of
+#: simple arrangements of n pseudolines (OEIS A006245); criterion 6
+#: re-derives it by the backtracking engine for n <= 6 and by brute force
+#: for n <= 5 on each run.  S_4(8) was counted by the join and by
+#: exhaustive backtracking.
+GOLDEN_COUNTS = {(3, 4): 8, (3, 5): 62, (3, 6): 908, (3, 7): 24_698, (3, 8): 1_232_944,
+                 (4, 8): 1_681_104}
 
 
 def _criterion_6() -> tuple[bool, dict]:
     """Counting: exact values by the join, goldens, and the upper bound."""
     details = {}
     ok = True
-    for n in sorted(GOLDEN_COUNTS_R3):
+    for n in sorted(n for r, n in GOLDEN_COUNTS if r == 3):
         report = count_monotone(3, n)
         entry = {
             "count": report.count,
-            "golden": GOLDEN_COUNTS_R3[n],
+            "golden": GOLDEN_COUNTS[3, n],
             "exponent": round(report.exponent, 12),  # pinned: keep libm's last bits out
             "upper_exponent": report.upper_exponent,
             "bounds_ok": report.bounds_ok,
         }
-        good = report.count == GOLDEN_COUNTS_R3[n]
+        good = report.count == GOLDEN_COUNTS[3, n]
         good = good and report.upper_exponent == n ** 2 and report.bounds_ok
         if n <= 6:
             entry["engine_leaves"] = sum(1 for _ in enumerate_monotone(3, n))

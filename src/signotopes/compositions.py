@@ -118,7 +118,7 @@ class TernaryColoring:
 
     def transversal_zero_positions(self) -> tuple[int, ...]:
         """Zero edges not contained in a single top-level block."""
-        zeros = np.asarray(self.zero_positions, dtype=np.int64)
+        zeros = _positions(self)
         blocks = (colex_layout(self.n, self.r).edges[zeros] - 1) // self.m
         return tuple(zeros[blocks[:, 0] != blocks[:, -1]].tolist())
 

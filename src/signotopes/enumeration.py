@@ -35,8 +35,9 @@ the avoiders on [k] in the engine's order; the last level stops at the
 first row that extends.  The leaf is the engine's, and so is the node
 count: the engine's count at a leaf is its row's count, plus the totals
 of every earlier band, plus the attempts in its own band up to the
-leaf.  Band totals come from popcounts; only the chain of rows above
-the answer is counted leaf by leaf.
+leaf.  Band totals come from popcounts.  Only the chain of avoiders
+above the answer is walked leaf by leaf: each is found in the band of
+the row it extends as the leaf whose p is its own last colors.
 """
 
 from __future__ import annotations
@@ -411,9 +412,9 @@ def _brute_force_count(r: int, n: int, transitive: bool) -> int:
     idx = colex_layout(n, r + 1).deletion
     shifts = np.arange(edge_count, dtype=np.uint32)
     total = 0
-    chunk = 1 << 14
-    for start in range(0, 2 ** edge_count, chunk):
-        words = np.arange(start, min(start + chunk, 2 ** edge_count), dtype=np.uint32)
+    block = 1 << 14
+    for start in range(0, 2 ** edge_count, block):
+        words = np.arange(start, min(start + block, 2 ** edge_count), dtype=np.uint32)
         colors = (((words[:, None] >> shifts) & 1) * 2 - 1).astype(np.int8)
         seq = colors[:, idx]
         if transitive:
@@ -511,7 +512,7 @@ class _Base:
     def __init__(self, offset: int):
         self.offset = offset
 
-    def count(self, i: int, rank: int) -> int:
+    def count(self, i: int, p: list[int]) -> int:
         return self.offset + i + 1
 
 
@@ -520,45 +521,42 @@ class _Band:
     as one join: the rows as a table with per-p-edge masks (see `_join`),
     where each row came from, and ``before``, the engine's nodes in the
     bands of every earlier batch.  The caller sets ``total``, the nodes in
-    this batch's bands, and for a batch of one row walked leaf by leaf,
-    ``steps``, the attempts in its band up to each leaf.  The engine's
-    count at one row's leaves is computed on demand, down the chain of
-    the batches it came from."""
+    this batch's bands.  The engine's count at a leaf is computed on
+    demand, down the chain of the batches it came from: each avoider on
+    the chain is found among its row's leaves by its own colors."""
 
     def __init__(self, r: int, k: int, table: _Table, masks: list[tuple[int, int]],
                  sources, before: int):
         self.r, self.k, self.table, self.masks, self.before = r, k, table, masks, before
-        self.bands, self.rows, self.ranks = sources
+        self.bands, self.rows = sources
         self.total = 0
-        self.steps: list[int] = []
+
+    def part(self, lo: int, hi: int) -> tuple[_Table, list[tuple[int, int]]]:
+        """The table and masks of rows lo..hi-1 alone, renumbered from 0."""
+        low = (1 << (hi - lo)) - 1
+        return ((hi - lo, [col >> lo & low for col in self.table[1]]),
+                [(minus >> lo & low, plus >> lo & low) for minus, plus in self.masks])
 
     def entry(self, i: int) -> int:
-        """The engine's count on entering row i's band: the rows before it
-        are walked again for their band total."""
-        band, row, rank = self.bands[i], int(self.rows[i]), int(self.ranks[i])
-        low = (1 << i) - 1
+        """The engine's count on entering row i's band: row i's own count,
+        found in the batch below by its last colors, plus the rows before
+        it, walked again for their band total."""
+        p = [(col >> i & 1) * 2 - 1 for col in self.table[1][comb(self.k - 2, self.r):]]
         walked = [0]
         if i:
-            for _ in _join(self.r, self.k, (i, [col & low for col in self.table[1]]), walked,
-                           float("inf"), [(minus & low, plus & low) for minus, plus in self.masks]):
+            table, masks = self.part(0, i)
+            for _ in _join(self.r, self.k, table, walked, float("inf"), masks):
                 pass
-        return band.count(row, rank) + self.before + 2 * i + walked[0] // 2
+        return self.bands[i].count(int(self.rows[i]), p) + self.before + 2 * i + walked[0] // 2
 
-    def count(self, i: int, rank: int) -> int:
-        """The engine's count at the leaf of row i's band with that rank."""
-        return self.entry(i) + (self.steps[rank] if self.steps else self.leaf(i, rank)[1])
-
-    def leaf(self, i: int, rank: int) -> tuple[list[int], int]:
-        """p at the leaf of row i's band with that rank, and the engine's
-        attempts in that band up to it: the walk of row i alone is the
-        engine's walk of its band."""
+    def count(self, i: int, p: list[int]) -> int:
+        """The engine's count at the leaf p of row i's band: the walk of
+        row i alone is the engine's walk of its band, up to p."""
         steps = [0]
-        one = (1, [col >> i & 1 for col in self.table[1]])
-        leaves = _join(self.r, self.k, one, [0], float("inf"),
-                       [(minus >> i & 1, plus >> i & 1) for minus, plus in self.masks], steps)
-        for _ in range(rank + 1):
-            p, _ = next(leaves)
-        return list(p), steps[0]
+        table, masks = self.part(i, i + 1)
+        leaves = _join(self.r, self.k, table, [0], float("inf"), masks, steps)
+        next(leaf for leaf, _ in leaves if leaf == p)
+        return self.entry(i) + steps[0]
 
 
 def _pull(source: Iterator, held: list, size: int):
@@ -566,7 +564,7 @@ def _pull(source: Iterator, held: list, size: int):
     first, then off ``source``: (plus, ends, sources, overrun), all but
     ``overrun`` None when no row is left.  A TooLarge that ``source``
     raises ends the pull early and comes back as ``overrun``; ``sources``
-    is (batches, rows there, ranks), one entry per row."""
+    is (batches, rows there), one entry per row."""
     parts, bands, got, overrun = [], [], 0, None
     while got < size:
         if not held:
@@ -577,18 +575,18 @@ def _pull(source: Iterator, held: list, size: int):
             except TooLarge as exc:
                 overrun = exc
                 break
-        plus, ends, band, rows, ranks = held.pop()
+        plus, ends, band, rows = held.pop()
         if len(plus) > size - got:
             cut = size - got
-            held.append((plus[cut:], ends[cut:], band, rows[cut:], ranks[cut:]))
-            plus, ends, rows, ranks = plus[:cut], ends[:cut], rows[:cut], ranks[:cut]
-        parts.append((plus, ends, rows, ranks))
+            held.append((plus[cut:], ends[cut:], band, rows[cut:]))
+            plus, ends, rows = plus[:cut], ends[:cut], rows[:cut]
+        parts.append((plus, ends, rows))
         bands += [band] * len(plus)
         got += len(plus)
     if not parts:
         return None, None, None, overrun
-    plus, ends, rows, ranks = (np.concatenate(column) for column in zip(*parts))
-    return plus, ends, (bands, rows, ranks), overrun
+    plus, ends, rows = (np.concatenate(column) for column in zip(*parts))
+    return plus, ends, (bands, rows), overrun
 
 
 def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
@@ -624,7 +622,7 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base
 
 def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
     """The avoiders on [k] in the path-pruned engine's order, as blocks
-    (plus flags, ends, batch, rows there, ranks among their extensions).
+    (plus flags, ends, batch, rows there).
 
     Each batch of avoiders on [k-1] (`_batches`) walks its band through
     vertex k once by `_join`, with the masks `_longest_through` gives,
@@ -636,28 +634,21 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
     if k == r:
         if m > r:  # one edge: a path of r vertices either way
             yield (np.array([[False], [True]]), np.full((2, 1), r, dtype=np.uint8), base,
-                   np.arange(2), np.zeros(2, dtype=np.int32))
+                   np.arange(2))
         return
-    chunk = 256  # rows per block: a batch's avoiders are built as they are pulled
     for band, plus, ends, longest in _batches(r, k, m, limit, spent, base):
-        walked, steps = [0], [0]
-        walk = _join(r, k, band.table, walked, float("inf"), band.masks, steps)
+        walked = [0]
+        walk = _join(r, k, band.table, walked, float("inf"), band.masks)
         if len(plus) == 1:
-            for rank, (p, _) in enumerate(walk):
-                band.steps.append(steps[0])
+            for p, _ in walk:
                 yield (*_grown(plus, ends, longest, [0], np.array([p]) > 0), band,
-                       np.zeros(1, dtype=np.int32), np.array([rank]))
-        else:
-            leaves = [(list(p), bits) for p, bits in walk]
+                       np.zeros(1, dtype=np.int32))
+        elif leaves := [(list(p), bits) for p, bits in walk]:
             rows, counts = _leaf_rows(len(plus), [bits for _, bits in leaves])
             order = np.argsort(rows, kind="stable")
             rows, which = rows[order], np.repeat(np.arange(len(leaves)), counts)[order]
-            ranks = np.arange(len(rows)) - np.searchsorted(rows, rows)
             flags = np.array([p for p, _ in leaves], dtype=np.int8) > 0
-            for lo in range(0, len(rows), chunk):
-                part = slice(lo, lo + chunk)
-                yield (*_grown(plus, ends, longest, rows[part], flags[which[part]]), band,
-                       rows[part], ranks[part])
+            yield *_grown(plus, ends, longest, rows, flags[which]), band, rows
         band.total = 2 * len(plus) + walked[0] // 2
 
 
@@ -668,59 +659,44 @@ def _grown(plus, ends, longest, rows, p):
             np.hstack((ends[rows], np.where(p, longest[1][rows], longest[0][rows]))))
 
 
-def _first_leaf(r: int, n: int, m: int, nodes: list[int],
-                max_nodes: int | None) -> list[int] | None:
-    """The path-pruned engine's first leaf on [n] > [r], with ``nodes[0]``
-    advanced to its count; None, with the exhaustive total, when there is
-    none.  Past ``max_nodes`` raises TooLarge, as the engine would.
+def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
+                   max_nodes: int | None) -> SignFunction | None:
+    """Admit (r, n), then the path-pruned engine's first leaf, with
+    ``nodes[0]`` advanced to its count; None, with the exhaustive total,
+    when there is none.  Past ``max_nodes`` raises TooLarge, as the
+    engine would.
 
-    The leaf lies in the band of the first avoider c on [n-1] in engine
-    order that extends.  One `_join` walk of the band decides every row
-    of a batch.  Once a row extends, the masks are narrowed to the rows
-    below it, which alone can still lower the answer.  A batch where no
-    row extends adds its exact band total; in the batch that holds c,
-    the rows before it are walked again for theirs, and c's band is
-    walked alone up to its first leaf.
+    For n > r the leaf lies in the band of the first avoider c on [n-1]
+    in engine order that extends: the engine walks the whole band of
+    every avoider before c, and the same holds one vertex down for every
+    avoider on the way.  One `_join` walk of the band decides every row
+    of a batch of the avoiders on [n-1] that `_avoiders` yields.  Once a
+    row extends, the masks are narrowed to the rows below it, which alone
+    can still lower the answer.  A batch where no row extends adds its
+    exact band total; in the batch that holds c, the rows before it are
+    walked again for theirs, and c's band is walked alone up to its first
+    leaf.
     """
+    _check_limits(r, n, max_edges, max_nodes)
     limit = float("inf") if max_nodes is None else max_nodes
+    if n == r:  # the one edge of `_avoiders`' base: -1 on the first attempt, or no color if m = r
+        _add_nodes(nodes, 1 if m > r else 2, limit)
+        return SignFunction(r, n, np.array([-1], dtype=np.int8)) if m > r else None
     spent = [2]  # the engine's two attempts on [r], then every band walked exhaustively
     for band, plus, _, _ in _batches(r, n, m, limit, spent, _Base(nodes[0])):
-        walked = [0]
-        first = None
+        walked, first, p = [0], None, None
         masks = list(band.masks)  # narrowed below; the band keeps its own
-        for _, bits in _join(r, n, band.table, walked, float("inf"), masks):
-            first = (bits & -bits).bit_length() - 1
-            low = (1 << first) - 1
-            masks[:] = [(to_minus & low, to_plus & low) for to_minus, to_plus in masks]
+        for leaf, bits in _join(r, n, band.table, walked, float("inf"), masks):
+            row = (bits & -bits).bit_length() - 1  # a leaf's other color may predate the narrowing
+            if first is None or row < first:
+                first, p = row, list(leaf)
+                masks[:] = band.part(0, first)[1]
         if first is not None:
-            p, steps = band.leaf(first, 0)
-            nodes[0] = band.entry(first)
-            _add_nodes(nodes, steps, limit)
-            return (plus[first] * 2 - 1).tolist() + p
+            _add_nodes(nodes, band.count(first, p) - nodes[0], limit)
+            return SignFunction(r, n, np.array((plus[first] * 2 - 1).tolist() + p, dtype=np.int8))
         band.total = 2 * len(plus) + walked[0] // 2
     _add_nodes(nodes, spent[0], limit)
     return None
-
-
-def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
-                   max_nodes: int | None) -> SignFunction | None:
-    """Admit (r, n), then the path-pruned search's first leaf; ``nodes[0]`` accumulates.
-
-    For n > r, `_first_leaf` walks the band through vertex n per batch of
-    the avoiders on [n-1] that `_avoiders` yields, one vertex count at a
-    time, each level walking its own band the same way.  Leaf and count
-    are the engine's on [n]: the engine reaches its first leaf under the
-    first avoider on [n-1] that extends, after walking the whole band of
-    every avoider before it, and the same holds one vertex down for every
-    avoider on the way.
-    """
-    _check_limits(r, n, max_edges, max_nodes)
-    if n > r:
-        colors = _first_leaf(r, n, m, nodes, max_nodes)
-    else:  # the one edge of `_avoiders`' base: -1 on the first attempt, or no color if m = r
-        _add_nodes(nodes, 1 if m > r else 2, float("inf") if max_nodes is None else max_nodes)
-        colors = [-1] if m > r else None
-    return None if colors is None else SignFunction(r, n, np.array(colors, dtype=np.int8))
 
 
 def find_avoiding_coloring(

@@ -258,6 +258,19 @@ class TestBlockColoring:
         )
         assert len(t.transversal_zero_positions()) == ties
 
+    @pytest.mark.parametrize("position,match", [
+        (-1, "zero position -1 out of range 0..83"),
+        (84, "zero position 84 out of range 0..83"),
+        ("repeat", "repeated"),
+    ])
+    def test_transversal_zeros_refuse_bad_positions(self, position, match):
+        t = block_coloring(3, 2)
+        zeros = t.zero_positions
+        zeros = (zeros[0], *zeros) if position == "repeat" else (*zeros[:-1], position)
+        bad = TernaryColoring(t.fun, r=3, h=2, n=9, m=3, zero_positions=zeros)
+        with pytest.raises(InvalidArgument, match=match):
+            bad.transversal_zero_positions()
+
     def test_block_restriction_recurses(self):
         for r, h in [(3, 2), (3, 3)]:
             t = block_coloring(r, h)

@@ -619,6 +619,33 @@ LEVEL_SIZES = [(r, n, m) for r in range(2, 6) for m in range(r, r + 4)
                for n in range(r, (8 if r == 2 else 7) + 1)]
 
 
+def check_levels(r, n, m):
+    """Check `_avoiders` on [n] against the engine; returns the kinds of
+    batch ("one row", "rows") whose non-first leaves had their count checked."""
+    leaves, total = walk(_search, r, n, hook=path_pruner(r, n, m))
+    # a count walks the chain of batches below again: every yield is
+    # counted up to 100 leaves, evenly spread ones beyond
+    step = max(1, len(leaves) // 100)
+    constraints = reference_constraints(r, n)
+    spent = [2]
+    seen, counts, later, source = [], {}, set(), None
+    for plus, ends, band, rows in enumeration._avoiders(
+            r, n, m, float("inf"), spent, enumeration._Base(0)):
+        for flags, row_ends, row in zip(plus, ends, rows):
+            seen.append(tuple((flags * 2 - 1).tolist()))
+            first_leaf = source != (band, row)
+            source = band, row
+            if len(seen) % step == 0:
+                assert row_ends.tolist() == reference_ends(r, constraints, seen[-1])
+                counts[len(seen) - 1] = band.count(int(row), list(seen[-1][comb(n - 1, r):]))
+                if not first_leaf:
+                    later.add("one row" if band.table[0] == 1 else "rows")
+    assert seen == [colors for colors, _ in leaves]
+    assert counts == {i: leaves[i][1] for i in counts}
+    assert spent[0] == total
+    return later
+
+
 class TestLevels:
     """`_avoiders` yields the avoiders on [n] in the engine's order, each
     with its path ends and the engine's count at its yield, and leaves
@@ -626,23 +653,13 @@ class TestLevels:
 
     @pytest.mark.parametrize("r,n,m", LEVEL_SIZES)
     def test_every_yield(self, r, n, m):
-        leaves, total = walk(_search, r, n, hook=path_pruner(r, n, m))
-        # a count walks the chain of batches below again: every yield is
-        # counted up to 100 leaves, evenly spread ones beyond
-        step = max(1, len(leaves) // 100)
-        constraints = reference_constraints(r, n)
-        spent = [2]
-        seen, counts = [], {}
-        for plus, ends, band, rows, ranks in enumeration._avoiders(
-                r, n, m, float("inf"), spent, enumeration._Base(0)):
-            for flags, row_ends, row, rank in zip(plus, ends, rows, ranks):
-                seen.append(tuple((flags * 2 - 1).tolist()))
-                if len(seen) % step == 0:
-                    assert row_ends.tolist() == reference_ends(r, constraints, seen[-1])
-                    counts[len(seen) - 1] = band.count(int(row), int(rank))
-        assert seen == [colors for colors, _ in leaves]
-        assert counts == {i: leaves[i][1] for i in counts}
-        assert spent[0] == total
+        check_levels(r, n, m)
+
+    # A leaf's count is found by walking its row's band up to its colors:
+    # the checked yields include later leaves of one-row and of larger batches.
+    @pytest.mark.parametrize("r,n,m", [(2, 5, 4), (3, 6, 5), (4, 6, 6), (5, 7, 7)])
+    def test_later_leaves_of_both_batch_kinds(self, r, n, m):
+        assert check_levels(r, n, m) == {"one row", "rows"}
 
 
 def overrun_in_level(monkeypatch, r, k, batch):
