@@ -22,11 +22,16 @@ predicates already decided.  A filling can change only the (r+1)-subsets
 with a face among the zeros: 1,296 of the 17,550 at (r, h) = (3, 3), 576 of
 4,368 at (4, 2) and 5,200 of 177,100 at (5, 2).  The first violations among
 the other subsets are fixed by the template and found once per call, by the
-block walk of ``core`` with those subsets masked out; per completion, only
-the touched subsets' faces are gathered and checked, and the earlier of the
-two answers is stored as the coloring's cached violation ranks.  A
-completion thus costs time in proportion to z(n-r) subsets for z zeros,
-not to C(n, r+1).
+block walk of ``core`` with those subsets masked out.  The touched subsets
+are checked 64 fillings at a time: a block is drawn with one call (a sample
+row padded to whole 32-bit words of the generator, so the block is the same
+stream as one draw per sample), its fill bits are packed into one uint64
+word per zero, and each face reads its zero's word or the constant word of
+its fixed color, so a word-wise sign-change count flags every filling of the
+block in which a touched subset changes sign twice.  An unflagged filling
+keeps the template's ranks; a flagged one, which a block coloring never has,
+is checked alone for its first touched violations, and the earlier of the
+two answers is stored as the coloring's cached violation ranks.
 """
 
 from __future__ import annotations
@@ -39,10 +44,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (TABLE_CAP, SignFunction, _brief, _double_changes, _first_violations,
-                   check_size, colex_layout)
+                   _twice_words, check_size, colex_layout)
 from .errors import InvalidArgument, NoReduction, TooLarge
 
 Composition = tuple[int, ...]
+
+#: Fillings that `completions` draws and checks together: one bit each of a
+#: uint64 word per zero.  Blocks of several words per zero were no faster
+#: (3.5 us per completion with 1,024 fillings against 3.7 us with 64, at
+#: (r, h) = (3, 3) on 2 vCPUs) and raised the traced peak at (5, 2) from 1.4
+#: to 5.4 MB.
+_BLOCK = 64
 
 
 def compositions(m: int, parts: int | None = None) -> Iterator[Composition]:
@@ -172,8 +184,11 @@ def completions(
     0..C(n, r)-1 are refused, all before any work.
 
     Each coloring arrives with both predicates decided (module docstring):
-    only the (r+1)-subsets with a face among the zeros are checked per
-    coloring, the others once per call on ``t`` itself.
+    the (r+1)-subsets with a face among the zeros are checked 64 fillings
+    at a time with bitwise operations, and again alone for a filling where
+    one breaks monotonicity; the others once per call on ``t`` itself.
+    Sampled fillings are drawn 64 at a time, as the same stream as one
+    ``integers(0, 2, size=z, dtype=int8)`` call per sample.
     """
     z = len(t.zero_positions)
     if mode == "all":
@@ -193,20 +208,36 @@ def completions(
     keep = np.ones(comb(t.n, t.r + 1), dtype=bool)
     keep[ranks] = False
     fixed = _first_violations(t.r, t.n, t.fun.colors, keep)
-    if mode == "all":
-        fills = (((word >> np.arange(z)) & 1).astype(np.int8) for word in range(2 ** z))
-    else:
-        rng = np.random.default_rng(seed)
-        fills = (rng.integers(0, 2, size=z, dtype=np.int8) for _ in range(count))
     base = np.asarray(t.fun.colors)
-    for fill in fills:
-        colors = base.copy()
-        colors[zeros] = 2 * fill - 1
-        fun = SignFunction(t.r, t.n, colors)
-        rows = _double_changes(colors[col] for col in faces.T)
-        found = (int(ranks[row]) if row >= 0 else -1 for row in rows)
-        object.__setattr__(fun, "_violations", tuple(map(_earlier, fixed, found)))
-        yield fun
+    # each face as a row of a block's word table: a zero's fill bits, or the
+    # constant word of a fixed color, all-minus (row z) or all-plus (row z + 1)
+    source = np.where(base > 0, z + 1, z)
+    source[zeros] = np.arange(z)
+    source = source[faces]
+    total = 2 ** z if mode == "all" else count
+    rng = np.random.default_rng(seed) if mode == "sample" else None
+    for start in range(0, total, _BLOCK):
+        size = min(_BLOCK, total - start)
+        if rng is None:
+            fills = (np.arange(start, start + size)[:, None] >> np.arange(z) & 1).astype(np.int8)
+        else:  # 4 int8 draws per 32-bit word: whole words per row keep each sample's stream
+            fills = rng.integers(0, 2, size=(size, -(-z // 4) * 4), dtype=np.int8)[:, :z]
+        words = np.zeros((z + 2, 8), dtype=np.uint8)  # bit i of a row: filling i
+        words[:z, :-(-size // 8)] = np.packbits(fills, axis=0, bitorder="little").T
+        words[z + 1] = 0xFF
+        words = words.view("<u8")[:, 0]
+        flagged = int(_twice_words(words[column] for column in source.T))
+        for i, fill in enumerate(2 * fills - 1):
+            colors = base.copy()
+            colors[zeros] = fill
+            fun = SignFunction(t.r, t.n, colors)
+            found = fixed
+            if flagged >> i & 1:  # a touched subset changes sign twice: find the first
+                rows = _double_changes(colors[col] for col in faces.T)
+                found = tuple(map(_earlier, fixed, (int(ranks[row]) if row >= 0 else -1
+                                                    for row in rows)))
+            object.__setattr__(fun, "_violations", found)
+            yield fun
 
 
 def _positions(t: TernaryColoring) -> np.ndarray:

@@ -32,8 +32,9 @@ changes seen so far: a row that changes twice breaks monotonicity, and
 breaks transitivity as well when its first and last colors agree.  The walk
 takes an optional row mask and then reports the first violations among the
 marked rows only; ``compositions.completions`` checks a template's fixed
-rows that way, once per call, and each completion's other rows with the same
-column kernel, so completions arrive with both predicates decided.
+rows that way, once per call, and the other rows of 64 completions at once
+with the same walk over bit words (`_twice_words`), so completions arrive
+with both predicates decided.
 
 A :class:`SignFunction` validates its colors in one pass and stores
 whether they are binary, so the operations that need a binary coloring
@@ -385,6 +386,21 @@ def _double_changes(columns: Iterator[np.ndarray], keep: np.ndarray | None = Non
         return -1, -1
     both = twice & (first == prev)
     return int(twice.argmax()), int(both.argmax()) if both.any() else -1
+
+
+def _twice_words(columns: Iterator[np.ndarray]) -> np.uint64:
+    """`_double_changes` for 64 colorings at once: rows are deletion
+    sequences given one face at a time, a uint64 word per row whose bit i is
+    1 when coloring i colors that face plus.  Returns the word whose bit i
+    is set when some row changes sign twice in coloring i."""
+    prev = next(columns)
+    once, twice = np.zeros((2, len(prev)), dtype=np.uint64)
+    for cur in columns:
+        changed = cur ^ prev
+        twice |= once & changed
+        once |= changed
+        prev = cur
+    return np.bitwise_or.reduce(twice, axis=0)
 
 
 def _witness(c: SignFunction, row: int) -> tuple[int, ...] | None:

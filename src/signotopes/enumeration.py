@@ -506,14 +506,14 @@ def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.n
 
 
 class _Base:
-    """The avoiders on [r], its one edge -1 and then +1, which the engine
-    yields after 1 and 2 attempts on top of ``offset``."""
+    """The avoiders on [r], its one edge p = -1 and then +1, which the
+    engine yields after 1 and 2 attempts on top of ``offset``."""
 
     def __init__(self, offset: int):
         self.offset = offset
 
     def count(self, i: int, p: list[int]) -> int:
-        return self.offset + i + 1
+        return self.offset + 1 + (p[0] > 0)
 
 
 class _Band:
@@ -562,9 +562,10 @@ class _Band:
 def _pull(source: Iterator, held: list, size: int):
     """Up to ``size`` avoider rows, the block held over from the last pull
     first, then off ``source``: (plus, ends, sources, overrun), all but
-    ``overrun`` None when no row is left.  A TooLarge that ``source``
-    raises ends the pull early and comes back as ``overrun``; ``sources``
-    is (batches, rows there), one entry per row."""
+    ``overrun`` None when no row is left.  Only the rows taken are grown
+    (`_grown`).  A TooLarge that ``source`` raises ends the pull early and
+    comes back as ``overrun``; ``sources`` is (batches, rows there), one
+    entry per row."""
     parts, bands, got, overrun = [], [], 0, None
     while got < size:
         if not held:
@@ -575,14 +576,14 @@ def _pull(source: Iterator, held: list, size: int):
             except TooLarge as exc:
                 overrun = exc
                 break
-        plus, ends, band, rows = held.pop()
-        if len(plus) > size - got:
+        batch, rows, p = held.pop()
+        if len(rows) > size - got:
             cut = size - got
-            held.append((plus[cut:], ends[cut:], band, rows[cut:]))
-            plus, ends, rows = plus[:cut], ends[:cut], rows[:cut]
-        parts.append((plus, ends, rows))
-        bands += [band] * len(plus)
-        got += len(plus)
+            held.append((batch, rows[cut:], p[cut:]))
+            rows, p = rows[:cut], p[:cut]
+        parts.append((*_grown(*batch[1:], rows, p), rows))
+        bands += [batch[0]] * len(rows)
+        got += len(rows)
     if not parts:
         return None, None, None, overrun
     plus, ends, rows = (np.concatenate(column) for column in zip(*parts))
@@ -622,41 +623,46 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base
 
 def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
     """The avoiders on [k] in the path-pruned engine's order, as blocks
-    (plus flags, ends, batch, rows there).
+    (batch, rows, p): ``batch`` as `_batches` yields it (its band, plus
+    flags, ends and `_longest_through`), then the rows of the batch they
+    extend and their p's plus flags, one per avoider, not yet grown.
 
     Each batch of avoiders on [k-1] (`_batches`) walks its band through
     vertex k once by `_join`, with the masks `_longest_through` gives,
     and its leaves come out sorted by row, then by p in walk order, which
     is the engine's own order of p.  A batch of one row yields its leaves
-    as the walk finds them.  The new ends are `_longest_through`'s at p's
-    colors; they fit in uint8, since check_size keeps n below 256.
+    as the walk finds them.  On [r] the batch is one empty row of [r-1],
+    extended by p = -1, then +1, each ending a path of r vertices.
     """
     if k == r:
         if m > r:  # one edge: a path of r vertices either way
-            yield (np.array([[False], [True]]), np.full((2, 1), r, dtype=np.uint8), base,
-                   np.arange(2))
+            batch = (base, np.zeros((1, 0), dtype=bool), np.zeros((1, 0), dtype=np.uint8),
+                     np.full((2, 1, 1), r, dtype=np.uint8))
+            yield batch, np.zeros(2, dtype=np.int32), np.array([[False], [True]])
         return
-    for band, plus, ends, longest in _batches(r, k, m, limit, spent, base):
+    for batch in _batches(r, k, m, limit, spent, base):
+        band, plus = batch[:2]
         walked = [0]
         walk = _join(r, k, band.table, walked, float("inf"), band.masks)
         if len(plus) == 1:
             for p, _ in walk:
-                yield (*_grown(plus, ends, longest, [0], np.array([p]) > 0), band,
-                       np.zeros(1, dtype=np.int32))
+                yield batch, np.zeros(1, dtype=np.int32), np.array([p]) > 0
         elif leaves := [(list(p), bits) for p, bits in walk]:
             rows, counts = _leaf_rows(len(plus), [bits for _, bits in leaves])
             order = np.argsort(rows, kind="stable")
             rows, which = rows[order], np.repeat(np.arange(len(leaves)), counts)[order]
             flags = np.array([p for p, _ in leaves], dtype=np.int8) > 0
-            yield *_grown(plus, ends, longest, rows, flags[which]), band, rows
+            yield batch, rows, flags[which]
         band.total = 2 * len(plus) + walked[0] // 2
 
 
 def _grown(plus, ends, longest, rows, p):
     """Rows ``rows`` of a batch extended by the p's with plus flags ``p``:
-    the plus flags and ends of the avoiders on [k]."""
-    return (np.hstack((plus[rows], p)),
-            np.hstack((ends[rows], np.where(p, longest[1][rows], longest[0][rows]))))
+    the plus flags and ends of the avoiders on [k].  The new ends are
+    `_longest_through`'s at p's colors; they fit in uint8, since
+    check_size keeps n below 256."""
+    at_p = longest[p.view(np.int8), rows[:, None], np.arange(p.shape[1])]
+    return np.concatenate((plus[rows], p), axis=1), np.concatenate((ends[rows], at_p), axis=1)
 
 
 def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,

@@ -23,7 +23,7 @@ from signotopes import (
     transitive_violation,
     zero_lower_bound,
 )
-from signotopes.core import TABLE_CAP, colex_layout
+from signotopes.core import TABLE_CAP, _double_changes, _first_violations, colex_layout
 from signotopes.errors import InvalidArgument, NoReduction, TooLarge
 
 
@@ -483,6 +483,140 @@ class TestDecidedCompletions:
         for c in completions(flipped, mode="sample", count=10, seed=2):
             assert monotone_violation(c) is not None
             assert (monotone_violation(c), transitive_violation(c)) == fresh_violations(c)
+
+
+def reference_completions(t, mode="all", count=0, seed=0):
+    """Completions one filling at a time: a draw of z fills, a copy of the
+    template and a check of the touched subsets per filling."""
+    module = import_module("signotopes.compositions")
+    z = len(t.zero_positions)
+    zeros = module._positions(t)
+    ranks, faces = module._touched(t.r, t.n, zeros)
+    keep = np.ones(comb(t.n, t.r + 1), dtype=bool)
+    keep[ranks] = False
+    fixed = _first_violations(t.r, t.n, t.fun.colors, keep)
+    if mode == "all":
+        fills = (((word >> np.arange(z)) & 1).astype(np.int8) for word in range(2 ** z))
+    else:
+        rng = np.random.default_rng(seed)
+        fills = (rng.integers(0, 2, size=z, dtype=np.int8) for _ in range(count))
+    base = np.asarray(t.fun.colors)
+    for fill in fills:
+        colors = base.copy()
+        colors[zeros] = 2 * fill - 1
+        fun = SignFunction(t.r, t.n, colors)
+        rows = _double_changes(colors[col] for col in faces.T)
+        found = (int(ranks[row]) if row >= 0 else -1 for row in rows)
+        object.__setattr__(fun, "_violations", tuple(map(module._earlier, fixed, found)))
+        yield fun
+
+
+def same_as_reference(t, mode, count=0, seed=0):
+    """Assert that ``completions`` yields the reference's colors with the same
+    stored violation ranks; returns the number of yields."""
+    got = list(completions(t, mode, count, seed))
+    want = list(reference_completions(t, mode, count, seed))
+    assert len(got) == len(want) == (2 ** len(t.zero_positions) if mode == "all" else count)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.colors, b.colors)
+        assert vars(a)["_violations"] == vars(b)["_violations"]  # stored, not decided on read
+    return len(got)
+
+
+def with_zeros(z):
+    """A monotone (3, 8) coloring with its first z edges to fill."""
+    colors = random_monotone_coloring(3, 8, 5, max_edges=200).colors.copy()
+    colors[:z] = 0
+    return hand_built(3, 8, colors, range(z))
+
+
+def flipped_half(r, h):
+    """``block_coloring(r, h)`` with the first half of its fixed signs flipped."""
+    t = block_coloring(r, h)
+    colors = t.fun.colors.copy()
+    fixed = np.flatnonzero(colors)
+    colors[fixed[:len(fixed) // 2]] *= -1
+    return hand_built(r, t.n, colors, t.zero_positions)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the per-filling checks ``completions`` falls back to."""
+    module = import_module("signotopes.compositions")
+    calls = [0]
+
+    def counted(columns, keep=None):
+        calls[0] += 1
+        return _double_changes(columns, keep)
+
+    monkeypatch.setattr(module, "_double_changes", counted)
+    return calls
+
+
+class TestBlockCompletions:
+    """``completions`` draws and checks fillings a block at a time; it must
+    yield what the one-filling-at-a-time loop yields, violation ranks included."""
+
+    @pytest.mark.parametrize("r,h", [(3, 2), (3, 3), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 1000])
+    def test_sample_mode_across_block_edges(self, r, h, count):
+        same_as_reference(block_coloring(r, h), "sample", count, seed=count)
+
+    @pytest.mark.parametrize("z", [0, 5, 6, 7, 8])  # 1, 32, 64, 128 and 256 fillings
+    def test_all_mode_across_block_edges(self, z):
+        same_as_reference(with_zeros(z), "all")
+        same_as_reference(with_zeros(z), "sample", 65, seed=z)
+
+    def test_all_mode_of_a_block_coloring(self):
+        same_as_reference(block_coloring(3, 2), "all")
+
+    @pytest.mark.parametrize("case", sorted(PLANTED))
+    def test_planted_violations(self, case):
+        r, n, plus, fill, _, _ = PLANTED[case]
+        colors = np.full(comb(n, r), -1, dtype=np.int8)
+        colors[[colex_rank(e) for e in plus]] = 1
+        zeros = [colex_rank(e) for e in fill]
+        colors[zeros] = 0
+        t = hand_built(r, n, colors, zeros)
+        same_as_reference(t, "all")
+        same_as_reference(t, "sample", 65, seed=1)
+
+    @pytest.mark.parametrize("r,h,mode,count", [
+        (3, 2, "all", 0), (3, 3, "sample", 65), (4, 2, "sample", 65), (5, 2, "sample", 65)])
+    def test_every_filling_of_a_flipped_template_is_checked_alone(
+            self, fallbacks, r, h, mode, count):
+        yields = same_as_reference(flipped_half(r, h), mode, count, seed=4)
+        assert fallbacks[0] == yields
+
+    def test_block_colorings_need_no_per_filling_check(self, fallbacks):
+        for r, h in [(3, 2), (3, 3), (4, 2), (5, 2)]:
+            assert all(is_monotone(c) for c in completions(block_coloring(r, h), "sample", 65, 4))
+        assert fallbacks[0] == 0
+
+    @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 7, 54, 260])
+    def test_one_block_draw_is_the_per_sample_stream(self, z):
+        count = 65
+        block = np.random.default_rng(9).integers(
+            0, 2, size=(count, -(-z // 4) * 4), dtype=np.int8)[:, :z]
+        rng = np.random.default_rng(9)
+        each = np.array([rng.integers(0, 2, size=z, dtype=np.int8) for _ in range(count)])
+        assert np.array_equal(block, each), (
+            f"numpy no longer draws int8 values in [0, 2) four to a 32-bit word (z = {z}): "
+            "completions' block draws no longer give the per-sample stream")
+
+    def test_streaming_working_set_does_not_grow_with_count(self):
+        t = block_coloring(5, 2)
+        next(completions(t, "sample", 1, 1))  # builds the cached layouts
+        peaks = []
+        for count in (200, 2000):
+            tracemalloc.start()
+            try:
+                for _ in completions(t, "sample", count, 1):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]  # both traced 1.38 MB, as one filling at a time did
 
 
 class TestCompletionRefusals:

@@ -629,8 +629,10 @@ def check_levels(r, n, m):
     constraints = reference_constraints(r, n)
     spent = [2]
     seen, counts, later, source = [], {}, set(), None
-    for plus, ends, band, rows in enumeration._avoiders(
+    for batch, rows, p in enumeration._avoiders(
             r, n, m, float("inf"), spent, enumeration._Base(0)):
+        band, size = batch[0], len(batch[1])
+        plus, ends = enumeration._grown(*batch[1:], rows, p)
         for flags, row_ends, row in zip(plus, ends, rows):
             seen.append(tuple((flags * 2 - 1).tolist()))
             first_leaf = source != (band, row)
@@ -639,7 +641,7 @@ def check_levels(r, n, m):
                 assert row_ends.tolist() == reference_ends(r, constraints, seen[-1])
                 counts[len(seen) - 1] = band.count(int(row), list(seen[-1][comb(n - 1, r):]))
                 if not first_leaf:
-                    later.add("one row" if band.table[0] == 1 else "rows")
+                    later.add("one row" if size == 1 else "rows")
     assert seen == [colors for colors, _ in leaves]
     assert counts == {i: leaves[i][1] for i in counts}
     assert spent[0] == total
