@@ -108,7 +108,10 @@ def _parse_verify_mode(spec: str) -> tuple[str, int, int]:
         return "all", 0, 0
     sample = re.fullmatch(r"sample:(\d+):(\d+)", spec)
     if sample:
-        return "sample", int(sample[1]), int(sample[2])
+        try:
+            return "sample", int(sample[1]), int(sample[2])
+        except ValueError:  # more digits than int() converts
+            raise InvalidArgument("verify mode sample:COUNT:SEED: number too long") from None
     raise InvalidArgument(f"bad verify mode {spec!r}; use all or sample:COUNT:SEED")
 
 

@@ -20,31 +20,30 @@ of replacing the 0 entries by signs yields a monotone coloring.
 ``completions`` fills the zeros and yields each coloring with both
 predicates already decided.  A filling can change only the (r+1)-subsets
 with a face among the zeros: 1,296 of the 17,550 at (r, h) = (3, 3), 576 of
-4,368 at (4, 2) and 5,200 of 177,100 at (5, 2).  The first violations among
-the other subsets are fixed by the template and found once per call, by the
-block walk of ``core`` with those subsets masked out.  The touched subsets
-are checked 64 fillings at a time: a block is drawn with one call (a sample
-row padded to whole 32-bit words of the generator, so the block is the same
+4,368 at (4, 2) and 5,200 of 177,100 at (5, 2).  These touched subsets are
+checked 64 fillings at a time: a block is drawn with one call (a sample row
+padded to whole 32-bit words of the generator, so the block is the same
 stream as one draw per sample), its fill bits are packed into one uint64
 word per zero, and each face reads its zero's word or the constant word of
 its fixed color, so a word-wise sign-change count flags every filling of the
-block in which a touched subset changes sign twice.  An unflagged filling
-keeps the template's ranks; a flagged one, which a block coloring never has,
-is checked alone for its first touched violations, and the earlier of the
-two answers is stored as the coloring's cached violation ranks.
+block in which a touched subset changes sign twice.  A flagged filling,
+which a block coloring never has, is checked in full by its own
+``SignFunction``.  An unflagged one breaks the predicates only on untouched
+subsets, whose colors the template fixes, so all unflagged fillings of a
+call share their violation ranks: the first is checked in full, and its
+answer is stored on the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from math import comb, factorial
+from math import factorial
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import (TABLE_CAP, SignFunction, _brief, _double_changes, _first_violations,
-                   _twice_words, check_size, colex_layout)
+from .core import TABLE_CAP, SignFunction, _brief, _twice_words, check_size, colex_layout
 from .errors import InvalidArgument, NoReduction, TooLarge
 
 Composition = tuple[int, ...]
@@ -185,10 +184,11 @@ def completions(
 
     Each coloring arrives with both predicates decided (module docstring):
     the (r+1)-subsets with a face among the zeros are checked 64 fillings
-    at a time with bitwise operations, and again alone for a filling where
-    one breaks monotonicity; the others once per call on ``t`` itself.
-    Sampled fillings are drawn 64 at a time, as the same stream as one
-    ``integers(0, 2, size=z, dtype=int8)`` call per sample.
+    at a time with bitwise operations, and a filling where one changes sign
+    twice is checked in full, as is the first where none does; the later
+    ones share its answer.  Sampled fillings are drawn 64 at a time, as the
+    same stream as one ``integers(0, 2, size=z, dtype=int8)`` call per
+    sample.
     """
     z = len(t.zero_positions)
     if mode == "all":
@@ -204,18 +204,16 @@ def completions(
     else:
         raise InvalidArgument(f"mode must be 'all' or 'sample', got {mode!r}")
     zeros = _positions(t)
-    ranks, faces = _touched(t.r, t.n, zeros)
-    keep = np.ones(comb(t.n, t.r + 1), dtype=bool)
-    keep[ranks] = False
-    fixed = _first_violations(t.r, t.n, t.fun.colors, keep)
-    base = np.asarray(t.fun.colors)
+    faces = _touched(t.r, t.n, zeros)
+    colors = np.array(t.fun.colors)  # the work buffer each fill is written into
     # each face as a row of a block's word table: a zero's fill bits, or the
     # constant word of a fixed color, all-minus (row z) or all-plus (row z + 1)
-    source = np.where(base > 0, z + 1, z)
+    source = np.where(colors > 0, z + 1, z)
     source[zeros] = np.arange(z)
     source = source[faces]
     total = 2 ** z if mode == "all" else count
     rng = np.random.default_rng(seed) if mode == "sample" else None
+    shared = None  # the violations of the first unflagged filling
     for start in range(0, total, _BLOCK):
         size = min(_BLOCK, total - start)
         if rng is None:
@@ -228,15 +226,14 @@ def completions(
         words = words.view("<u8")[:, 0]
         flagged = int(_twice_words(words[column] for column in source.T))
         for i, fill in enumerate(2 * fills - 1):
-            colors = base.copy()
             colors[zeros] = fill
-            fun = SignFunction(t.r, t.n, colors)
-            found = fixed
-            if flagged >> i & 1:  # a touched subset changes sign twice: find the first
-                rows = _double_changes(colors[col] for col in faces.T)
-                found = tuple(map(_earlier, fixed, (int(ranks[row]) if row >= 0 else -1
-                                                    for row in rows)))
-            object.__setattr__(fun, "_violations", found)
+            fun = SignFunction(t.r, t.n, colors)  # a copy: the buffer is written again
+            if flagged >> i & 1:  # a touched subset changes sign twice
+                fun._violations  # decided in full and stored
+            elif shared is None:
+                shared = fun._violations
+            else:
+                object.__setattr__(fun, "_violations", shared)
             yield fun
 
 
@@ -253,28 +250,22 @@ def _positions(t: TernaryColoring) -> np.ndarray:
     return zeros
 
 
-def _touched(r: int, n: int, zeros: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (r+1)-subsets with a face among the edges ``zeros``: their colex
-    ranks, increasing, and their faces in deletion order (largest vertex
-    deleted first), one contiguous column per face.  Each zero edge lies in
-    n - r of them, so there are at most z(n-r) rows."""
+def _touched(r: int, n: int, zeros: np.ndarray) -> np.ndarray:
+    """The faces of the (r+1)-subsets with a face among the edges ``zeros``,
+    each subset once, in deletion order (largest vertex deleted first), one
+    contiguous column per face.  Each zero edge lies in n - r of them, so
+    there are at most z(n-r) rows."""
     edges = colex_layout(n, r).edges[zeros]
     outside = np.ones((len(zeros), n + 1), dtype=bool)
     outside[:, 0] = False
     outside[np.arange(len(zeros))[:, None], edges] = False
     row, extra = np.nonzero(outside)
     sets = np.sort(np.column_stack([edges[row], extra]), axis=1)
-    ranks, first = np.unique(colex_layout(n, r + 1).rank(sets), return_index=True)
-    sets = sets[first]
-    faces = np.empty((len(ranks), r + 1), dtype=np.int64, order="F")
+    sets = sets[np.unique(colex_layout(n, r + 1).rank(sets), return_index=True)[1]]
+    faces = np.empty((len(sets), r + 1), dtype=np.int64, order="F")
     for j in range(r + 1):
         faces[:, j] = colex_layout(n, r).rank(np.delete(sets, r - j, axis=1))
-    return ranks, faces
-
-
-def _earlier(a: int, b: int) -> int:
-    """The smaller of two ranks, -1 standing for none."""
-    return min(a, b) if a >= 0 and b >= 0 else max(a, b)
+    return faces
 
 
 def zero_lower_bound(r: int, h: int) -> int:

@@ -29,12 +29,10 @@ table, and the walk stops once both first violations are known, so no
 table of all C(n, r+1) subsets is formed past the small blocks.  Each
 block is walked one face (column) at a time, counting per row the sign
 changes seen so far: a row that changes twice breaks monotonicity, and
-breaks transitivity as well when its first and last colors agree.  The walk
-takes an optional row mask and then reports the first violations among the
-marked rows only; ``compositions.completions`` checks a template's fixed
-rows that way, once per call, and the other rows of 64 completions at once
-with the same walk over bit words (`_twice_words`), so completions arrive
-with both predicates decided.
+breaks transitivity as well when its first and last colors agree.
+``compositions.completions`` runs the same walk over bit words
+(`_twice_words`) to flag, 64 completions at once, those where a subset its
+fills touch changes sign twice.
 
 A :class:`SignFunction` validates its colors in one pass and stores
 whether they are binary, so the operations that need a binary coloring
@@ -343,15 +341,12 @@ def _head(r: int, n: int) -> int:
     return h
 
 
-def _first_violations(r: int, n: int, colors: np.ndarray,
-                      keep: np.ndarray | None = None) -> tuple[int, int]:
+def _first_violations(r: int, n: int, colors: np.ndarray) -> tuple[int, int]:
     """Colex ranks of the first (r+1)-subsets of an (r, n) coloring that break
     monotonicity and transitivity, -1 for none, read block by block (module
-    docstring).  ``keep``, a boolean per (r+1)-subset, limits both to its rows;
-    the others may read any color, 0 included."""
+    docstring)."""
     h = _head(r, n)
-    cut = keep if keep is None else keep[:comb(h, r + 1)]
-    mono, trans = _double_changes((colors[col] for col in colex_layout(h, r + 1).deletion.T), cut)
+    mono, trans = _double_changes(colors[col] for col in colex_layout(h, r + 1).deletion.T)
     for v in range(h + 1, n + 1):
         if trans >= 0:  # a transitive violation is a monotone one: both are known
             break
@@ -359,8 +354,7 @@ def _first_violations(r: int, n: int, colors: np.ndarray,
         # r-subset itself, deleting another vertex an (r-1)-subset of it plus v.
         w, lo = comb(v - 1, r), comb(v - 1, r + 1)
         block, faces = colors[w:], colex_layout(n, r).deletion[:w]
-        cut = keep if keep is None else keep[lo:lo + w]
-        m, t = _double_changes(chain([colors[:w]], (block[col] for col in faces.T)), cut)
+        m, t = _double_changes(chain([colors[:w]], (block[col] for col in faces.T)))
         if mono < 0 <= m:
             mono = lo + m
         if t >= 0:
@@ -368,11 +362,10 @@ def _first_violations(r: int, n: int, colors: np.ndarray,
     return mono, trans
 
 
-def _double_changes(columns: Iterator[np.ndarray], keep: np.ndarray | None = None) -> tuple[int, int]:
+def _double_changes(columns: Iterator[np.ndarray]) -> tuple[int, int]:
     """Rows are deletion color sequences, given one face (column) at a time:
     the first row that changes sign twice, and the first that does so with
-    equal first and last colors, among the rows ``keep`` marks (all if None);
-    -1 for none.  Counts changes per row."""
+    equal first and last colors; -1 for none.  Counts changes per row."""
     first = prev = next(columns)
     once, twice = np.zeros((2, len(first)), dtype=bool)
     for cur in columns:
@@ -380,8 +373,6 @@ def _double_changes(columns: Iterator[np.ndarray], keep: np.ndarray | None = Non
         twice |= once & changed
         once |= changed
         prev = cur
-    if keep is not None:
-        twice &= keep
     if not twice.any():
         return -1, -1
     both = twice & (first == prev)

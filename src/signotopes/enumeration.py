@@ -630,9 +630,8 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
     Each batch of avoiders on [k-1] (`_batches`) walks its band through
     vertex k once by `_join`, with the masks `_longest_through` gives,
     and its leaves come out sorted by row, then by p in walk order, which
-    is the engine's own order of p.  A batch of one row yields its leaves
-    as the walk finds them.  On [r] the batch is one empty row of [r-1],
-    extended by p = -1, then +1, each ending a path of r vertices.
+    is the engine's own order of p.  On [r] the batch is one empty row of
+    [r-1], extended by p = -1, then +1, each ending a path of r vertices.
     """
     if k == r:
         if m > r:  # one edge: a path of r vertices either way
@@ -644,10 +643,7 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
         band, plus = batch[:2]
         walked = [0]
         walk = _join(r, k, band.table, walked, float("inf"), band.masks)
-        if len(plus) == 1:
-            for p, _ in walk:
-                yield batch, np.zeros(1, dtype=np.int32), np.array([p]) > 0
-        elif leaves := [(list(p), bits) for p, bits in walk]:
+        if leaves := [(list(p), bits) for p, bits in walk]:
             rows, counts = _leaf_rows(len(plus), [bits for _, bits in leaves])
             order = np.argsort(rows, kind="stable")
             rows, which = rows[order], np.repeat(np.arange(len(leaves)), counts)[order]

@@ -232,6 +232,13 @@ class TestComp:
         assert "table cap" in err
         assert time.perf_counter() - start < 1
 
+    @pytest.mark.parametrize("spec", [f"sample:{'9' * 5000}:1", f"sample:5:{'9' * 5000}"],
+                             ids=["count", "seed"])
+    def test_sample_number_past_int_digits_exits_two(self, capsys, spec):
+        code, manifest, err = run(capsys, "comp", "--r", "3", "--h", "2", "--verify", spec)
+        assert code == 2 and manifest is None
+        assert "number too long" in err
+
 
 class TestCount:
     def test_count_manifest(self, capsys):

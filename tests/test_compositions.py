@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 
@@ -23,7 +24,7 @@ from signotopes import (
     transitive_violation,
     zero_lower_bound,
 )
-from signotopes.core import TABLE_CAP, _double_changes, _first_violations, colex_layout
+from signotopes.core import TABLE_CAP, colex_layout
 from signotopes.errors import InvalidArgument, NoReduction, TooLarge
 
 
@@ -434,6 +435,10 @@ PLANTED = {
         0 <= first(rows, lambda row: row[1]) < first(rows, lambda row: not row[1]))),
     "transitive after monotone": (3, 5, [(1, 2, 4), (2, 3, 4), (1, 2, 5)], [(1, 3, 5)], any,
                                   lambda rows: 0 <= first(rows) < first(rows, column=3)),
+    # the first filling breaks {1, 2, 3}, the second nothing: the violations the
+    # unflagged fillings share must not come from a flagged one
+    "flagged, then clean": (2, 5, [(1, 2), (2, 3)], [(1, 3)], lambda seen: seen == [True, False],
+                            lambda rows: first(rows) >= 0),
 }
 
 
@@ -487,14 +492,9 @@ class TestDecidedCompletions:
 
 def reference_completions(t, mode="all", count=0, seed=0):
     """Completions one filling at a time: a draw of z fills, a copy of the
-    template and a check of the touched subsets per filling."""
-    module = import_module("signotopes.compositions")
+    template and a full check of a fresh coloring per filling."""
     z = len(t.zero_positions)
-    zeros = module._positions(t)
-    ranks, faces = module._touched(t.r, t.n, zeros)
-    keep = np.ones(comb(t.n, t.r + 1), dtype=bool)
-    keep[ranks] = False
-    fixed = _first_violations(t.r, t.n, t.fun.colors, keep)
+    zeros = list(t.zero_positions)
     if mode == "all":
         fills = (((word >> np.arange(z)) & 1).astype(np.int8) for word in range(2 ** z))
     else:
@@ -505,9 +505,7 @@ def reference_completions(t, mode="all", count=0, seed=0):
         colors = base.copy()
         colors[zeros] = 2 * fill - 1
         fun = SignFunction(t.r, t.n, colors)
-        rows = _double_changes(colors[col] for col in faces.T)
-        found = (int(ranks[row]) if row >= 0 else -1 for row in rows)
-        object.__setattr__(fun, "_violations", tuple(map(module._earlier, fixed, found)))
+        fun._violations  # decided from scratch, and stored
         yield fun
 
 
@@ -540,16 +538,22 @@ def flipped_half(r, h):
 
 
 @pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the per-filling checks ``completions`` falls back to."""
-    module = import_module("signotopes.compositions")
+def full_checks(monkeypatch):
+    """Counts the full checks (`core._first_violations` calls) made while
+    ``completions`` runs, not those of the reference or of the test itself."""
+    core = import_module("signotopes.core")
+    inside = import_module("signotopes.compositions").completions.__code__
+    check = core._first_violations
     calls = [0]
 
-    def counted(columns, keep=None):
-        calls[0] += 1
-        return _double_changes(columns, keep)
+    def counted(*args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not inside:
+            frame = frame.f_back
+        calls[0] += frame is not None
+        return check(*args)
 
-    monkeypatch.setattr(module, "_double_changes", counted)
+    monkeypatch.setattr(core, "_first_violations", counted)
     return calls
 
 
@@ -584,14 +588,15 @@ class TestBlockCompletions:
     @pytest.mark.parametrize("r,h,mode,count", [
         (3, 2, "all", 0), (3, 3, "sample", 65), (4, 2, "sample", 65), (5, 2, "sample", 65)])
     def test_every_filling_of_a_flipped_template_is_checked_alone(
-            self, fallbacks, r, h, mode, count):
+            self, full_checks, r, h, mode, count):
         yields = same_as_reference(flipped_half(r, h), mode, count, seed=4)
-        assert fallbacks[0] == yields
+        assert full_checks[0] == yields
 
-    def test_block_colorings_need_no_per_filling_check(self, fallbacks):
+    def test_block_colorings_need_no_per_filling_check(self, full_checks):
         for r, h in [(3, 2), (3, 3), (4, 2), (5, 2)]:
+            full_checks[0] = 0
             assert all(is_monotone(c) for c in completions(block_coloring(r, h), "sample", 65, 4))
-        assert fallbacks[0] == 0
+            assert full_checks[0] == 1  # the first filling's, which the other 64 share
 
     @pytest.mark.parametrize("z", [1, 2, 3, 4, 5, 7, 54, 260])
     def test_one_block_draw_is_the_per_sample_stream(self, z):
