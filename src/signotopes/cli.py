@@ -106,7 +106,7 @@ def _cmd_tower(args) -> tuple[int, dict]:
 def _parse_verify_mode(spec: str) -> tuple[str, int, int]:
     if spec == "all":
         return "all", 0, 0
-    sample = re.fullmatch(r"sample:(\d+):(\d+)", spec)
+    sample = re.fullmatch(r"sample:([0-9]+):([0-9]+)", spec)  # \d would take any Unicode digit
     if sample:
         try:
             return "sample", int(sample[1]), int(sample[2])

@@ -433,7 +433,7 @@ def is_transitive(c: SignFunction) -> bool:
 # line 3: C(n,r) characters over -, +, 0 in colex order
 # LF line endings, trailing newline.
 
-_HEADER_RE = re.compile(r"^r=(\d+) n=(\d+)$")
+_HEADER_RE = re.compile(r"^r=([0-9]+) n=([0-9]+)$")  # \d would take any Unicode digit
 _CONTENT_RE = re.compile(r"[^\n]+")  # one line's content
 #: The longest file an admitted coloring writes: C(n, r) <= TABLE_CAP / r, r and n <= TABLE_CAP.
 MAX_FILE_BYTES = len(f"MONO 1\nr={TABLE_CAP} n={TABLE_CAP}\n\n") + TABLE_CAP // 2

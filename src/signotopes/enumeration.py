@@ -25,19 +25,20 @@ the first edge minus and doubles the count.
 Ramsey search runs wholly on that join.  Its answer is the first leaf
 of the path-pruned engine, the engine with a hook that forbids the
 colors closing a monochromatic m-vertex path, but that engine is never
-run: every band is walked as a join, one vertex at a time.  On [r]
-itself the answer is the one edge -1, or none when m = r.  A path
+run: every band is walked as a join, one vertex at a time.  A path
 through vertex k enters its last window from a window of [k-1], so
 which colors p may take there, and how long a path each color ends, are
-fixed by c alone.  From the two one-edge avoiders on [r], each level k
-walks the band through k once per batch of avoiders on [k-1] and yields
-the avoiders on [k] in the engine's order; the last level stops at the
-first row that extends.  The leaf is the engine's, and so is the node
-count: the engine's count at a leaf is its row's count, plus the totals
-of every earlier band, plus the attempts in its own band up to the
-leaf.  Band totals come from popcounts.  Only the chain of avoiders
-above the answer is walked leaf by leaf: each is found in the band of
-the row it extends as the leaf whose p is its own last colors.
+fixed by c alone.  From the one coloring of [r-1], which has no edge,
+each level k walks the band through k once per batch of avoiders on
+[k-1] and yields the avoiders on [k] in the engine's order; the last
+level stops at the first row that extends.  [r] is an ordinary level:
+its one band gives the edge -1, then +1, or neither when m = r.  The
+leaf is the engine's, and so is the node count: the engine's count at a
+leaf is its row's count, plus the totals of every earlier band, plus
+the attempts in its own band up to the leaf.  Band totals come from
+popcounts.  Only the chain of avoiders above the answer is walked leaf
+by leaf: each is found in the band of the row it extends as the leaf
+whose p is its own last colors.
 """
 
 from __future__ import annotations
@@ -236,6 +237,13 @@ def _pack(flags: np.ndarray) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def _bits(columns: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Bits lo..hi-1 of each bitset, renumbered from 0: rows lo..hi-1 of
+    a table's columns."""
+    low = (1 << (hi - lo)) - 1
+    return [col >> lo & low for col in columns]
+
+
 def _add_nodes(nodes: list[int], amount: int, limit: float) -> None:
     nodes[0] += amount
     if nodes[0] > limit:
@@ -377,8 +385,8 @@ def count_monotone(
         _add_nodes(nodes, 4 * size, limit)
         jobs = min(workers, size)
         bounds = [size * i // jobs for i in range(jobs + 1)]
-        args = [(r, n, (hi - lo, [(col >> lo) & ((1 << (hi - lo)) - 1) for col in plus]),
-                 nodes[0], limit) for lo, hi in zip(bounds, bounds[1:])]
+        args = [(r, n, (hi - lo, _bits(plus, lo, hi)), nodes[0], limit)
+                for lo, hi in zip(bounds, bounds[1:])]
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
                 parts = list(pool.map(_join_worker, args))
@@ -506,119 +514,106 @@ def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.n
 
 
 class _Base:
-    """The avoiders on [r], its one edge p = -1 and then +1, which the
-    engine yields after 1 and 2 attempts on top of ``offset``."""
+    """The one coloring of [r-1], which has no edge: the engine enters the
+    band of [r] with ``offset`` nodes."""
 
     def __init__(self, offset: int):
         self.offset = offset
 
     def count(self, i: int, p: list[int]) -> int:
-        return self.offset + 1 + (p[0] > 0)
+        return self.offset
 
 
 class _Band:
     """A batch of avoiders on [k-1] whose band through vertex k is walked
     as one join: the rows as a table with per-p-edge masks (see `_join`),
     where each row came from, and ``before``, the engine's nodes in the
-    bands of every earlier batch.  The caller sets ``total``, the nodes in
-    this batch's bands.  The engine's count at a leaf is computed on
-    demand, down the chain of the batches it came from: each avoider on
-    the chain is found among its row's leaves by its own colors."""
+    bands of every earlier batch.  The engine's count at a leaf is
+    computed on demand, down the chain of the batches it came from, to
+    the edgeless [r-1]: each avoider on the chain is found among its
+    row's leaves by its own colors."""
 
     def __init__(self, r: int, k: int, table: _Table, masks: list[tuple[int, int]],
-                 sources, before: int):
-        self.r, self.k, self.table, self.masks, self.before = r, k, table, masks, before
-        self.bands, self.rows = sources
-        self.total = 0
+                 bands: list, rows: np.ndarray, before: int):
+        self.r, self.k, self.table, self.masks = r, k, table, masks
+        self.bands, self.rows, self.before = bands, rows, before
 
     def part(self, lo: int, hi: int) -> tuple[_Table, list[tuple[int, int]]]:
         """The table and masks of rows lo..hi-1 alone, renumbered from 0."""
-        low = (1 << (hi - lo)) - 1
-        return ((hi - lo, [col >> lo & low for col in self.table[1]]),
-                [(minus >> lo & low, plus >> lo & low) for minus, plus in self.masks])
+        return ((hi - lo, _bits(self.table[1], lo, hi)),
+                [tuple(_bits(pair, lo, hi)) for pair in self.masks])
 
-    def entry(self, i: int) -> int:
-        """The engine's count on entering row i's band: row i's own count,
-        found in the batch below by its last colors, plus the rows before
-        it, walked again for their band total."""
-        p = [(col >> i & 1) * 2 - 1 for col in self.table[1][comb(self.k - 2, self.r):]]
-        walked = [0]
+    def count(self, i: int, p: list[int]) -> int:
+        """The engine's count at the leaf p of row i's band: the walk of
+        row i alone is the engine's walk of its band, up to p, entered
+        with row i's own count, found in the batch below by its last
+        colors, plus the rows before it, walked again for their band
+        total."""
+        steps, walked = [0], [0]
+        table, masks = self.part(i, i + 1)
+        leaves = _join(self.r, self.k, table, [0], float("inf"), masks, steps)
+        next(leaf for leaf, _ in leaves if leaf == p)
         if i:
             table, masks = self.part(0, i)
             for _ in _join(self.r, self.k, table, walked, float("inf"), masks):
                 pass
-        return self.bands[i].count(int(self.rows[i]), p) + self.before + 2 * i + walked[0] // 2
-
-    def count(self, i: int, p: list[int]) -> int:
-        """The engine's count at the leaf p of row i's band: the walk of
-        row i alone is the engine's walk of its band, up to p."""
-        steps = [0]
-        table, masks = self.part(i, i + 1)
-        leaves = _join(self.r, self.k, table, [0], float("inf"), masks, steps)
-        next(leaf for leaf, _ in leaves if leaf == p)
-        return self.entry(i) + steps[0]
-
-
-def _pull(source: Iterator, held: list, size: int):
-    """Up to ``size`` avoider rows, the block held over from the last pull
-    first, then off ``source``: (plus, ends, sources, overrun), all but
-    ``overrun`` None when no row is left.  Only the rows taken are grown
-    (`_grown`).  A TooLarge that ``source`` raises ends the pull early and
-    comes back as ``overrun``; ``sources`` is (batches, rows there), one
-    entry per row."""
-    parts, bands, got, overrun = [], [], 0, None
-    while got < size:
-        if not held:
-            try:
-                held.append(next(source))
-            except StopIteration:
-                break
-            except TooLarge as exc:
-                overrun = exc
-                break
-        batch, rows, p = held.pop()
-        if len(rows) > size - got:
-            cut = size - got
-            held.append((batch, rows[cut:], p[cut:]))
-            rows, p = rows[:cut], p[:cut]
-        parts.append((*_grown(*batch[1:], rows, p), rows))
-        bands += [batch[0]] * len(rows)
-        got += len(rows)
-    if not parts:
-        return None, None, None, overrun
-    plus, ends, rows = (np.concatenate(column) for column in zip(*parts))
-    return plus, ends, (bands, rows), overrun
+        below = [(col >> i & 1) * 2 - 1 for col in self.table[1][comb(self.k - 2, self.r):]]
+        entry = self.bands[i].count(int(self.rows[i]), below) + self.before + 2 * i
+        return entry + walked[0] // 2 + steps[0]
 
 
 def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
     """The avoiders on [k-1] in engine order, in batches doubling from one
-    row, each holding at most TABLE_CAP colors: yields (`_Band`, plus
-    flags, ends, `_longest_through`) per batch.  The caller walks the
-    band and sets ``total``, which goes to ``before`` and ``spent[0]``.
-    TooLarge is raised once the bands walked at this level alone pass
-    ``limit``, since the engine walks every band of a batch before it
-    moves past the batch's last row, and once a TooLarge from the level
-    below has cut a batch short and that batch is walked: a search within
-    the budget ends among the rows already yielded."""
+    row, each holding at most TABLE_CAP colors, with the walk of each
+    batch's band through vertex k: yields ((`_Band`, plus flags, ends,
+    `_longest_through`), the `_join` walk, the masks list it reads).  A
+    caller that resumes has walked the band to the end, and its total
+    goes to ``before`` and ``spent[0]``.  Only the rows taken are grown
+    (`_grown`).  TooLarge is raised once the bands walked at this level
+    alone pass ``limit``, since the engine walks every band of a batch
+    before it moves past the batch's last row, and once a TooLarge from
+    the level below has cut a batch short and that batch is walked: a
+    search within the budget ends among the rows already yielded.  On
+    [r] the one batch is the edgeless coloring of [r-1]."""
     source = _avoiders(r, k - 1, m, limit, spent, base)
-    held: list = []
-    before, size = 0, 1
+    held, overrun, before, size = None, None, 0, 1
     while True:
-        plus, ends, sources, overrun = _pull(source, held, size)
-        if plus is not None:
+        parts, bands = [], []
+        while len(bands) < size:
+            if held is None:
+                try:
+                    held = next(source)
+                except StopIteration:
+                    break
+                except TooLarge as exc:
+                    overrun = exc
+                    break
+            batch, rows, p = held
+            cut = size - len(bands)
+            held = (batch, rows[cut:], p[cut:]) if len(rows) > cut else None
+            rows, p = rows[:cut], p[:cut]
+            parts.append((*_grown(*batch[1:], rows, p), rows))
+            bands += [batch[0]] * len(rows)
+        if parts:
+            plus, ends, rows = (np.concatenate(column) for column in zip(*parts))
+            del parts, batch, p  # free the grown slices and the block below before the walk
             longest = _longest_through(r, k, plus, ends)
             masks = list(zip(_columns(longest[0] < m), _columns(longest[1] < m)))
-            band = _Band(r, k, (len(plus), _columns(plus)), masks, sources, before)
-            yield band, plus, ends, longest
-            before += band.total
-            spent[0] += band.total
+            band = _Band(r, k, (len(plus), _columns(plus)), masks, bands, rows, before)
+            walked, masks = [0], list(masks)  # the caller may narrow these; the band keeps its own
+            yield ((band, plus, ends, longest),
+                   _join(r, k, band.table, walked, float("inf"), masks), masks)
+            total = 2 * len(plus) + walked[0] // 2
+            before += total
+            spent[0] += total
             if overrun is None and base.offset + before > limit:
                 overrun = TooLarge(f"search exceeded node budget {limit}")
         if overrun is not None:
             raise overrun
-        if plus is None or len(plus) < size:
+        if len(bands) < size:
             return
-        size = min(2 * size, TABLE_CAP // comb(k - 1, r))  # at least 1: check_size admitted (r, n)
+        # at least 1, since check_size admitted (r, n); on [r-1], C(r-1, r) = 0: no edge
+        size = min(2 * size, TABLE_CAP // (comb(k - 1, r) or 1))
 
 
 def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
@@ -627,29 +622,25 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
     flags, ends and `_longest_through`), then the rows of the batch they
     extend and their p's plus flags, one per avoider, not yet grown.
 
-    Each batch of avoiders on [k-1] (`_batches`) walks its band through
-    vertex k once by `_join`, with the masks `_longest_through` gives,
+    Each batch of avoiders on [k-1] walks its band through vertex k once
+    (`_batches` gives the walk, with the masks `_longest_through` gives),
     and its leaves come out sorted by row, then by p in walk order, which
-    is the engine's own order of p.  On [r] the batch is one empty row of
-    [r-1], extended by p = -1, then +1, each ending a path of r vertices.
+    is the engine's own order of p.  On [r-1] the one coloring has no
+    edge, so [r] is an ordinary level: its band gives p = -1, then +1,
+    each ending a path of r vertices.
     """
-    if k == r:
-        if m > r:  # one edge: a path of r vertices either way
-            batch = (base, np.zeros((1, 0), dtype=bool), np.zeros((1, 0), dtype=np.uint8),
-                     np.full((2, 1, 1), r, dtype=np.uint8))
-            yield batch, np.zeros(2, dtype=np.int32), np.array([[False], [True]])
+    if k == r - 1:
+        batch = (base, np.zeros((1, 0), dtype=bool), np.zeros((1, 0), dtype=np.uint8),
+                 np.zeros((2, 1, 0), dtype=np.uint8))
+        yield batch, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool)
         return
-    for batch in _batches(r, k, m, limit, spent, base):
-        band, plus = batch[:2]
-        walked = [0]
-        walk = _join(r, k, band.table, walked, float("inf"), band.masks)
+    for batch, walk, _ in _batches(r, k, m, limit, spent, base):
         if leaves := [(list(p), bits) for p, bits in walk]:
-            rows, counts = _leaf_rows(len(plus), [bits for _, bits in leaves])
+            rows, counts = _leaf_rows(len(batch[1]), [bits for _, bits in leaves])
             order = np.argsort(rows, kind="stable")
             rows, which = rows[order], np.repeat(np.arange(len(leaves)), counts)[order]
             flags = np.array([p for p, _ in leaves], dtype=np.int8) > 0
             yield batch, rows, flags[which]
-        band.total = 2 * len(plus) + walked[0] // 2
 
 
 def _grown(plus, ends, longest, rows, p):
@@ -668,27 +659,23 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
     when there is none.  Past ``max_nodes`` raises TooLarge, as the
     engine would.
 
-    For n > r the leaf lies in the band of the first avoider c on [n-1]
-    in engine order that extends: the engine walks the whole band of
-    every avoider before c, and the same holds one vertex down for every
-    avoider on the way.  One `_join` walk of the band decides every row
-    of a batch of the avoiders on [n-1] that `_avoiders` yields.  Once a
-    row extends, the masks are narrowed to the rows below it, which alone
-    can still lower the answer.  A batch where no row extends adds its
-    exact band total; in the batch that holds c, the rows before it are
-    walked again for theirs, and c's band is walked alone up to its first
-    leaf.
+    The leaf lies in the band of the first avoider c on [n-1] in engine
+    order that extends, the edgeless coloring of [r-1] when n = r: the
+    engine walks the whole band of every avoider before c, and the same
+    holds one vertex down for every avoider on the way.  One `_join` walk
+    of the band decides every row of a batch of the avoiders on [n-1]
+    that `_batches` yields.  Once a row extends, the walk's masks are
+    narrowed in place to the rows below it, which alone can still lower
+    the answer.  A batch where no row extends adds its exact band total;
+    in the batch that holds c, the rows before it are walked again for
+    theirs, and c's band is walked alone up to its first leaf.
     """
     _check_limits(r, n, max_edges, max_nodes)
     limit = float("inf") if max_nodes is None else max_nodes
-    if n == r:  # the one edge of `_avoiders`' base: -1 on the first attempt, or no color if m = r
-        _add_nodes(nodes, 1 if m > r else 2, limit)
-        return SignFunction(r, n, np.array([-1], dtype=np.int8)) if m > r else None
-    spent = [2]  # the engine's two attempts on [r], then every band walked exhaustively
-    for band, plus, _, _ in _batches(r, n, m, limit, spent, _Base(nodes[0])):
-        walked, first, p = [0], None, None
-        masks = list(band.masks)  # narrowed below; the band keeps its own
-        for leaf, bits in _join(r, n, band.table, walked, float("inf"), masks):
+    spent = [0]  # the engine's attempts in every band walked exhaustively
+    for (band, plus, _, _), walk, masks in _batches(r, n, m, limit, spent, _Base(nodes[0])):
+        first = p = None
+        for leaf, bits in walk:
             row = (bits & -bits).bit_length() - 1  # a leaf's other color may predate the narrowing
             if first is None or row < first:
                 first, p = row, list(leaf)
@@ -696,7 +683,6 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
         if first is not None:
             _add_nodes(nodes, band.count(first, p) - nodes[0], limit)
             return SignFunction(r, n, np.array((plus[first] * 2 - 1).tolist() + p, dtype=np.int8))
-        band.total = 2 * len(plus) + walked[0] // 2
     _add_nodes(nodes, spent[0], limit)
     return None
 

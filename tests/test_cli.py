@@ -239,6 +239,13 @@ class TestComp:
         assert code == 2 and manifest is None
         assert "number too long" in err
 
+    # int() reads any Unicode decimal digit; the mode admits ASCII ones only.
+    @pytest.mark.parametrize("spec", ["sample:\u0661\u0660:\u0663", "sample:\uff11\uff10:\uff13"],
+                             ids=["arabic-indic", "fullwidth"])
+    def test_sample_with_non_ascii_digits_exits_two(self, capsys, spec):
+        code, manifest, _ = run(capsys, "comp", "--r", "3", "--h", "2", "--verify", spec)
+        assert code == 2 and manifest is None
+
 
 class TestCount:
     def test_count_manifest(self, capsys):

@@ -591,6 +591,14 @@ class TestFileFormat:
         assert err.value.line == line
         assert err.value.column == col
 
+    # int() reads any Unicode decimal digit; the header admits ASCII ones only.
+    @pytest.mark.parametrize("header", ["r=\u0663 n=\u0665", "r=\uff13 n=\uff15"],
+                             ids=["arabic-indic", "fullwidth"])
+    def test_non_ascii_header_digits_are_refused(self, header):
+        with pytest.raises(ParseError) as err:
+            loads(f"MONO 1\n{header}\n----------\n")
+        assert (err.value.line, err.value.column) == (2, 1)
+
     def test_long_colors_line_is_measured_not_decoded(self):
         text = "MONO 1\nr=2 n=3\n" + "-" * 10**7 + "\n"
         tracemalloc.start()

@@ -627,7 +627,7 @@ def check_levels(r, n, m):
     # counted up to 100 leaves, evenly spread ones beyond
     step = max(1, len(leaves) // 100)
     constraints = reference_constraints(r, n)
-    spent = [2]
+    spent = [0]
     seen, counts, later, source = [], {}, set(), None
     for batch, rows, p in enumeration._avoiders(
             r, n, m, float("inf"), spent, enumeration._Base(0)):
@@ -711,6 +711,15 @@ class TestFirstAvoiderByBandJoin:
                 engine_first_avoider(r, n, m, max_nodes=budget)
             with pytest.raises(TooLarge):
                 band_first_avoider(r, n, m, max_nodes=budget)
+
+    # [r] with m > r is an ordinary level: its first leaf, the edge -1,
+    # costs one node, which a budget of 0 does not cover.
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_node_budget_on_r_vertices(self, r):
+        with pytest.raises(TooLarge):
+            find_avoiding_coloring(r, r, r + 1, max_nodes=0)
+        found, nodes = find_avoiding_coloring(r, r, r + 1, max_nodes=1)
+        assert (found.colors.tolist(), nodes) == ([-1], 1)
 
     def test_budget_bounds_the_engine_on_n_minus_1(self):
         # 60,158,006 nodes without a budget; the levels below [11] run out
