@@ -214,6 +214,15 @@ def _cmd_selftest(args) -> tuple[int, dict]:
     return code, {"parameters": {"only": args.only}, "result": result}
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits after an optional minus, as the
+    header and ``--verify`` parsers read them; ``int`` alone would take
+    any Unicode decimal digit and surrounding whitespace."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing leaves it unchanged, so it is built once."""
@@ -222,11 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Monotone colorings of ordered uniform hypergraphs",
         allow_abbrev=False,  # the ramsey --max flag must not clash with --max-*
     )
-    parser.add_argument("--max-edges", type=int, default=SEARCH_EDGE_CAP,
+    parser.add_argument("--max-edges", type=_integer, default=SEARCH_EDGE_CAP,
                         help="edge cap for the count and ramsey searches (exit 3 beyond)")
-    parser.add_argument("--max-nodes", type=int, default=None,
+    parser.add_argument("--max-nodes", type=_integer, default=None,
                         help="search node budget (exit 3 beyond)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_integer, default=1,
                         help="count jobs, run by at most as many processes as CPUs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -239,34 +248,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_path)
 
     p = sub.add_parser("tower", help="build the tower coloring")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--emit", default=None)
     p.set_defaults(func=_cmd_tower)
 
     p = sub.add_parser("comp", help="build the block coloring")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--h", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--h", type=_integer, required=True)
     p.add_argument("--verify", default=None, metavar="all|sample:K:SEED")
     p.add_argument("--emit", default=None)
     p.set_defaults(func=_cmd_comp)
 
     p = sub.add_parser("count", help="count monotone colorings exactly")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--n", type=_integer, required=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("ramsey", help="smallest N forcing a monochromatic path")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--path", type=int, required=True, help="path vertex count m")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
+    p.add_argument("--path", type=_integer, required=True, help="path vertex count m")
+    p.add_argument("--max", type=_integer, required=True)
     p.add_argument("--witness", default=None, help="persist the avoiding coloring")
     p.set_defaults(func=_cmd_ramsey)
 
     p = sub.add_parser("project", help="project onto a vertex")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--i", type=_integer, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_project)
 
@@ -277,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_wiring)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", type=int, default=None, help="run a single criterion")
+    p.add_argument("--only", type=_integer, default=None, help="run a single criterion")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

@@ -33,6 +33,11 @@ each level k walks the band through k once per batch of avoiders on
 [k-1] and yields the avoiders on [k] in the engine's order; the last
 level stops at the first row that extends.  [r] is an ordinary level:
 its one band gives the edge -1, then +1, or neither when m = r.  The
+color swap maps avoiders to avoiders and the engine's tree onto
+itself, so the first leaf, if any, lies below the edge -1, and the
+tree below +1 repeats the node total below -1: [r] yields the edge -1
+alone, and a search without a leaf reports 2 * spent - 2 nodes, where
+``spent`` counts the root's two attempts and the half below -1.  The
 leaf is the engine's, and so is the node count: the engine's count at a
 leaf is its row's count, plus the totals of every earlier band, plus
 the attempts in its own band up to the leaf.  Band totals come from
@@ -287,10 +292,12 @@ def _join(
     """
     size, plus = table
     full = (1 << size) - 1
-    minus = [full ^ col for col in plus]
-    # Row u of p's deletion table is the r-subset U of [n-1] of rank u, in U - min(U)'s run.
+    # Row u of p's deletion table is the r-subset U of [n-1] of rank u, in U - min(U)'s run:
+    # per p-edge, each row's first column with the rows coloring U plus and minus.
     starts, preds, _, _ = _search_tables(r - 1, n - 1)
-    edges = len(preds)
+    runs = [[(first, plus[u], full ^ plus[u]) for u, first in enumerate(firsts, lo)]
+            for firsts, lo in zip(preds, starts)]
+    edges = len(runs)
     bits = [(full, full)] * (edges + 1)  # bits[k + 1]: valid rows if p-edge k is -1, if +1
 
     def hook(k: int, colors: list[int], mask: int) -> int:
@@ -298,16 +305,18 @@ def _join(
         if masks:
             valid_minus &= masks[k][0]
             valid_plus &= masks[k][1]
-        for u, first in enumerate(preds[k], starts[k]):
+        for first, col_plus, col_minus in runs[k]:
             if colors[first] > 0:
-                valid_minus &= plus[u]
+                valid_minus &= col_plus
             else:
-                valid_plus &= minus[u]
+                valid_plus &= col_minus
         bits[k + 1] = valid_minus, valid_plus
         mask &= (valid_minus != 0) | (valid_plus != 0) << 1
-        if k + 1 < edges:
-            _add_nodes(nodes, 4 * ((mask & 1 and valid_minus.bit_count())
-                                   + (mask >> 1 and valid_plus.bit_count())), limit)
+        if k + 1 < edges:  # `_add_nodes`, inline: this runs once per node entered
+            nodes[0] += 4 * ((mask & 1 and valid_minus.bit_count())
+                             + (mask >> 1 and valid_plus.bit_count()))
+            if nodes[0] > limit:
+                raise TooLarge(f"search exceeded node budget {limit}")
         return mask
 
     for colors in _search(r - 1, n - 1, [0] if steps is None else steps, hook=hook):
@@ -496,6 +505,18 @@ def _columns(flags: np.ndarray) -> list[int]:
     return [int.from_bytes(word.tobytes(), "little") for word in words]
 
 
+@lru_cache(maxsize=None)
+def _windows(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the p-edges S of rank r-1 on [k-1]: which have a run in p's
+    deletion table (a p-edge containing 1 has no window), and where each
+    such run starts."""
+    starts = np.array(_search_tables(r - 1, k - 1)[0])
+    used = starts[:-1] < starts[1:]
+    lo = starts[:-1][used]
+    used.flags.writeable = lo.flags.writeable = False  # shared by every caller
+    return used, lo
+
+
 def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """For rows c on [k-1] given as plus flags and ``ends`` (the longest
     monochromatic path ending at each edge, in its color), the longest
@@ -503,11 +524,10 @@ def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.n
     (2, rows, p-edges).  Such a path enters from a window {a} + S of c of
     that color, the run of S in p's deletion table, so it is
     max(r, 1 + the run's longest end in that color)."""
-    starts = np.array(_search_tables(r - 1, k - 1)[0])
-    lo, used = starts[:-1], starts[:-1] < starts[1:]  # a p-edge containing 1 has no window
-    longest = np.zeros((2, len(plus), len(lo)), dtype=ends.dtype)
+    used, lo = _windows(r, k)
+    longest = np.zeros((2, len(plus), len(used)), dtype=ends.dtype)
     for color, flags in enumerate((~plus, plus)):
-        longest[color][:, used] = np.maximum.reduceat(np.where(flags, ends, 0), lo[used], axis=1)
+        longest[color][:, used] = np.maximum.reduceat(np.where(flags, ends, 0), lo, axis=1)
     np.maximum(longest, r - 1, out=longest)
     longest += 1
     return longest
@@ -617,17 +637,24 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base
 
 
 def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
-    """The avoiders on [k] in the path-pruned engine's order, as blocks
-    (batch, rows, p): ``batch`` as `_batches` yields it (its band, plus
-    flags, ends and `_longest_through`), then the rows of the batch they
-    extend and their p's plus flags, one per avoider, not yet grown.
+    """The avoiders on [k] whose first edge is minus, in the path-pruned
+    engine's order, as blocks (batch, rows, p): ``batch`` as `_batches`
+    yields it (its band, plus flags, ends and `_longest_through`), then
+    the rows of the batch they extend and their p's plus flags, one per
+    avoider, not yet grown.
 
     Each batch of avoiders on [k-1] walks its band through vertex k once
     (`_batches` gives the walk, with the masks `_longest_through` gives),
     and its leaves come out sorted by row, then by p in walk order, which
-    is the engine's own order of p.  On [r-1] the one coloring has no
-    edge, so [r] is an ordinary level: its band gives p = -1, then +1,
-    each ending a path of r vertices.
+    is the engine's own order of p: one `unpackbits` turns the leaves'
+    bitsets into flags, at most TABLE_CAP / 8 of them per block of rows
+    (unless 8 rows per leaf pass it), and the flags read by row give
+    both.  On [r-1] the one coloring has no edge, so [r] is an ordinary
+    level: its band walks p = -1, then +1, each ending a path of r
+    vertices, but yields -1 alone, since the color swap maps the
+    avoiders below +1 onto those below -1.  An exhaustive walk thus adds
+    to ``spent`` the root's two attempts and the engine's nodes below -1
+    alone: half the engine's total, plus one.
     """
     if k == r - 1:
         batch = (base, np.zeros((1, 0), dtype=bool), np.zeros((1, 0), dtype=np.uint8),
@@ -635,12 +662,19 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
         yield batch, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool)
         return
     for batch, walk, _ in _batches(r, k, m, limit, spent, base):
-        if leaves := [(list(p), bits) for p, bits in walk]:
-            rows, counts = _leaf_rows(len(batch[1]), [bits for _, bits in leaves])
-            order = np.argsort(rows, kind="stable")
-            rows, which = rows[order], np.repeat(np.arange(len(leaves)), counts)[order]
+        if leaves := [(list(p), bits) for p, bits in walk if k > r or p[0] < 0]:
+            width = -(-len(batch[1]) // 8)
+            raw = b"".join(bits.to_bytes(width, "little") for _, bits in leaves)
+            raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(leaves), width)
             flags = np.array([p for p, _ in leaves], dtype=np.int8) > 0
-            yield batch, rows, flags[which]
+            # a byte per flag, TABLE_CAP bits' worth per block: blocks of TABLE_CAP
+            # bytes read 1.4 MB more peak RSS in find_avoiding_coloring(3, 11, 5)
+            step = max(1, TABLE_CAP // 64 // len(leaves))  # bytes of each leaf's bitset
+            for lo in range(0, width, step):
+                block = np.unpackbits(raw[:, lo:lo + step], axis=1, bitorder="little").T
+                rows, which = block.nonzero()  # sorted by row, then by leaf
+                del block  # not held across the yield
+                yield batch, rows.astype(np.int32) + 8 * lo, flags[which]
 
 
 def _grown(plus, ends, longest, rows, p):
@@ -662,13 +696,17 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
     The leaf lies in the band of the first avoider c on [n-1] in engine
     order that extends, the edgeless coloring of [r-1] when n = r: the
     engine walks the whole band of every avoider before c, and the same
-    holds one vertex down for every avoider on the way.  One `_join` walk
-    of the band decides every row of a batch of the avoiders on [n-1]
-    that `_batches` yields.  Once a row extends, the walk's masks are
-    narrowed in place to the rows below it, which alone can still lower
-    the answer.  A batch where no row extends adds its exact band total;
-    in the batch that holds c, the rows before it are walked again for
-    theirs, and c's band is walked alone up to its first leaf.
+    holds one vertex down for every avoider on the way.  Only avoiders
+    with the first edge minus are walked: the color swap puts the first
+    leaf below -1, and makes the tree below +1 as large as the tree
+    below -1, so the exhaustive total is 2 * spent - 2 (the root's two
+    attempts counted once).  One `_join` walk of the band decides every
+    row of a batch of the avoiders on [n-1] that `_batches` yields.  Once
+    a row extends, the walk's masks are narrowed in place to the rows
+    below it, which alone can still lower the answer.  A batch where no
+    row extends adds its exact band total; in the batch that holds c,
+    the rows before it are walked again for theirs, and c's band is
+    walked alone up to its first leaf.
     """
     _check_limits(r, n, max_edges, max_nodes)
     limit = float("inf") if max_nodes is None else max_nodes
@@ -683,7 +721,7 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
         if first is not None:
             _add_nodes(nodes, band.count(first, p) - nodes[0], limit)
             return SignFunction(r, n, np.array((plus[first] * 2 - 1).tolist() + p, dtype=np.int8))
-    _add_nodes(nodes, spent[0], limit)
+    _add_nodes(nodes, 2 * spent[0] - 2, limit)
     return None
 
 

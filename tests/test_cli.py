@@ -390,6 +390,19 @@ class TestUsage:
         assert code == 2 and manifest is None
         assert "usage error" in err
 
+    # int() reads any Unicode decimal digit and strips whitespace; every
+    # integer option admits ASCII digits only, as the header parser does.
+    @pytest.mark.parametrize("argv", [
+        ["count", "--r", "\u0663", "--n", "5"],
+        ["count", "--r", "3", "--n", " 5"],
+        ["--max-nodes", "\uff11\uff10", "ramsey", "--r", "2", "--path", "3", "--max", "5"],
+        ["--workers", "1 ", "count", "--r", "3", "--n", "4"],
+    ], ids=["arabic-indic", "leading_space", "fullwidth", "trailing_space"])
+    def test_integer_option_spellings_exit_two(self, capsys, argv):
+        code, manifest, err = run(capsys, *argv)
+        assert code == 2 and manifest is None
+        assert "not an integer in ASCII digits" in err
+
     @pytest.mark.parametrize("argv", [
         lambda tmp: ["comp", "--r", "3", "--h", "2", "--verify", "sample:x:1"],
         lambda tmp: ["comp", "--r", "3", "--h", "2", "--verify", "sample:5:-1"],

@@ -620,9 +620,14 @@ LEVEL_SIZES = [(r, n, m) for r in range(2, 6) for m in range(r, r + 4)
 
 
 def check_levels(r, n, m):
-    """Check `_avoiders` on [n] against the engine; returns the kinds of
-    batch ("one row", "rows") whose non-first leaves had their count checked."""
-    leaves, total = walk(_search, r, n, hook=path_pruner(r, n, m))
+    """Check `_avoiders` on [n] against the engine below the first edge
+    minus; returns the kinds of batch ("one row", "rows") whose non-first
+    leaves had their count checked."""
+    # a pinned edge is not counted: the engine's count at each of these
+    # leaves is one more, for its attempt of -1 at the first edge
+    leaves, _ = walk(_search, r, n, hook=path_pruner(r, n, m), prefix=(-1,))
+    leaves = [(colors, nodes + 1) for colors, nodes in leaves]
+    _, total = walk(_search, r, n, hook=path_pruner(r, n, m))
     # a count walks the chain of batches below again: every yield is
     # counted up to 100 leaves, evenly spread ones beyond
     step = max(1, len(leaves) // 100)
@@ -644,14 +649,16 @@ def check_levels(r, n, m):
                     later.add("one row" if size == 1 else "rows")
     assert seen == [colors for colors, _ in leaves]
     assert counts == {i: leaves[i][1] for i in counts}
-    assert spent[0] == total
+    assert 2 * spent[0] - 2 == total  # the color swap: the root's two attempts, two halves
     return later
 
 
 class TestLevels:
-    """`_avoiders` yields the avoiders on [n] in the engine's order, each
-    with its path ends and the engine's count at its yield, and leaves
-    the engine's exhaustive total in ``spent``."""
+    """`_avoiders` yields the avoiders on [n] whose first edge is minus in
+    the engine's order, each with its path ends and the engine's count at
+    its yield, and leaves the root's two attempts and the total of the
+    half below -1 in ``spent``: the engine's exhaustive total is
+    2 * spent - 2."""
 
     @pytest.mark.parametrize("r,n,m", LEVEL_SIZES)
     def test_every_yield(self, r, n, m):
@@ -662,6 +669,22 @@ class TestLevels:
     @pytest.mark.parametrize("r,n,m", [(2, 5, 4), (3, 6, 5), (4, 6, 6), (5, 7, 7)])
     def test_later_leaves_of_both_batch_kinds(self, r, n, m):
         assert check_levels(r, n, m) == {"one row", "rows"}
+
+    # A band's leaves become row flags a block of rows at a time, at most
+    # TABLE_CAP / 8 flags per block: under a small cap, batches yield several.
+    @pytest.mark.parametrize("r,n,m", [(2, 8, 5), (3, 7, 5), (4, 7, 6)])
+    def test_blocks_of_rows_under_a_small_cap(self, monkeypatch, r, n, m):
+        monkeypatch.setattr(enumeration, "TABLE_CAP", 256)
+        avoiders, batches = enumeration._avoiders, []
+
+        def recorded(*args):
+            for block in avoiders(*args):
+                batches.append(block[0])
+                yield block
+
+        monkeypatch.setattr(enumeration, "_avoiders", recorded)
+        check_levels(r, n, m)
+        assert any(a is b for a, b in zip(batches, batches[1:]))
 
 
 def overrun_in_level(monkeypatch, r, k, batch):
@@ -744,6 +767,23 @@ class TestFirstAvoiderByBandJoin:
         with pytest.raises(TooLarge, match="node budget 10000"):
             find_avoiding_coloring(3, 11, 5, max_edges=165, max_nodes=10**4)
         assert 0 < max(walked) <= 9
+
+    # The color swap maps the tree below +1 onto the tree below -1, so a
+    # refutation walks the bands of the first edge's -1 half alone.
+    @pytest.mark.parametrize("r,n,m,total", [(2, 10, 4, 259_590), (3, 7, 4, 4_690)])
+    def test_refutation_walks_no_row_with_the_first_edge_plus(self, monkeypatch, r, n, m, total):
+        join = enumeration._join
+        walked = []
+
+        def checked(r_, k, table, *args, **kwargs):
+            size, plus = table
+            assert plus[:1] in ([], [0])  # [r-1] has no edge; above it, no row colors it plus
+            walked.append((k, size))
+            return join(r_, k, table, *args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_join", checked)
+        assert band_first_avoider(r, n, m) == (None, total)
+        assert max(walked)[0] == n and sum(size for _, size in walked) > n
 
     def test_overrun_after_the_extending_row_is_no_answer(self, monkeypatch):
         # The level on [n-1] runs out of budget after it yielded c*, the

@@ -182,3 +182,21 @@ def test_counts_n8(r, nodes):
     # both node totals were counted by exhaustive backtracking, a second method
     rep = count_monotone(r, 8, max_edges=100)
     assert (rep.count, rep.nodes) == (GOLDEN_COUNTS[r, 8], nodes)
+
+
+# Rank goldens of the counting join, whose hook walks p of rank r - 1:
+# S_5(8) and the S_r(r+2) column.  The engine counts S_6(8) and S_7(9)
+# leaf by leaf as well, a second method for the count and the node total.
+@pytest.mark.parametrize("r,n,count,nodes,engine", [
+    (5, 8, 78_032, 7_059_550, False),
+    (6, 8, 752, 64_526, True),
+    (7, 9, 1_646, 340_666, True),
+    (8, 10, 3_564, 1_879_198, False),
+])
+def test_counts_across_ranks(r, n, count, nodes, engine):
+    rep = count_monotone(r, n)
+    assert (rep.count, rep.nodes) == (count, nodes)
+    if engine:
+        total = [0]
+        assert sum(1 for _ in _search(r, n, total)) == count
+        assert total[0] == nodes
