@@ -20,18 +20,17 @@ of replacing the 0 entries by signs yields a monotone coloring.
 ``completions`` fills the zeros and yields each coloring with both
 predicates already decided.  A filling can change only the (r+1)-subsets
 with a face among the zeros: 1,296 of the 17,550 at (r, h) = (3, 3), 576 of
-4,368 at (4, 2) and 5,200 of 177,100 at (5, 2).  These touched subsets are
-checked 64 fillings at a time: a block is drawn with one call (a sample row
-padded to whole 32-bit words of the generator, so the block is the same
-stream as one draw per sample), its fill bits are packed into one uint64
-word per zero, and each face reads its zero's word or the constant word of
-its fixed color, so a word-wise sign-change count flags every filling of the
-block in which a touched subset changes sign twice.  A flagged filling,
-which a block coloring never has, is checked in full by its own
-``SignFunction``.  An unflagged one breaks the predicates only on untouched
-subsets, whose colors the template fixes, so all unflagged fillings of a
-call share their violation ranks: the first is checked in full, and its
-answer is stored on the rest.
+4,368 at (4, 2) and 5,200 of 177,100 at (5, 2).  One decision per call,
+before the first filling, asks whether some filling can make one of these
+touched subsets change sign twice: with every fill position read as 0,
+whether a row of their colors can spell a, -a, a at three increasing
+positions, for a = -1 or +1, where a 0 can hold either sign.  When none can,
+as in every block coloring, a filling breaks the predicates only on
+untouched subsets, whose colors the template fixes (a transitive violation
+changes sign twice as well), so all fillings of the call share their
+violation ranks: the first is checked in full, and its answer is stored on
+the rest.  When one can, every filling is checked in full by its own
+``SignFunction``.
 """
 
 from __future__ import annotations
@@ -39,20 +38,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from math import factorial
+from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import TABLE_CAP, SignFunction, _brief, _twice_words, check_size, colex_layout
+from .core import TABLE_CAP, SignFunction, _brief, check_size, colex_layout
 from .errors import InvalidArgument, NoReduction, TooLarge
 
 Composition = tuple[int, ...]
 
-#: Fillings that `completions` draws and checks together: one bit each of a
-#: uint64 word per zero.  Blocks of several words per zero were no faster
-#: (3.5 us per completion with 1,024 fillings against 3.7 us with 64, at
-#: (r, h) = (3, 3) on 2 vCPUs) and raised the traced peak at (5, 2) from 1.4
-#: to 5.4 MB.
+#: Fillings that `completions` draws or forms with one numpy call: a sample
+#: block is one row per filling, padded to whole 32-bit words of the generator,
+#: so it is the same stream as one draw per sample.  A completion took 7.6 us
+#: with blocks of 1 filling, 3.8 with 8, 3.2 with 64 and 3.1 with 1,024, at
+#: (r, h) = (3, 3) on 2 vCPUs; 64 keeps a block at 64 bytes per zero.
 _BLOCK = 64
 
 
@@ -81,7 +81,7 @@ def compositions(m: int, parts: int | None = None) -> Iterator[Composition]:
 
 
 def _validate(sigma: Sequence[int]) -> Composition:
-    sigma = tuple(sigma)
+    sigma = tuple(map(index, sigma))
     if not sigma or any(p < 1 for p in sigma):
         raise InvalidArgument(f"composition parts must be positive, got {_brief(sigma)}")
     return sigma
@@ -136,6 +136,7 @@ class TernaryColoring:
 
 def block_coloring(r: int, h: int) -> TernaryColoring:
     """The recursive block coloring on r^h vertices, one array statement per rule."""
+    r, h = index(r), index(h)
     if r < 3 or h < 1:
         raise InvalidArgument(f"need r >= 3 and h >= 1, got r={_brief(r)}, h={_brief(h)}")
     if h * (r.bit_length() - 1) >= TABLE_CAP.bit_length():  # r^h >= 2^(h(bits(r) - 1)) > cap
@@ -183,12 +184,11 @@ def completions(
     0..C(n, r)-1 are refused, all before any work.
 
     Each coloring arrives with both predicates decided (module docstring):
-    the (r+1)-subsets with a face among the zeros are checked 64 fillings
-    at a time with bitwise operations, and a filling where one changes sign
-    twice is checked in full, as is the first where none does; the later
-    ones share its answer.  Sampled fillings are drawn 64 at a time, as the
-    same stream as one ``integers(0, 2, size=z, dtype=int8)`` call per
-    sample.
+    when some filling can make a subset with a face among the zeros change
+    sign twice, each coloring is checked in full; otherwise the first is,
+    and the later ones share its answer.  Sampled fillings are drawn 64 at
+    a time, as the same stream as one ``integers(0, 2, size=z, dtype=int8)``
+    call per sample.
     """
     z = len(t.zero_positions)
     if mode == "all":
@@ -204,34 +204,23 @@ def completions(
     else:
         raise InvalidArgument(f"mode must be 'all' or 'sample', got {mode!r}")
     zeros = _positions(t)
-    faces = _touched(t.r, t.n, zeros)
     colors = np.array(t.fun.colors)  # the work buffer each fill is written into
-    # each face as a row of a block's word table: a zero's fill bits, or the
-    # constant word of a fixed color, all-minus (row z) or all-plus (row z + 1)
-    source = np.where(colors > 0, z + 1, z)
-    source[zeros] = np.arange(z)
-    source = source[faces]
+    colors[zeros] = 0  # open to either sign, whatever the template holds there
+    check_each = _can_change_twice(colors[_touched(t.r, t.n, zeros)])
     total = 2 ** z if mode == "all" else count
     rng = np.random.default_rng(seed) if mode == "sample" else None
-    shared = None  # the violations of the first unflagged filling
+    shared = None  # the violations of the first filling
     for start in range(0, total, _BLOCK):
         size = min(_BLOCK, total - start)
         if rng is None:
             fills = (np.arange(start, start + size)[:, None] >> np.arange(z) & 1).astype(np.int8)
         else:  # 4 int8 draws per 32-bit word: whole words per row keep each sample's stream
             fills = rng.integers(0, 2, size=(size, -(-z // 4) * 4), dtype=np.int8)[:, :z]
-        words = np.zeros((z + 2, 8), dtype=np.uint8)  # bit i of a row: filling i
-        words[:z, :-(-size // 8)] = np.packbits(fills, axis=0, bitorder="little").T
-        words[z + 1] = 0xFF
-        words = words.view("<u8")[:, 0]
-        flagged = int(_twice_words(words[column] for column in source.T))
-        for i, fill in enumerate(2 * fills - 1):
+        for fill in 2 * fills - 1:
             colors[zeros] = fill
             fun = SignFunction(t.r, t.n, colors)  # a copy: the buffer is written again
-            if flagged >> i & 1:  # a touched subset changes sign twice
-                fun._violations  # decided in full and stored
-            elif shared is None:
-                shared = fun._violations
+            if check_each or shared is None:
+                shared = fun._violations  # decided in full and stored
             else:
                 object.__setattr__(fun, "_violations", shared)
             yield fun
@@ -252,24 +241,35 @@ def _positions(t: TernaryColoring) -> np.ndarray:
 
 def _touched(r: int, n: int, zeros: np.ndarray) -> np.ndarray:
     """The faces of the (r+1)-subsets with a face among the edges ``zeros``,
-    each subset once, in deletion order (largest vertex deleted first), one
-    contiguous column per face.  Each zero edge lies in n - r of them, so
-    there are at most z(n-r) rows."""
+    one row per subset and zero face, so a subset with several zero faces
+    repeats, each row in deletion order (largest vertex deleted first).
+    Each zero edge lies in n - r of them, so there are z(n-r) rows."""
     edges = colex_layout(n, r).edges[zeros]
     outside = np.ones((len(zeros), n + 1), dtype=bool)
     outside[:, 0] = False
     outside[np.arange(len(zeros))[:, None], edges] = False
     row, extra = np.nonzero(outside)
     sets = np.sort(np.column_stack([edges[row], extra]), axis=1)
-    sets = sets[np.unique(colex_layout(n, r + 1).rank(sets), return_index=True)[1]]
-    faces = np.empty((len(sets), r + 1), dtype=np.int64, order="F")
-    for j in range(r + 1):
-        faces[:, j] = colex_layout(n, r).rank(np.delete(sets, r - j, axis=1))
-    return faces
+    return np.column_stack([colex_layout(n, r).rank(np.delete(sets, r - j, axis=1))
+                            for j in range(r + 1)])
+
+
+def _can_change_twice(rows: np.ndarray) -> bool:
+    """Whether some filling of the 0 entries of ``rows``, each -1, 0 or +1,
+    makes a row change sign twice: for a = -1 or +1, whether a row spells
+    a, -a, a at three increasing positions, where an entry can hold a unless
+    it is -a."""
+    for a in (-1, 1):
+        first = np.logical_or.accumulate(rows != -a, axis=1)  # a, up to each column
+        then = np.logical_or.accumulate(first[:, :-1] & (rows[:, 1:] != a), axis=1)  # a, -a
+        if (then[:, :-1] & (rows[:, 2:] != -a)).any():
+            return True
+    return False
 
 
 def zero_lower_bound(r: int, h: int) -> int:
     """Guaranteed number of cross-block zero edges of the block coloring."""
+    r, h = index(r), index(h)
     if r < 3 or h < 2:
         raise InvalidArgument(f"need r >= 3 and h >= 2, got r={_brief(r)}, h={_brief(h)}")
     if (r - 1) * (h - 1) * r.bit_length() > TABLE_CAP:  # bounds the bits of half^(r-1)

@@ -30,9 +30,6 @@ table of all C(n, r+1) subsets is formed past the small blocks.  Each
 block is walked one face (column) at a time, counting per row the sign
 changes seen so far: a row that changes twice breaks monotonicity, and
 breaks transitivity as well when its first and last colors agree.
-``compositions.completions`` runs the same walk over bit words
-(`_twice_words`) to flag, 64 completions at once, those where a subset its
-fills touch changes sign twice.
 
 A :class:`SignFunction` validates its colors in one pass and stores
 whether they are binary, so the operations that need a binary coloring
@@ -377,21 +374,6 @@ def _double_changes(columns: Iterator[np.ndarray]) -> tuple[int, int]:
         return -1, -1
     both = twice & (first == prev)
     return int(twice.argmax()), int(both.argmax()) if both.any() else -1
-
-
-def _twice_words(columns: Iterator[np.ndarray]) -> np.uint64:
-    """`_double_changes` for 64 colorings at once: rows are deletion
-    sequences given one face at a time, a uint64 word per row whose bit i is
-    1 when coloring i colors that face plus.  Returns the word whose bit i
-    is set when some row changes sign twice in coloring i."""
-    prev = next(columns)
-    once, twice = np.zeros((2, len(prev)), dtype=np.uint64)
-    for cur in columns:
-        changed = cur ^ prev
-        twice |= once & changed
-        once |= changed
-        prev = cur
-    return np.bitwise_or.reduce(twice, axis=0)
 
 
 def _witness(c: SignFunction, row: int) -> tuple[int, ...] | None:

@@ -55,7 +55,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, log2
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -738,6 +738,7 @@ def find_avoiding_coloring(
     The path-pruned engine's first leaf, found by the band join (module
     docstring).  Returns (coloring or None, node count).
     """
+    m = index(m)
     if m < r:
         raise InvalidArgument(f"need m >= r, got m={_brief(m)}, r={_brief(r)}")
     nodes = [0]
@@ -754,6 +755,7 @@ def ramsey_number(
 ) -> RamseyReport:
     """Least N forcing monochromatic m-vertex paths, searched up to n_max;
     ``max_nodes`` bounds the whole run, summed over every vertex count."""
+    m = index(m)
     if not 2 <= r <= m <= n_max:
         raise InvalidArgument(f"need 2 <= r <= m <= n_max, got {_brief((r, m, n_max))}")
     witness = None

@@ -27,6 +27,7 @@ is monotone and has no monochromatic monotone path on 2n+r-1 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import InvalidArgument, TooLarge
 
 def tower_sizes(r: int, n: int) -> list[int]:
     """Sizes N_1..N_r of the tower levels; index k holds N_k (index 0 unused)."""
+    r, n = index(r), index(n)
     if r < 2 or n < 1:
         raise InvalidArgument(f"need r >= 2 and n >= 1, got r={_brief(r)}, n={_brief(n)}")
     sizes = [0, 2, 2 * n]

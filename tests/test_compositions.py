@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from importlib import import_module
 from itertools import combinations, groupby, product
 from math import comb, factorial
@@ -24,6 +24,7 @@ from signotopes import (
     transitive_violation,
     zero_lower_bound,
 )
+from signotopes.compositions import _can_change_twice
 from signotopes.core import TABLE_CAP, colex_layout
 from signotopes.errors import InvalidArgument, NoReduction, TooLarge
 
@@ -215,6 +216,33 @@ class TestSign:
     def test_small_total_rejected(self):
         with pytest.raises(InvalidArgument):
             sign((2,))
+
+
+class TestIntegerArguments:
+    """Parts, r and h are read as integers: a float is refused, as by
+    ``compositions``, and a numpy integer gives the Python integer's result."""
+
+    @pytest.mark.parametrize("function,args", [
+        (sign, ((1.5, 1.5),)),  # -1 before
+        (reduction, ((2.5, 1),)),  # (2.5, 1) before
+        (zero_lower_bound, (3, 2.5)),  # 1.0 before
+        (zero_lower_bound, (3.0, 2)),
+        (block_coloring, (3, 2.0)),
+        (block_coloring, (3.0, 2)),
+    ])
+    def test_floats_are_refused(self, function, args):
+        with pytest.raises(TypeError):
+            function(*args)
+
+    @pytest.mark.parametrize("function,args", [
+        (sign, ((1, 1, 2),)),
+        (reduction, ((3, 1, 2),)),
+        (zero_lower_bound, (3, 3)),
+        (block_coloring, (3, 2)),
+    ])
+    def test_numpy_integers_give_the_python_result(self, function, args):
+        as_numpy = [tuple(map(np.int64, a)) if isinstance(a, tuple) else np.int64(a) for a in args]
+        assert repr(function(*as_numpy)) == repr(function(*args))
 
 
 class TestBlockColoring:
@@ -435,8 +463,8 @@ PLANTED = {
         0 <= first(rows, lambda row: row[1]) < first(rows, lambda row: not row[1]))),
     "transitive after monotone": (3, 5, [(1, 2, 4), (2, 3, 4), (1, 2, 5)], [(1, 3, 5)], any,
                                   lambda rows: 0 <= first(rows) < first(rows, column=3)),
-    # the first filling breaks {1, 2, 3}, the second nothing: the violations the
-    # unflagged fillings share must not come from a flagged one
+    # the first filling breaks {1, 2, 3}, the second nothing: each filling must
+    # get its own violations, not the first one's
     "flagged, then clean": (2, 5, [(1, 2), (2, 3)], [(1, 3)], lambda seen: seen == [True, False],
                             lambda rows: first(rows) >= 0),
 }
@@ -447,6 +475,7 @@ class TestDecidedCompletions:
     fills touch; the answers must be those of a coloring checked from scratch."""
 
     @given(templates())
+    @example(hand_built(2, 3, [1, 1, -1], [0, 1]))  # the template's +1 fills break nothing
     @settings(max_examples=80, deadline=None)
     def test_matches_a_fresh_check(self, t):
         filled = [*completions(t, mode="all"), *completions(t, mode="sample", count=5, seed=3)]
@@ -488,6 +517,31 @@ class TestDecidedCompletions:
         for c in completions(flipped, mode="sample", count=10, seed=2):
             assert monotone_violation(c) is not None
             assert (monotone_violation(c), transitive_violation(c)) == fresh_violations(c)
+
+
+def changes_twice_somehow(row):
+    """Whether some -1/+1 filling of the 0 entries of ``row`` changes sign twice."""
+    free = [i for i, color in enumerate(row) if color == 0]
+    for signs in product((-1, 1), repeat=len(free)):
+        filled = list(row)
+        for i, s in zip(free, signs):
+            filled[i] = s
+        if sum(a != b for a, b in zip(filled, filled[1:])) > 1:
+            return True
+    return False
+
+
+class TestFillingDecision:
+    """``completions`` checks every filling in full exactly when some filling
+    of the 0 entries can make a touched subset change sign twice."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_brute_force(self, k):
+        rows = np.array(list(product((-1, 0, 1), repeat=k)), dtype=np.int8)
+        want = np.array([changes_twice_somehow(row) for row in rows.tolist()])
+        assert [_can_change_twice(row[None]) for row in rows] == want.tolist()
+        assert _can_change_twice(rows) == want.any()
+        assert not _can_change_twice(rows[~want])
 
 
 def reference_completions(t, mode="all", count=0, seed=0):
@@ -558,8 +612,9 @@ def full_checks(monkeypatch):
 
 
 class TestBlockCompletions:
-    """``completions`` draws and checks fillings a block at a time; it must
-    yield what the one-filling-at-a-time loop yields, violation ranks included."""
+    """``completions`` draws fillings a block at a time and checks in full the
+    first, or each when a filling can break a touched subset; it must yield what
+    the one-filling-at-a-time loop yields, violation ranks included."""
 
     @pytest.mark.parametrize("r,h", [(3, 2), (3, 3), (4, 2), (5, 2)])
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 1000])

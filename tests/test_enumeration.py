@@ -354,6 +354,15 @@ class TestRamsey:
         with pytest.raises(InvalidArgument, match="need m >= r"):
             find_avoiding_coloring(3, 5, 2)
 
+    def test_path_length_is_an_integer(self):
+        # 3.5 ran as m = 4 and 4.2 as m = 5 before: refused now
+        for r, n, m in [(2, 5, 3.5), (3, 6, 4.2)]:
+            with pytest.raises(TypeError):
+                find_avoiding_coloring(r, n, m)
+        with pytest.raises(TypeError):
+            ramsey_number(2, 3.5, 8)
+        assert find_avoiding_coloring(2, 5, np.int64(4)) == find_avoiding_coloring(2, 5, 4)
+
     def test_avoider_search_can_fail(self):
         # every monotone coloring of pairs on 5 vertices has a monochromatic 3-vertex path
         assert find_avoiding_coloring(2, 5, 3) == (None, 110)

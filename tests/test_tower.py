@@ -2,6 +2,7 @@ from functools import cmp_to_key
 from itertools import combinations, permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 
 from signotopes import (
@@ -177,6 +178,15 @@ class TestGroundSet:
         for r, n in [(4, 23), (6, 4)]:
             with pytest.raises(TooLarge, match="table cap"):
                 tower_sizes(r, n)
+
+    def test_sizes_read_integer_arguments(self):
+        for r, n in [(3, 3.0), (3.0, 3)]:  # sizes [0, 2, 6.0, 8.0] before: refused now
+            with pytest.raises(TypeError):
+                tower_sizes(r, n)
+            with pytest.raises(TypeError):
+                TowerGroundSet(r, n)
+        sizes = tower_sizes(np.int64(3), np.int64(3))
+        assert sizes == [0, 2, 6, 8] and all(type(size) is int for size in sizes)
 
     def test_sigma_is_order_reversing_involution(self):
         ground = TowerGroundSet(3, 4)
