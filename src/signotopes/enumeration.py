@@ -30,17 +30,22 @@ through vertex k enters its last window from a window of [k-1], so
 which colors p may take there, and how long a path each color ends, are
 fixed by c alone.  From the one coloring of [r-1], which has no edge,
 each level k walks the band through k once per batch of avoiders on
-[k-1] and yields the avoiders on [k] in the engine's order; the last
-level stops at the first row that extends.  [r] is an ordinary level:
+[k-1] and yields the avoiders on [k] in the engine's order, a block at
+a time.  Every batch is cut from one block of the level below, which is
+asked for its next block only once every row of the last one has been
+walked: the last level stops at the first row that extends, no level
+walks a batch past it, and a budget overrun anywhere arrives between
+batches.  [r] is an ordinary level:
 its one band gives the edge -1, then +1, or neither when m = r.  The
 color swap maps avoiders to avoiders and the engine's tree onto
 itself, so the first leaf, if any, lies below the edge -1, and the
 tree below +1 repeats the node total below -1: [r] yields the edge -1
 alone, and a search without a leaf reports 2 * spent - 2 nodes, where
 ``spent`` counts the root's two attempts and the half below -1.  The
-leaf is the engine's, and so is the node count: the engine's count at a
-leaf is its row's count, plus the totals of every earlier band, plus
-the attempts in its own band up to the leaf.  Band totals come from
+leaf is the engine's, and so is the node count, taken from the search's
+start, where the edgeless [r-1] counts 0: the engine's count at a leaf
+is its row's count, plus the totals of every earlier band, plus the
+attempts in its own band up to the leaf.  Band totals come from
 popcounts.  Only the chain of avoiders above the answer is walked leaf
 by leaf: each is found in the band of the row it extends as the leaf
 whose p is its own last colors.
@@ -191,6 +196,7 @@ def enumerate_monotone(
     coloring.  ``max_nodes`` bounds the number of attempted assignments
     (TooLarge beyond).
     """
+    r, n = index(r), index(n)
     _check_limits(r, n, max_edges, max_nodes)
     if len(prefix) > comb(n, r) or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {comb(n, r)}")
@@ -377,6 +383,7 @@ def count_monotone(
     processes.  Counts and node totals are sums of popcounts, so neither
     they nor whether ``max_nodes`` is exceeded depend on the worker count.
     """
+    r, n = index(r), index(n)
     _check_limits(r, n, max_edges, max_nodes)
     if workers < 1:
         raise InvalidArgument(f"need workers >= 1, got {_brief(workers)}")
@@ -533,30 +540,26 @@ def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.n
     return longest
 
 
-class _Base:
-    """The one coloring of [r-1], which has no edge: the engine enters the
-    band of [r] with ``offset`` nodes."""
-
-    def __init__(self, offset: int):
-        self.offset = offset
-
-    def count(self, i: int, p: list[int]) -> int:
-        return self.offset
-
-
 class _Band:
-    """A batch of avoiders on [k-1] whose band through vertex k is walked
-    as one join: the rows as a table with per-p-edge masks (see `_join`),
-    where each row came from, and ``before``, the engine's nodes in the
-    bands of every earlier batch.  The engine's count at a leaf is
-    computed on demand, down the chain of the batches it came from, to
-    the edgeless [r-1]: each avoider on the chain is found among its
-    row's leaves by its own colors."""
+    """A batch of avoiders on [k-1], rows of one block that the level
+    below yielded, whose band through vertex k is walked as one join.
+    It owns the rows' plus flags, ends and `_longest_through`, the table
+    and per-p-edge masks the walk reads (see `_join`), ``below``, the
+    band of the level below the block came from (None for the edgeless
+    [r-1]), ``rows``, where each row lies in it, and ``before``, the
+    engine's nodes in the bands of every earlier batch of its level.
+    Counts are taken from the search's start: the engine's count at a
+    leaf is computed on demand, down the chain of bands it came from, to
+    the edgeless [r-1], which counts 0; each avoider on the chain is
+    found among its row's leaves by its own colors."""
 
-    def __init__(self, r: int, k: int, table: _Table, masks: list[tuple[int, int]],
-                 bands: list, rows: np.ndarray, before: int):
-        self.r, self.k, self.table, self.masks = r, k, table, masks
-        self.bands, self.rows, self.before = bands, rows, before
+    def __init__(self, r: int, k: int, m: int, below: _Band | None, rows: np.ndarray,
+                 plus: np.ndarray, ends: np.ndarray, before: int):
+        self.r, self.k, self.below, self.rows, self.before = r, k, below, rows, before
+        self.plus, self.ends = plus, ends
+        self.longest = _longest_through(r, k, plus, ends)
+        self.table: _Table = (len(plus), _columns(plus))
+        self.masks = list(zip(_columns(self.longest[0] < m), _columns(self.longest[1] < m)))
 
     def part(self, lo: int, hi: int) -> tuple[_Table, list[tuple[int, int]]]:
         """The table and masks of rows lo..hi-1 alone, renumbered from 0."""
@@ -566,7 +569,7 @@ class _Band:
     def count(self, i: int, p: list[int]) -> int:
         """The engine's count at the leaf p of row i's band: the walk of
         row i alone is the engine's walk of its band, up to p, entered
-        with row i's own count, found in the batch below by its last
+        with row i's own count, found in the band below by its last
         colors, plus the rows before it, walked again for their band
         total."""
         steps, walked = [0], [0]
@@ -577,71 +580,60 @@ class _Band:
             table, masks = self.part(0, i)
             for _ in _join(self.r, self.k, table, walked, float("inf"), masks):
                 pass
-        below = [(col >> i & 1) * 2 - 1 for col in self.table[1][comb(self.k - 2, self.r):]]
-        entry = self.bands[i].count(int(self.rows[i]), below) + self.before + 2 * i
+        entry = self.before + 2 * i
+        if self.below is not None:
+            last = (self.plus[i, comb(self.k - 2, self.r):] * 2 - 1).tolist()
+            entry += self.below.count(int(self.rows[i]), last)
         return entry + walked[0] // 2 + steps[0]
 
+    def grown(self, rows: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``rows`` extended by the p's with plus flags ``p``: the
+        plus flags and ends of the avoiders on [k].  The new ends are
+        `_longest_through`'s at p's colors; they fit in uint8, since
+        check_size keeps n below 256."""
+        at_p = self.longest[p.view(np.int8), rows[:, None], np.arange(p.shape[1])]
+        return (np.concatenate((self.plus[rows], p), axis=1),
+                np.concatenate((self.ends[rows], at_p), axis=1))
 
-def _batches(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
+
+def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int):
     """The avoiders on [k-1] in engine order, in batches doubling from one
-    row, each holding at most TABLE_CAP colors, with the walk of each
-    batch's band through vertex k: yields ((`_Band`, plus flags, ends,
-    `_longest_through`), the `_join` walk, the masks list it reads).  A
-    caller that resumes has walked the band to the end, and its total
-    goes to ``before`` and ``spent[0]``.  Only the rows taken are grown
-    (`_grown`).  TooLarge is raised once the bands walked at this level
-    alone pass ``limit``, since the engine walks every band of a batch
-    before it moves past the batch's last row, and once a TooLarge from
-    the level below has cut a batch short and that batch is walked: a
-    search within the budget ends among the rows already yielded.  On
-    [r] the one batch is the edgeless coloring of [r-1]."""
-    source = _avoiders(r, k - 1, m, limit, spent, base)
-    held, overrun, before, size = None, None, 0, 1
-    while True:
-        parts, bands = [], []
-        while len(bands) < size:
-            if held is None:
-                try:
-                    held = next(source)
-                except StopIteration:
-                    break
-                except TooLarge as exc:
-                    overrun = exc
-                    break
-            batch, rows, p = held
-            cut = size - len(bands)
-            held = (batch, rows[cut:], p[cut:]) if len(rows) > cut else None
-            rows, p = rows[:cut], p[:cut]
-            parts.append((*_grown(*batch[1:], rows, p), rows))
-            bands += [batch[0]] * len(rows)
-        if parts:
-            plus, ends, rows = (np.concatenate(column) for column in zip(*parts))
-            del parts, batch, p  # free the grown slices and the block below before the walk
-            longest = _longest_through(r, k, plus, ends)
-            masks = list(zip(_columns(longest[0] < m), _columns(longest[1] < m)))
-            band = _Band(r, k, (len(plus), _columns(plus)), masks, bands, rows, before)
-            walked, masks = [0], list(masks)  # the caller may narrow these; the band keeps its own
-            yield ((band, plus, ends, longest),
-                   _join(r, k, band.table, walked, float("inf"), masks), masks)
-            total = 2 * len(plus) + walked[0] // 2
+    row, each holding at most TABLE_CAP colors and cut from one block
+    that `_avoiders` yielded one level down, with the walk of each
+    batch's band through vertex k: yields (`_Band`, the `_join` walk,
+    the masks list it reads).  A caller that resumes has walked the band
+    to the end, and its total goes to ``before`` and ``spent[0]``.
+    TooLarge is raised once ``offset``, the engine's count at the
+    search's start, plus the bands walked at this level alone pass
+    ``limit``, since the engine walks every band of a batch before it
+    moves past the batch's last row.  The level below is asked for its
+    next block only when every row of the last one has been walked, so
+    its own TooLarge arrives between batches too: a search within the
+    budget ends among the rows already yielded.  On [r] the one batch is
+    the edgeless coloring of [r-1]."""
+    # at least 1, since check_size admitted (r, n); on [r-1], C(r-1, r) = 0: no edge
+    cap = TABLE_CAP // (comb(k - 1, r) or 1)
+    before, size = 0, 1
+    for below, rows, plus, ends in _avoiders(r, k - 1, m, limit, spent, offset):
+        lo = 0
+        while lo < len(rows):
+            hi = lo + size
+            band = _Band(r, k, m, below, rows[lo:hi], plus[lo:hi], ends[lo:hi], before)
+            walked, masks = [0], list(band.masks)  # a copy, which the caller may narrow
+            yield band, _join(r, k, band.table, walked, float("inf"), masks), masks
+            total = 2 * band.table[0] + walked[0] // 2
             before += total
             spent[0] += total
-            if overrun is None and base.offset + before > limit:
-                overrun = TooLarge(f"search exceeded node budget {limit}")
-        if overrun is not None:
-            raise overrun
-        if len(bands) < size:
-            return
-        # at least 1, since check_size admitted (r, n); on [r-1], C(r-1, r) = 0: no edge
-        size = min(2 * size, TABLE_CAP // (comb(k - 1, r) or 1))
+            if offset + before > limit:
+                raise TooLarge(f"search exceeded node budget {limit}")
+            lo, size = hi, min(2 * size, cap)
 
 
-def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Base):
+def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: int):
     """The avoiders on [k] whose first edge is minus, in the path-pruned
-    engine's order, as blocks (batch, rows, p): ``batch`` as `_batches`
-    yields it (its band, plus flags, ends and `_longest_through`), then
-    the rows of the batch they extend and their p's plus flags, one per
-    avoider, not yet grown.
+    engine's order, as blocks (band, rows, plus, ends): the `_Band` whose
+    walk found them, the rows of that band they extend, one per avoider,
+    and the avoiders' plus flags and path ends, grown once per block.
 
     Each batch of avoiders on [k-1] walks its band through vertex k once
     (`_batches` gives the walk, with the masks `_longest_through` gives),
@@ -657,13 +649,12 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
     alone: half the engine's total, plus one.
     """
     if k == r - 1:
-        batch = (base, np.zeros((1, 0), dtype=bool), np.zeros((1, 0), dtype=np.uint8),
-                 np.zeros((2, 1, 0), dtype=np.uint8))
-        yield batch, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool)
+        yield (None, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool),
+               np.zeros((1, 0), dtype=np.uint8))
         return
-    for batch, walk, _ in _batches(r, k, m, limit, spent, base):
+    for band, walk, _ in _batches(r, k, m, limit, spent, offset):
         if leaves := [(list(p), bits) for p, bits in walk if k > r or p[0] < 0]:
-            width = -(-len(batch[1]) // 8)
+            width = -(-band.table[0] // 8)
             raw = b"".join(bits.to_bytes(width, "little") for _, bits in leaves)
             raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(leaves), width)
             flags = np.array([p for p, _ in leaves], dtype=np.int8) > 0
@@ -674,24 +665,16 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], base: _Bas
                 block = np.unpackbits(raw[:, lo:lo + step], axis=1, bitorder="little").T
                 rows, which = block.nonzero()  # sorted by row, then by leaf
                 del block  # not held across the yield
-                yield batch, rows.astype(np.int32) + 8 * lo, flags[which]
-
-
-def _grown(plus, ends, longest, rows, p):
-    """Rows ``rows`` of a batch extended by the p's with plus flags ``p``:
-    the plus flags and ends of the avoiders on [k].  The new ends are
-    `_longest_through`'s at p's colors; they fit in uint8, since
-    check_size keeps n below 256."""
-    at_p = longest[p.view(np.int8), rows[:, None], np.arange(p.shape[1])]
-    return np.concatenate((plus[rows], p), axis=1), np.concatenate((ends[rows], at_p), axis=1)
+                rows = rows.astype(np.int32) + 8 * lo
+                yield band, rows, *band.grown(rows, flags[which])
 
 
 def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
                    max_nodes: int | None) -> SignFunction | None:
     """Admit (r, n), then the path-pruned engine's first leaf, with
-    ``nodes[0]`` advanced to its count; None, with the exhaustive total,
-    when there is none.  Past ``max_nodes`` raises TooLarge, as the
-    engine would.
+    ``nodes[0]`` advanced by its count from the search's start; None,
+    with the exhaustive total, when there is none.  Past ``max_nodes``
+    raises TooLarge, as the engine would.
 
     The leaf lies in the band of the first avoider c on [n-1] in engine
     order that extends, the edgeless coloring of [r-1] when n = r: the
@@ -703,15 +686,16 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
     attempts counted once).  One `_join` walk of the band decides every
     row of a batch of the avoiders on [n-1] that `_batches` yields.  Once
     a row extends, the walk's masks are narrowed in place to the rows
-    below it, which alone can still lower the answer.  A batch where no
-    row extends adds its exact band total; in the batch that holds c,
-    the rows before it are walked again for theirs, and c's band is
-    walked alone up to its first leaf.
+    below it, which alone can still lower the answer, and no later
+    batch, here or below, is walked.  A batch where no row extends adds
+    its exact band total; in the batch that holds c, the rows before it
+    are walked again for theirs, and c's band is walked alone up to its
+    first leaf.
     """
     _check_limits(r, n, max_edges, max_nodes)
     limit = float("inf") if max_nodes is None else max_nodes
     spent = [0]  # the engine's attempts in every band walked exhaustively
-    for (band, plus, _, _), walk, masks in _batches(r, n, m, limit, spent, _Base(nodes[0])):
+    for band, walk, masks in _batches(r, n, m, limit, spent, nodes[0]):
         first = p = None
         for leaf, bits in walk:
             row = (bits & -bits).bit_length() - 1  # a leaf's other color may predate the narrowing
@@ -719,8 +703,9 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
                 first, p = row, list(leaf)
                 masks[:] = band.part(0, first)[1]
         if first is not None:
-            _add_nodes(nodes, band.count(first, p) - nodes[0], limit)
-            return SignFunction(r, n, np.array((plus[first] * 2 - 1).tolist() + p, dtype=np.int8))
+            _add_nodes(nodes, band.count(first, p), limit)
+            colors = (band.plus[first] * 2 - 1).tolist() + p
+            return SignFunction(r, n, np.array(colors, dtype=np.int8))
     _add_nodes(nodes, 2 * spent[0] - 2, limit)
     return None
 
@@ -738,7 +723,7 @@ def find_avoiding_coloring(
     The path-pruned engine's first leaf, found by the band join (module
     docstring).  Returns (coloring or None, node count).
     """
-    m = index(m)
+    r, n, m = index(r), index(n), index(m)
     if m < r:
         raise InvalidArgument(f"need m >= r, got m={_brief(m)}, r={_brief(r)}")
     nodes = [0]
@@ -755,7 +740,7 @@ def ramsey_number(
 ) -> RamseyReport:
     """Least N forcing monochromatic m-vertex paths, searched up to n_max;
     ``max_nodes`` bounds the whole run, summed over every vertex count."""
-    m = index(m)
+    r, m, n_max = index(r), index(m), index(n_max)
     if not 2 <= r <= m <= n_max:
         raise InvalidArgument(f"need 2 <= r <= m <= n_max, got {_brief((r, m, n_max))}")
     witness = None

@@ -69,12 +69,11 @@ class TowerGroundSet:
     """
 
     def __init__(self, r: int, n: int):
-        self.r = r
-        self.n = n
-        self.sizes = tower_sizes(r, n)
-        if self.sizes[r] > TABLE_CAP:
-            raise TooLarge(f"{_brief(self.sizes[r])} elements exceed the table cap {TABLE_CAP}")
-        self.size = self.sizes[r]
+        self.r, self.n = index(r), index(n)
+        self.sizes = tower_sizes(self.r, self.n)
+        self.size = self.sizes[self.r]
+        if self.size > TABLE_CAP:
+            raise TooLarge(f"{_brief(self.size)} elements exceed the table cap {TABLE_CAP}")
 
     # -- element structure --------------------------------------------------
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import random
 import time
@@ -24,7 +26,7 @@ from signotopes import (
 )
 from signotopes import enumeration
 from signotopes.core import TABLE_CAP, colex_layout
-from signotopes.enumeration import AtLeast, _extend, _join, _search, _search_tables
+from signotopes.enumeration import AtLeast, CountReport, _extend, _join, _search, _search_tables
 from signotopes.errors import InvalidArgument, TooLarge
 
 EXAMPLE_134 = SignFunction.from_string(3, 4, "-+-+")
@@ -643,10 +645,8 @@ def check_levels(r, n, m):
     constraints = reference_constraints(r, n)
     spent = [0]
     seen, counts, later, source = [], {}, set(), None
-    for batch, rows, p in enumeration._avoiders(
-            r, n, m, float("inf"), spent, enumeration._Base(0)):
-        band, size = batch[0], len(batch[1])
-        plus, ends = enumeration._grown(*batch[1:], rows, p)
+    for band, rows, plus, ends in enumeration._avoiders(r, n, m, float("inf"), spent, 0):
+        size = len(band.plus)
         for flags, row_ends, row in zip(plus, ends, rows):
             seen.append(tuple((flags * 2 - 1).tolist()))
             first_leaf = source != (band, row)
@@ -697,22 +697,22 @@ class TestLevels:
 
 
 def overrun_in_level(monkeypatch, r, k, batch):
-    """Make the ``batch``-th join walk of the level on [k] raise TooLarge
-    after its last leaf; returns the batches cut."""
-    join = enumeration._join
-    calls, cut = [], []
+    """Make the walk of the ``batch``-th batch of the level on [k] raise
+    TooLarge after its last leaf; returns the batches cut.  Only the
+    walks `_batches` yields count, not the walks of a leaf's count."""
+    batches = enumeration._batches
+    cut = []
 
-    def budgeted(r_, k_, *args, **kwargs):
-        leaves = join(r_, k_, *args, **kwargs)
-        if (r_, k_) == (r, k):
-            calls.append(k_)
-            if len(calls) == batch:
-                yield from leaves
-                cut.append(batch)
-                raise TooLarge("search exceeded node budget")
-        yield from leaves
+    def budgeted(walk):
+        yield from walk
+        cut.append(batch)
+        raise TooLarge("search exceeded node budget")
 
-    monkeypatch.setattr(enumeration, "_join", budgeted)
+    def numbered(r_, k_, *args):
+        for i, (band, walk, masks) in enumerate(batches(r_, k_, *args), 1):
+            yield band, budgeted(walk) if (r_, k_, i) == (r, k, batch) else walk, masks
+
+    monkeypatch.setattr(enumeration, "_batches", numbered)
     return cut
 
 
@@ -795,20 +795,26 @@ class TestFirstAvoiderByBandJoin:
         assert max(walked)[0] == n and sum(size for _, size in walked) > n
 
     def test_overrun_after_the_extending_row_is_no_answer(self, monkeypatch):
-        # The level on [n-1] runs out of budget after it yielded c*, the
-        # first avoider there that extends: c*'s first leaf is still the
-        # answer.  c* comes off the level's 2nd, 2nd and 7th batch; the next
-        # batch is pulled only to fill the batch on [n-1] that holds c*.
-        for r, n, m, batch in [(2, 7, 4, 3), (2, 9, 5, 3), (3, 10, 5, 8)]:
+        # c*, the first avoider on [n-1] that extends, comes off the
+        # level's 2nd, 2nd and 8th batch, whose walk raising leaves no
+        # answer.  Every batch on [n] is cut from one block, so the batch
+        # after c*'s is never walked: its running out of budget leaves
+        # c*'s first leaf the answer.
+        for r, n, m, batch in [(2, 7, 4, 3), (2, 9, 5, 3), (3, 10, 5, 9)]:
             expected = band_first_avoider(r, n, m)
             if r == 2:
                 assert expected == engine_first_avoider(r, n, m)
             else:
                 assert expected[1] == 1_456_213  # the engine's, pinned in test_golden.py
             with monkeypatch.context() as patch:
+                cut = overrun_in_level(patch, r, n - 1, batch - 1)
+                with pytest.raises(TooLarge):
+                    band_first_avoider(r, n, m)
+            assert cut == [batch - 1]
+            with monkeypatch.context() as patch:
                 cut = overrun_in_level(patch, r, n - 1, batch)
                 assert band_first_avoider(r, n, m) == expected
-            assert cut == [batch]
+            assert cut == []
 
     def test_overrun_before_any_row_extends_raises(self, monkeypatch):
         # c* comes off the 4th batch on [7] and on [8]; a batch of several
@@ -826,6 +832,40 @@ class TestFirstAvoiderByBandJoin:
         assert band_first_avoider(30, 31, 31) == engine_first_avoider(30, 31, 31)
         assert band_first_avoider(2, 46, 47) == engine_first_avoider(2, 46, 47)
         assert find_avoiding_coloring(3, 6, 3) == (None, 2)  # m = r: no edge is allowed
+
+
+def timeless(result):
+    """A result's repr, with a CountReport's time set to 0."""
+    if isinstance(result, CountReport):
+        result = dataclasses.replace(result, seconds=0.0)
+    return repr(result)
+
+
+INTEGER_CALLS = [
+    (count_monotone, (3, 5)),
+    (lambda r, n: list(enumerate_monotone(r, n)), (3, 5)),
+    (find_avoiding_coloring, (3, 6, 4)),
+    (ramsey_number, (3, 4, 8)),
+]
+
+
+class TestIntegerArguments:
+    """r, n, m and n_max are read as integers: a float is refused, and a
+    numpy integer gives the Python integer's result."""
+
+    @pytest.mark.parametrize("function,args", INTEGER_CALLS)
+    def test_numpy_integers_give_the_python_result(self, function, args):
+        assert timeless(function(*map(np.int64, args))) == timeless(function(*args))
+
+    @pytest.mark.parametrize("function,args", INTEGER_CALLS)
+    def test_floats_are_refused(self, function, args):
+        for at in range(len(args)):
+            with pytest.raises(TypeError):
+                function(*args[:at], float(args[at]), *args[at + 1:])
+
+    def test_count_report_dumps_to_json(self):
+        report = dataclasses.asdict(count_monotone(np.int64(3), np.int64(5)))
+        assert json.loads(json.dumps(report))["count"] == 62
 
 
 class TestTow:

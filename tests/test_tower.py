@@ -125,6 +125,14 @@ class TestGroundSet:
         assert pairs == [(6, 1), (5, 2), (4, 3), (3, 4), (2, 5), (1, 6)]
         assert [ground.type_of(el) for el in ground.elements()] == [-1] * 3 + [1] * 3
 
+    def test_integer_arguments(self):
+        ground = TowerGroundSet(np.int64(3), np.int64(3))
+        assert (type(ground.r), type(ground.n)) == (int, int)
+        assert (ground.sizes, ground.size) == (TowerGroundSet(3, 3).sizes, 8)
+        for args in [(3.0, 3), (3, 3.0)]:
+            with pytest.raises(TypeError):
+                TowerGroundSet(*args)
+
     def test_eight_element_level(self):
         ground = TowerGroundSet(3, 3)
         els = ground.elements()
