@@ -31,7 +31,12 @@ which colors p may take there, and how long a path each color ends, are
 fixed by c alone.  From the one coloring of [r-1], which has no edge,
 each level k walks the band through k once per batch of avoiders on
 [k-1] and yields the avoiders on [k] in the engine's order, a block at
-a time.  Every batch is cut from one block of the level below, which is
+a time.  One walk of p serves every row of its batch, so batches grow,
+from one row, by the engine nodes per p-node of the last walk, at
+least twice, while that walk yields fewer p's than it has rows, and
+twice otherwise; no output depends on the batch sizes, since band
+totals are popcount sums and the budget is checked only between
+batches.  Every batch is cut from one block of the level below, which is
 asked for its next block only once every row of the last one has been
 walked: the last level stops at the first row that extends, no level
 walks a batch past it, and a budget overrun anywhere arrives between
@@ -100,9 +105,12 @@ def _search_tables(r: int, n: int):
 
 
 def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
-    """Admit (r, n) and the caps for a search, before any work."""
+    """Admit (r, n) and the caps for a search, before any work.  Both caps
+    are read as integers: a float, NaN included, raises TypeError."""
     if not 2 <= r <= n:
         raise InvalidArgument(f"need 2 <= r <= n, got r={_brief(r)}, n={_brief(n)}")
+    max_edges = index(max_edges)
+    max_nodes = None if max_nodes is None else index(max_nodes)
     if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
         raise InvalidArgument(f"need both caps >= 0, got {_brief((max_edges, max_nodes))}")
     if _capped_comb(n, r, max_edges) > max_edges:
@@ -133,34 +141,45 @@ def _search(
     tries -1 before +1 unless ``rng`` swaps them, one ``rng.random()``
     per non-leaf level entered.  ``nodes[0]`` adds up attempts, each
     counted before its mask test, and is current at every yield and at
-    the end; past ``max_nodes`` the search raises TooLarge.
+    the end; past ``max_nodes`` the search raises TooLarge.  Without
+    ``rng`` a level's -1 is attempted on entry and only its +1 goes on
+    the stack, which pops the same attempts in the same order.
     """
     edge_count = comb(n, r)
     _, _, heads, pattern = _search_tables(r, n)
     lookup = pattern.get
     colors = [0] * edge_count
-
-    def allowed(k: int) -> int:
-        mask = 3
-        for head in heads[k]:
-            mask &= lookup(head(colors), 0)
-        return hook(k, colors, mask) if mask and hook is not None else mask
-
-    for k, col in enumerate(prefix):
-        if not allowed(k) >> (col > 0) & 1:
-            return
-        colors[k] = col
     limit = float("inf") if max_nodes is None else max_nodes
     count = nodes[0]
     stack: list[tuple[int, int, int]] = []  # untried (edge, color, allowed), next on top
-    k = len(prefix)
+    k, pinned = 0, len(prefix)
     while True:
         if k == edge_count:
             nodes[0] = count
             yield colors
         else:
-            mask = allowed(k)
-            if rng is not None and rng.random() < 0.5:
+            mask = 3
+            for head in heads[k]:
+                mask &= lookup(head(colors), 0)
+            if mask and hook is not None:
+                mask = hook(k, colors, mask)
+            if k < pinned:
+                col = prefix[k]
+                if not mask >> (col > 0) & 1:
+                    return
+                colors[k] = col
+                k += 1
+                continue
+            if rng is None:
+                stack.append((k, 1, mask & 2))
+                count += 1
+                if count > limit:
+                    raise TooLarge(f"search exceeded node budget {max_nodes}")
+                if mask & 1:
+                    colors[k] = -1
+                    k += 1
+                    continue
+            elif rng.random() < 0.5:
                 stack += ((k, -1, mask & 1), (k, 1, mask & 2))
             else:
                 stack += ((k, 1, mask & 2), (k, -1, mask & 1))
@@ -597,12 +616,15 @@ class _Band:
 
 
 def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int):
-    """The avoiders on [k-1] in engine order, in batches doubling from one
-    row, each holding at most TABLE_CAP colors and cut from one block
-    that `_avoiders` yielded one level down, with the walk of each
-    batch's band through vertex k: yields (`_Band`, the `_join` walk,
-    the masks list it reads).  A caller that resumes has walked the band
-    to the end, and its total goes to ``before`` and ``spent[0]``.
+    """The avoiders on [k-1] in engine order, in batches of at most
+    TABLE_CAP colors, each cut from one block that `_avoiders` yielded
+    one level down, with the walk of each batch's band through vertex k:
+    yields (`_Band`, the `_join` walk, the masks list it reads).  A
+    caller that resumes has walked the band to the end, and its total
+    goes to ``before`` and ``spent[0]``.  The first batch is one row,
+    and `_growth` sizes each next one from the last walk; no output
+    depends on the sizes, since band totals are popcount sums and the
+    budget is checked only between batches.
     TooLarge is raised once ``offset``, the engine's count at the
     search's start, plus the bands walked at this level alone pass
     ``limit``, since the engine walks every band of a batch before it
@@ -619,14 +641,34 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int
         while lo < len(rows):
             hi = lo + size
             band = _Band(r, k, m, below, rows[lo:hi], plus[lo:hi], ends[lo:hi], before)
-            walked, masks = [0], list(band.masks)  # a copy, which the caller may narrow
-            yield band, _join(r, k, band.table, walked, float("inf"), masks), masks
+            walked, steps, leaves = [0], [0], [0]
+            masks = list(band.masks)  # a copy, which the caller may narrow
+            walk = _join(r, k, band.table, walked, float("inf"), masks, steps)
+            yield band, _counted(walk, leaves), masks
             total = 2 * band.table[0] + walked[0] // 2
             before += total
             spent[0] += total
             if offset + before > limit:
                 raise TooLarge(f"search exceeded node budget {limit}")
-            lo, size = hi, min(2 * size, cap)
+            lo, size = hi, min(size * _growth(band.table[0], leaves[0], walked[0] // 2, steps[0]),
+                               cap)
+
+
+def _counted(walk: Iterator, leaves: list[int]) -> Iterator:
+    """``walk``, adding up its yields in ``leaves[0]``."""
+    for leaf in walk:
+        leaves[0] += 1
+        yield leaf
+
+
+def _growth(rows: int, leaves: int, nodes: int, steps: int) -> int:
+    """How many times larger than a batch of ``rows`` rows the next one
+    is: the engine nodes per p-node of its band walk, ``nodes`` over
+    ``steps`` attempts of p, at least 2, while the walk yielded fewer
+    p's (``leaves``) than rows, else 2.  One walk of p serves every row,
+    so a walk that shares much calls for a larger batch; the leaf
+    condition keeps a level's blocks, and memory, from growing with it."""
+    return max(2, nodes // steps) if leaves < rows else 2
 
 
 def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: int):
@@ -636,7 +678,9 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: in
     and the avoiders' plus flags and path ends, grown once per block.
 
     Each batch of avoiders on [k-1] walks its band through vertex k once
-    (`_batches` gives the walk, with the masks `_longest_through` gives),
+    (`_batches` gives the walk, with the masks `_longest_through` gives,
+    and sizes the batches by how much their walks share, which changes
+    neither the avoiders, their order nor any count),
     and its leaves come out sorted by row, then by p in walk order, which
     is the engine's own order of p: one `unpackbits` turns the leaves'
     bitsets into flags, at most TABLE_CAP / 8 of them per block of rows

@@ -762,9 +762,10 @@ class TestFirstAvoiderByBandJoin:
         assert time.perf_counter() - start < 2
 
     def test_budget_stops_the_levels_early(self, monkeypatch):
-        # Without a budget (3, 11, 5) walks 57 bands up to the one through
-        # 11; a budget of 10^4 passes a lower bound on the engine's count
-        # before any band through 10 is walked.
+        # Without a budget (3, 11, 5) walks the bands of 39 batches, 9 of
+        # them through 11, and 14 more for the answer's count; a budget of
+        # 10^4 passes a lower bound on the engine's count before any band
+        # through 10 is walked.
         join = enumeration._join
         walked = []
 
@@ -796,11 +797,11 @@ class TestFirstAvoiderByBandJoin:
 
     def test_overrun_after_the_extending_row_is_no_answer(self, monkeypatch):
         # c*, the first avoider on [n-1] that extends, comes off the
-        # level's 2nd, 2nd and 8th batch, whose walk raising leaves no
+        # level's 2nd, 2nd and 6th batch, whose walk raising leaves no
         # answer.  Every batch on [n] is cut from one block, so the batch
         # after c*'s is never walked: its running out of budget leaves
         # c*'s first leaf the answer.
-        for r, n, m, batch in [(2, 7, 4, 3), (2, 9, 5, 3), (3, 10, 5, 9)]:
+        for r, n, m, batch in [(2, 7, 4, 3), (2, 9, 5, 3), (3, 10, 5, 7)]:
             expected = band_first_avoider(r, n, m)
             if r == 2:
                 assert expected == engine_first_avoider(r, n, m)
@@ -817,8 +818,8 @@ class TestFirstAvoiderByBandJoin:
             assert cut == []
 
     def test_overrun_before_any_row_extends_raises(self, monkeypatch):
-        # c* comes off the 4th batch on [7] and on [8]; a batch of several
-        # rows yields nothing when its walk raises.
+        # c* comes off the 4th batch on [7] (of 8 rows) and on [8] (of 12
+        # rows); a batch of several rows yields nothing when its walk raises.
         for r, n, m, batch in [(2, 8, 4, 3), (2, 8, 4, 4), (3, 9, 5, 4)]:
             with monkeypatch.context() as patch:
                 cut = overrun_in_level(patch, r, n - 1, batch)
@@ -832,6 +833,79 @@ class TestFirstAvoiderByBandJoin:
         assert band_first_avoider(30, 31, 31) == engine_first_avoider(30, 31, 31)
         assert band_first_avoider(2, 46, 47) == engine_first_avoider(2, 46, 47)
         assert find_avoiding_coloring(3, 6, 3) == (None, 2)  # m = r: no edge is allowed
+
+
+def search_outcome(r, n, m, budget):
+    """A search's leaf and node count, or its TooLarge message."""
+    try:
+        return band_first_avoider(r, n, m, max_nodes=budget)
+    except TooLarge as error:
+        return str(error)
+
+
+def joins_walked(monkeypatch, r, n, m):
+    """How many `_join` walks a search makes, those of its count included."""
+    join = enumeration._join
+    walks = [0]
+
+    def counted(*args, **kwargs):
+        walks[0] += 1
+        return join(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_join", counted)
+        band_first_avoider(r, n, m)
+    return walks[0]
+
+
+def plain_doubling(rows, leaves, nodes, steps):
+    return 2
+
+
+class TestBatchSchedule:
+    """A batch grows by its band walk's engine nodes per p-node while the
+    walk yields fewer p's than the batch has rows.  Band totals are
+    popcount sums and the budget is checked only between batches, so the
+    schedule never changes a leaf, a node count or a TooLarge."""
+
+    @pytest.mark.parametrize("r", range(2, 5))
+    def test_doubling_gives_the_same_outcomes(self, monkeypatch, r):
+        cases = [(r, n, m, budget) for m in range(r, r + 4) for n in range(r, 10)
+                 for budget in (None, 0, 1, 50, 3000)]
+        grown = [search_outcome(*case) for case in cases]
+        monkeypatch.setattr(enumeration, "_growth", plain_doubling)
+        assert [search_outcome(*case) for case in cases] == grown
+
+    def test_sharing_walks_fewer_bands_than_doubling(self, monkeypatch):
+        grown = joins_walked(monkeypatch, 3, 10, 5)
+        monkeypatch.setattr(enumeration, "_growth", plain_doubling)
+        assert grown < joins_walked(monkeypatch, 3, 10, 5)
+
+
+class TestSearchCaps:
+    """Both caps of a search are read as integers, so NaN or a fraction
+    cannot switch a limit off or be reported as a budget."""
+
+    NAN = float("nan")
+    CALLS = [
+        lambda **caps: find_avoiding_coloring(3, 8, 5, **caps),
+        lambda **caps: ramsey_number(3, 4, 8, **caps),
+        lambda **caps: count_monotone(3, 7, **caps),
+        lambda **caps: next(enumerate_monotone(3, 12, **caps)),
+    ]
+
+    @pytest.mark.parametrize("call", range(len(CALLS)))
+    @pytest.mark.parametrize("caps", [{"max_nodes": NAN}, {"max_nodes": 2.5},
+                                      {"max_edges": NAN}, {"max_edges": 220.0}])
+    def test_non_integer_caps_are_refused(self, call, caps):
+        with pytest.raises(TypeError):
+            self.CALLS[call](**caps)
+
+    def test_numpy_integer_caps_are_read_as_integers(self):
+        with pytest.raises(TooLarge, match="node budget 10$"):
+            find_avoiding_coloring(3, 8, 5, max_nodes=np.int64(10))
+        found, nodes = find_avoiding_coloring(2, 9, 4, max_edges=np.int64(36))
+        assert (found.colors.tolist(), nodes) == band_first_avoider(2, 9, 4)
 
 
 def timeless(result):

@@ -157,6 +157,19 @@ def test_avoider_r4_m6():
     assert sha(dumps(avoider)) == "2cf90ab4cbc05eddd181e1641249ff4aa033696337025e1d92db2f113bed8c08"
 
 
+# Recorded while every batch still doubled from one row.  (2, 14, 5) now
+# grows its batches on [9]..[13] by how much their band walks share;
+# (5, 9, 7) walks the same batches, each a long walk of rank-4 p's.
+@pytest.mark.parametrize("r,n,m,nodes,digest", [
+    (2, 14, 5, 2_459_844, "9e41ab6f8c29d3400c8961e5c6750d3f0529c5fe2228247adfb039f75095886c"),
+    (5, 9, 7, 1_228_449, "674e1200e09de7f73694692ab826743ea94ea74722773a3949ed5d972af1a42c"),
+])
+def test_avoiders_r2_m5_and_r5_m7(r, n, m, nodes, digest):
+    avoider, total = find_avoiding_coloring(r, n, m, max_edges=400)
+    assert total == nodes
+    assert sha(dumps(avoider)) == digest
+
+
 def halved_engine(r, n):
     """The engine below the first edge minus: the half the counting join builds."""
     nodes = [0]
