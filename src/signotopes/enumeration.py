@@ -104,9 +104,9 @@ def _search_tables(r: int, n: int):
     return starts, preds, heads, pattern
 
 
-def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None:
-    """Admit (r, n) and the caps for a search, before any work.  Both caps
-    are read as integers: a float, NaN included, raises TypeError."""
+def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> tuple[int, int | None]:
+    """Admit (r, n) and the caps for a search, before any work, and return
+    the caps as Python integers: a float, NaN included, raises TypeError."""
     if not 2 <= r <= n:
         raise InvalidArgument(f"need 2 <= r <= n, got r={_brief(r)}, n={_brief(n)}")
     max_edges = index(max_edges)
@@ -117,6 +117,7 @@ def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> None
         raise TooLarge(f"r={_brief(r)}, n={_brief(n)} has more than {_brief(max_edges)} "
                        f"edges (search cap); pass max_edges explicitly to override")
     check_size(r, n)
+    return max_edges, max_nodes
 
 
 def _search(
@@ -141,9 +142,9 @@ def _search(
     tries -1 before +1 unless ``rng`` swaps them, one ``rng.random()``
     per non-leaf level entered.  ``nodes[0]`` adds up attempts, each
     counted before its mask test, and is current at every yield and at
-    the end; past ``max_nodes`` the search raises TooLarge.  Without
-    ``rng`` a level's -1 is attempted on entry and only its +1 goes on
-    the stack, which pops the same attempts in the same order.
+    the end; past ``max_nodes`` the search raises TooLarge.  A level's
+    first color is attempted on entry and only the second goes on the
+    stack.
     """
     edge_count = comb(n, r)
     _, _, heads, pattern = _search_tables(r, n)
@@ -152,6 +153,7 @@ def _search(
     limit = float("inf") if max_nodes is None else max_nodes
     count = nodes[0]
     stack: list[tuple[int, int, int]] = []  # untried (edge, color, allowed), next on top
+    order, swapped = (-1, 1, 1, 2), (1, 2, -1, 1)  # (first color, its mask bit, second, its bit)
     k, pinned = 0, len(prefix)
     while True:
         if k == edge_count:
@@ -170,19 +172,15 @@ def _search(
                 colors[k] = col
                 k += 1
                 continue
-            if rng is None:
-                stack.append((k, 1, mask & 2))
-                count += 1
-                if count > limit:
-                    raise TooLarge(f"search exceeded node budget {max_nodes}")
-                if mask & 1:
-                    colors[k] = -1
-                    k += 1
-                    continue
-            elif rng.random() < 0.5:
-                stack += ((k, -1, mask & 1), (k, 1, mask & 2))
-            else:
-                stack += ((k, 1, mask & 2), (k, -1, mask & 1))
+            first, bit, second, other = swapped if rng is not None and rng.random() < 0.5 else order
+            stack.append((k, second, mask & other))
+            count += 1
+            if count > limit:
+                raise TooLarge(f"search exceeded node budget {max_nodes}")
+            if mask & bit:
+                colors[k] = first
+                k += 1
+                continue
         while stack:
             k, col, ok = stack.pop()
             count += 1
@@ -216,7 +214,7 @@ def enumerate_monotone(
     (TooLarge beyond).
     """
     r, n = index(r), index(n)
-    _check_limits(r, n, max_edges, max_nodes)
+    max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
     if len(prefix) > comb(n, r) or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {comb(n, r)}")
     for colors in _search(r, n, [0], max_nodes=max_nodes, prefix=prefix, rng=rng):
@@ -303,10 +301,11 @@ def _join(
     whose bitset is empty is not allowed.  ``masks``, if given, holds
     per p-edge the rows allowed to color it -1 and +1, ANDed in as well;
     it is read on entering each edge, so narrowing it between leaves
-    prunes the rest of the walk.  ``steps``, if given, counts the
-    attempts of the walk of p itself: for a one-row table, the engine's
-    attempts in that row's band.  Yields (p's shared color list, the
-    bitset of its last color) for every full p.
+    prunes the rest of the walk.  ``steps``, if given, counts in
+    ``steps[0]`` the attempts of the walk of p itself (for a one-row
+    table, the engine's attempts in that row's band) and in ``steps[1]``
+    its yields.  Yields (p's shared color list, the bitset of its last
+    color) for every full p.
 
     A depth-j bitset counts the consistent partial colorings of [n] on
     the first C(n-1, r) + j edges that extend a row.  The table holds
@@ -344,7 +343,10 @@ def _join(
                 raise TooLarge(f"search exceeded node budget {limit}")
         return mask
 
-    for colors in _search(r - 1, n - 1, [0] if steps is None else steps, hook=hook):
+    if steps is None:
+        steps = [0, 0]
+    for colors in _search(r - 1, n - 1, steps, hook=hook):
+        steps[1] += 1
         yield colors, bits[edges][colors[-1] > 0]
 
 
@@ -403,7 +405,7 @@ def count_monotone(
     they nor whether ``max_nodes`` is exceeded depend on the worker count.
     """
     r, n = index(r), index(n)
-    _check_limits(r, n, max_edges, max_nodes)
+    max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
     if workers < 1:
         raise InvalidArgument(f"need workers >= 1, got {_brief(workers)}")
     start = time.perf_counter()
@@ -591,7 +593,7 @@ class _Band:
         with row i's own count, found in the band below by its last
         colors, plus the rows before it, walked again for their band
         total."""
-        steps, walked = [0], [0]
+        steps, walked = [0, 0], [0]
         table, masks = self.part(i, i + 1)
         leaves = _join(self.r, self.k, table, [0], float("inf"), masks, steps)
         next(leaf for leaf, _ in leaves if leaf == p)
@@ -641,24 +643,16 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int
         while lo < len(rows):
             hi = lo + size
             band = _Band(r, k, m, below, rows[lo:hi], plus[lo:hi], ends[lo:hi], before)
-            walked, steps, leaves = [0], [0], [0]
+            walked, steps = [0], [0, 0]
             masks = list(band.masks)  # a copy, which the caller may narrow
-            walk = _join(r, k, band.table, walked, float("inf"), masks, steps)
-            yield band, _counted(walk, leaves), masks
+            yield band, _join(r, k, band.table, walked, float("inf"), masks, steps), masks
             total = 2 * band.table[0] + walked[0] // 2
             before += total
             spent[0] += total
             if offset + before > limit:
                 raise TooLarge(f"search exceeded node budget {limit}")
-            lo, size = hi, min(size * _growth(band.table[0], leaves[0], walked[0] // 2, steps[0]),
+            lo, size = hi, min(size * _growth(band.table[0], steps[1], walked[0] // 2, steps[0]),
                                cap)
-
-
-def _counted(walk: Iterator, leaves: list[int]) -> Iterator:
-    """``walk``, adding up its yields in ``leaves[0]``."""
-    for leaf in walk:
-        leaves[0] += 1
-        yield leaf
 
 
 def _growth(rows: int, leaves: int, nodes: int, steps: int) -> int:
@@ -736,7 +730,7 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
     are walked again for theirs, and c's band is walked alone up to its
     first leaf.
     """
-    _check_limits(r, n, max_edges, max_nodes)
+    max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
     limit = float("inf") if max_nodes is None else max_nodes
     spent = [0]  # the engine's attempts in every band walked exhaustively
     for band, walk, masks in _batches(r, n, m, limit, spent, nodes[0]):

@@ -901,6 +901,12 @@ class TestSearchCaps:
         with pytest.raises(TypeError):
             self.CALLS[call](**caps)
 
+    @pytest.mark.parametrize("call", range(len(CALLS)))
+    def test_a_bool_budget_is_reported_as_its_integer(self, call):
+        calls = self.CALLS[:3] + [lambda **caps: next(enumerate_monotone(3, 7, **caps))]
+        with pytest.raises(TooLarge, match="node budget 1$"):
+            calls[call](max_nodes=True)
+
     def test_numpy_integer_caps_are_read_as_integers(self):
         with pytest.raises(TooLarge, match="node budget 10$"):
             find_avoiding_coloring(3, 8, 5, max_nodes=np.int64(10))
