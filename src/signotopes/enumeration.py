@@ -48,12 +48,15 @@ tree below +1 repeats the node total below -1: [r] yields the edge -1
 alone, and a search without a leaf reports 2 * spent - 2 nodes, where
 ``spent`` counts the root's two attempts and the half below -1.  The
 leaf is the engine's, and so is the node count, taken from the search's
-start, where the edgeless [r-1] counts 0: the engine's count at a leaf
-is its row's count, plus the totals of every earlier band, plus the
-attempts in its own band up to the leaf.  Band totals come from
-popcounts.  Only the chain of avoiders above the answer is walked leaf
-by leaf: each is found in the band of the row it extends as the leaf
-whose p is its own last colors.
+start, where the edgeless [r-1] counts 0: ``spent``, the popcount
+totals of the batches walked whole at every level, all walked by the
+engine before its leaf, plus the chain of avoiders above the leaf, each
+the leaf of its row's band whose p is its own last colors: per chain
+band, 2 per row before the chain row, those rows' total, and the chain
+row's band alone up to the leaf.  Once a leaf turns up, the last level
+walks the rows below its lowest row on their own, until such a walk
+yields nothing, and takes the top band's rows before the answer from
+that walk.  No walk's masks change while it runs.
 """
 
 from __future__ import annotations
@@ -299,9 +302,8 @@ def _join(
     the hook decides both its colors in one pass: each color's bitset of
     rows still valid is ANDed with the columns it needs, and a color
     whose bitset is empty is not allowed.  ``masks``, if given, holds
-    per p-edge the rows allowed to color it -1 and +1, ANDed in as well;
-    it is read on entering each edge, so narrowing it between leaves
-    prunes the rest of the walk.  ``steps``, if given, counts in
+    per p-edge the rows allowed to color it -1 and +1, ANDed in as well,
+    and must not change during the walk.  ``steps``, if given, counts in
     ``steps[0]`` the attempts of the walk of p itself (for a one-row
     table, the engine's attempts in that row's band) and in ``steps[1]``
     its yields.  Yields (p's shared color list, the bitset of its last
@@ -406,6 +408,7 @@ def count_monotone(
     """
     r, n = index(r), index(n)
     max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
+    workers = index(workers)
     if workers < 1:
         raise InvalidArgument(f"need workers >= 1, got {_brief(workers)}")
     start = time.perf_counter()
@@ -567,41 +570,39 @@ class _Band:
     It owns the rows' plus flags, ends and `_longest_through`, the table
     and per-p-edge masks the walk reads (see `_join`), ``below``, the
     band of the level below the block came from (None for the edgeless
-    [r-1]), ``rows``, where each row lies in it, and ``before``, the
-    engine's nodes in the bands of every earlier batch of its level.
-    Counts are taken from the search's start: the engine's count at a
-    leaf is computed on demand, down the chain of bands it came from, to
-    the edgeless [r-1], which counts 0; each avoider on the chain is
-    found among its row's leaves by its own colors."""
+    [r-1]), and ``rows``, where each row lies in it.  The engine's count
+    at a leaf is ``spent``, the bands of every batch walked whole at
+    every level, plus the chain's own nodes, which `count` takes down
+    the chain of bands the leaf came from to the edgeless [r-1], finding
+    each avoider on it among its row's leaves by its own colors."""
 
     def __init__(self, r: int, k: int, m: int, below: _Band | None, rows: np.ndarray,
-                 plus: np.ndarray, ends: np.ndarray, before: int):
-        self.r, self.k, self.below, self.rows, self.before = r, k, below, rows, before
+                 plus: np.ndarray, ends: np.ndarray):
+        self.r, self.k, self.below, self.rows = r, k, below, rows
         self.plus, self.ends = plus, ends
         self.longest = _longest_through(r, k, plus, ends)
         self.table: _Table = (len(plus), _columns(plus))
         self.masks = list(zip(_columns(self.longest[0] < m), _columns(self.longest[1] < m)))
 
-    def part(self, lo: int, hi: int) -> tuple[_Table, list[tuple[int, int]]]:
-        """The table and masks of rows lo..hi-1 alone, renumbered from 0."""
-        return ((hi - lo, _bits(self.table[1], lo, hi)),
-                [tuple(_bits(pair, lo, hi)) for pair in self.masks])
+    def walk(self, lo: int, hi: int, nodes: list[int], steps: list[int] | None = None):
+        """The `_join` walk of rows lo..hi-1 alone, renumbered from 0."""
+        table = (hi - lo, _bits(self.table[1], lo, hi))
+        masks = [tuple(_bits(pair, lo, hi)) for pair in self.masks]
+        return _join(self.r, self.k, table, nodes, float("inf"), masks, steps)
 
-    def count(self, i: int, p: list[int]) -> int:
-        """The engine's count at the leaf p of row i's band: the walk of
-        row i alone is the engine's walk of its band, up to p, entered
-        with row i's own count, found in the band below by its last
-        colors, plus the rows before it, walked again for their band
-        total."""
-        steps, walked = [0, 0], [0]
-        table, masks = self.part(i, i + 1)
-        leaves = _join(self.r, self.k, table, [0], float("inf"), masks, steps)
-        next(leaf for leaf, _ in leaves if leaf == p)
-        if i:
-            table, masks = self.part(0, i)
-            for _ in _join(self.r, self.k, table, walked, float("inf"), masks):
+    def count(self, i: int, p: list[int], walked: list[int] | None = None) -> int:
+        """The engine's nodes on the chain of the leaf p of row i's band,
+        past ``spent``: 2 * i, the join nodes of the rows before row i
+        (``walked``, their walk's node list, if the caller walked them),
+        row i's walk alone, the engine's walk of its band, up to p, and
+        the same one band down for row i's avoider, by its last colors."""
+        steps = [0, 0]
+        next(leaf for leaf, _ in self.walk(i, i + 1, [0], steps) if leaf == p)
+        if walked is None:
+            walked = [0]
+            for _ in self.walk(0, i, walked) if i else ():
                 pass
-        entry = self.before + 2 * i
+        entry = 2 * i
         if self.below is not None:
             last = (self.plus[i, comb(self.k - 2, self.r):] * 2 - 1).tolist()
             entry += self.below.count(int(self.rows[i]), last)
@@ -621,35 +622,31 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int
     """The avoiders on [k-1] in engine order, in batches of at most
     TABLE_CAP colors, each cut from one block that `_avoiders` yielded
     one level down, with the walk of each batch's band through vertex k:
-    yields (`_Band`, the `_join` walk, the masks list it reads).  A
-    caller that resumes has walked the band to the end, and its total
-    goes to ``before`` and ``spent[0]``.  The first batch is one row,
-    and `_growth` sizes each next one from the last walk; no output
-    depends on the sizes, since band totals are popcount sums and the
-    budget is checked only between batches.
-    TooLarge is raised once ``offset``, the engine's count at the
-    search's start, plus the bands walked at this level alone pass
-    ``limit``, since the engine walks every band of a batch before it
-    moves past the batch's last row.  The level below is asked for its
-    next block only when every row of the last one has been walked, so
-    its own TooLarge arrives between batches too: a search within the
-    budget ends among the rows already yielded.  On [r] the one batch is
-    the edgeless coloring of [r-1]."""
+    yields (`_Band`, the `_join` walk).  A caller that resumes has walked
+    the band to the end, and its total goes to ``spent[0]``.  The first
+    batch is one row, and `_growth` sizes each next one from the last
+    walk; no output depends on the sizes, since band totals are popcount
+    sums and the budget is checked only between batches.  TooLarge is
+    raised once ``offset``, the engine's count at the search's start,
+    plus ``spent[0]`` pass ``limit``: the engine walks every band
+    ``spent`` holds before its leaf, and reports 2 * spent - 2 >= spent
+    without one.  The level below is asked for its next block only when
+    every row of the last one has been walked, so its own TooLarge
+    arrives between batches too: a search within the budget ends among
+    the rows already yielded.  On [r] the one batch is the edgeless
+    coloring of [r-1]."""
     # at least 1, since check_size admitted (r, n); on [r-1], C(r-1, r) = 0: no edge
     cap = TABLE_CAP // (comb(k - 1, r) or 1)
-    before, size = 0, 1
+    size = 1
     for below, rows, plus, ends in _avoiders(r, k - 1, m, limit, spent, offset):
         lo = 0
         while lo < len(rows):
             hi = lo + size
-            band = _Band(r, k, m, below, rows[lo:hi], plus[lo:hi], ends[lo:hi], before)
+            band = _Band(r, k, m, below, rows[lo:hi], plus[lo:hi], ends[lo:hi])
             walked, steps = [0], [0, 0]
-            masks = list(band.masks)  # a copy, which the caller may narrow
-            yield band, _join(r, k, band.table, walked, float("inf"), masks, steps), masks
-            total = 2 * band.table[0] + walked[0] // 2
-            before += total
-            spent[0] += total
-            if offset + before > limit:
+            yield band, _join(r, k, band.table, walked, float("inf"), band.masks, steps)
+            spent[0] += 2 * band.table[0] + walked[0] // 2
+            if offset + spent[0] > limit:
                 raise TooLarge(f"search exceeded node budget {limit}")
             lo, size = hi, min(size * _growth(band.table[0], steps[1], walked[0] // 2, steps[0]),
                                cap)
@@ -690,7 +687,7 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: in
         yield (None, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool),
                np.zeros((1, 0), dtype=np.uint8))
         return
-    for band, walk, _ in _batches(r, k, m, limit, spent, offset):
+    for band, walk in _batches(r, k, m, limit, spent, offset):
         if leaves := [(list(p), bits) for p, bits in walk if k > r or p[0] < 0]:
             width = -(-band.table[0] // 8)
             raw = b"".join(bits.to_bytes(width, "little") for _, bits in leaves)
@@ -722,26 +719,24 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
     leaf below -1, and makes the tree below +1 as large as the tree
     below -1, so the exhaustive total is 2 * spent - 2 (the root's two
     attempts counted once).  One `_join` walk of the band decides every
-    row of a batch of the avoiders on [n-1] that `_batches` yields.  Once
-    a row extends, the walk's masks are narrowed in place to the rows
-    below it, which alone can still lower the answer, and no later
-    batch, here or below, is walked.  A batch where no row extends adds
-    its exact band total; in the batch that holds c, the rows before it
-    are walked again for theirs, and c's band is walked alone up to its
-    first leaf.
+    row of a batch of the avoiders on [n-1] that `_batches` yields.  Its
+    first leaf's lowest row extends; the rows below it alone can lower
+    the answer, so they are walked on their own, and so on until such a
+    walk yields no leaf, whose total is then the top band's rows before
+    c (`_Band.count`).  No later batch, here or below, is walked; a
+    batch where no row extends adds its band total to ``spent``.
     """
     max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
     limit = float("inf") if max_nodes is None else max_nodes
     spent = [0]  # the engine's attempts in every band walked exhaustively
-    for band, walk, masks in _batches(r, n, m, limit, spent, nodes[0]):
-        first = p = None
-        for leaf, bits in walk:
-            row = (bits & -bits).bit_length() - 1  # a leaf's other color may predate the narrowing
-            if first is None or row < first:
-                first, p = row, list(leaf)
-                masks[:] = band.part(0, first)[1]
+    for band, walk in _batches(r, n, m, limit, spent, nodes[0]):
+        first = None
+        while (leaf := next(walk, None)) is not None:  # then the rows below its lowest row, alone
+            (p, bits), walked = leaf, [0]
+            first, p = (bits & -bits).bit_length() - 1, list(p)
+            walk = band.walk(0, first, walked) if first else iter(())
         if first is not None:
-            _add_nodes(nodes, band.count(first, p), limit)
+            _add_nodes(nodes, spent[0] + band.count(first, p, walked), limit)
             colors = (band.plus[first] * 2 - 1).tolist() + p
             return SignFunction(r, n, np.array(colors, dtype=np.int8))
     _add_nodes(nodes, 2 * spent[0] - 2, limit)

@@ -53,7 +53,7 @@ def tower_sizes(r: int, n: int) -> list[int]:
     return sizes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerElement:
     """A ground-set element: its level and its code in the element order."""
 

@@ -653,7 +653,8 @@ def check_levels(r, n, m):
             source = band, row
             if len(seen) % step == 0:
                 assert row_ends.tolist() == reference_ends(r, constraints, seen[-1])
-                counts[len(seen) - 1] = band.count(int(row), list(seen[-1][comb(n - 1, r):]))
+                last = list(seen[-1][comb(n - 1, r):])
+                counts[len(seen) - 1] = spent[0] + band.count(int(row), last)
                 if not first_leaf:
                     later.add("one row" if size == 1 else "rows")
     assert seen == [colors for colors, _ in leaves]
@@ -709,8 +710,8 @@ def overrun_in_level(monkeypatch, r, k, batch):
         raise TooLarge("search exceeded node budget")
 
     def numbered(r_, k_, *args):
-        for i, (band, walk, masks) in enumerate(batches(r_, k_, *args), 1):
-            yield band, budgeted(walk) if (r_, k_, i) == (r, k, batch) else walk, masks
+        for i, (band, walk) in enumerate(batches(r_, k_, *args), 1):
+            yield band, budgeted(walk) if (r_, k_, i) == (r, k, batch) else walk
 
     monkeypatch.setattr(enumeration, "_batches", numbered)
     return cut
@@ -827,6 +828,23 @@ class TestFirstAvoiderByBandJoin:
                     band_first_avoider(r, n, m)
             assert cut == [batch]
 
+    def test_no_walk_sees_its_masks_change(self, monkeypatch):
+        # a walk reads its masks on entering each p-edge, so every walk,
+        # those of a leaf's count included, must read one fixed list
+        join = enumeration._join
+
+        def watched(r, n, table, nodes, limit, masks=None, steps=None):
+            start = list(masks)
+            for leaf in join(r, n, table, nodes, limit, masks, steps):
+                assert masks == start
+                yield leaf
+            assert masks == start
+
+        monkeypatch.setattr(enumeration, "_join", watched)
+        for r, n, m in [(2, 8, 4), (3, 10, 5), (4, 8, 5), (4, 9, 6)]:
+            assert band_first_avoider(r, n, m)[0] is not None
+        assert ramsey_number(2, 4, 12).nodes == 266_296
+
     def test_first_leaf_of_a_large_band(self):
         # p has rank 29 and its one deletion row comes last: the engine's
         # first leaf is 31 nodes deep, an exhaustive walk of the band 2^30.
@@ -906,6 +924,22 @@ class TestSearchCaps:
         calls = self.CALLS[:3] + [lambda **caps: next(enumerate_monotone(3, 7, **caps))]
         with pytest.raises(TooLarge, match="node budget 1$"):
             calls[call](max_nodes=True)
+
+    # 2.5 and NaN passed the workers >= 1 check and failed in `range` once
+    # every stage was built; no join may run before the refusal now
+    @pytest.mark.parametrize("workers", [2.5, NAN])
+    def test_non_integer_workers_are_refused_first(self, monkeypatch, workers):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a stage ran before workers was read")
+
+        monkeypatch.setattr(enumeration, "_join", unreachable)
+        with pytest.raises(TypeError):
+            count_monotone(3, 9, max_edges=84, workers=workers)
+
+    # np.int64 workers cut the rows at np.int64 bounds, and `_bits` overflowed
+    def test_numpy_integer_workers_give_the_serial_result(self):
+        serial = count_monotone(3, 7)
+        assert timeless(count_monotone(3, 7, workers=np.int64(2))) == timeless(serial)
 
     def test_numpy_integer_caps_are_read_as_integers(self):
         with pytest.raises(TooLarge, match="node budget 10$"):

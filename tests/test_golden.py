@@ -170,6 +170,19 @@ def test_avoiders_r2_m5_and_r5_m7(r, n, m, nodes, digest):
     assert sha(dumps(avoider)) == digest
 
 
+# Recorded while a batch's band walk was narrowed in place to the rows
+# below a found row; these two searches walk those rows on their own most
+# often, 10 and 21 times.
+@pytest.mark.parametrize("n,m,nodes,digest", [
+    (8, 5, 135_585, "407130293a1a179ba5c271d415930b1c540e275085ab4a1b5211ff665b2911ac"),
+    (10, 6, 98_482_486, "4b9ba779857b2455b9766ad7a1e49345957a47e7c65b6b1f9e78f29d7aea9d90"),
+])
+def test_avoiders_r4(n, m, nodes, digest):
+    avoider, total = find_avoiding_coloring(4, n, m, max_edges=400)
+    assert total == nodes
+    assert sha(dumps(avoider)) == digest
+
+
 def halved_engine(r, n):
     """The engine below the first edge minus: the half the counting join builds."""
     nodes = [0]

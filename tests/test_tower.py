@@ -1,3 +1,5 @@
+import pickle
+import tracemalloc
 from functools import cmp_to_key
 from itertools import combinations, permutations, product
 from math import comb
@@ -132,6 +134,17 @@ class TestGroundSet:
         for args in [(3.0, 3), (3, 3.0)]:
             with pytest.raises(TypeError):
                 TowerGroundSet(*args)
+
+    def test_elements_are_slotted(self):
+        # 2^17 elements; a per-instance __dict__ took about 129 bytes each
+        tracemalloc.start()
+        try:
+            els = TowerGroundSet(3, 17).elements()
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(els) == 2 ** 17 and traced < 100 * len(els)
+        assert pickle.loads(pickle.dumps(els[:3])) == els[:3]
 
     def test_eight_element_level(self):
         ground = TowerGroundSet(3, 3)
