@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import TABLE_CAP, SignFunction, _brief, check_size, colex_layout
-from .errors import InvalidArgument, NoReduction, TooLarge
+from .errors import InvalidArgument, NoReduction, TernaryNotAllowed, TooLarge
 
 Composition = tuple[int, ...]
 
@@ -206,6 +206,8 @@ def completions(
     zeros = _positions(t)
     colors = np.array(t.fun.colors)  # the work buffer each fill is written into
     colors[zeros] = 0  # open to either sign, whatever the template holds there
+    if np.count_nonzero(colors) + z < len(colors):  # a 0 no fill covers
+        raise TernaryNotAllowed("0 entries require ternary_allowed=True")
     check_each = _can_change_twice(colors[_touched(t.r, t.n, zeros)])
     total = 2 ** z if mode == "all" else count
     rng = np.random.default_rng(seed) if mode == "sample" else None
@@ -218,7 +220,7 @@ def completions(
             fills = rng.integers(0, 2, size=(size, -(-z // 4) * 4), dtype=np.int8)[:, :z]
         for fill in 2 * fills - 1:
             colors[zeros] = fill
-            fun = SignFunction(t.r, t.n, colors)  # a copy: the buffer is written again
+            fun = SignFunction._derived(t.r, t.n, colors.copy())  # the buffer is written again
             if check_each or shared is None:
                 shared = fun._violations  # decided in full and stored
             else:

@@ -199,6 +199,9 @@ class SignFunction:
     values and zeros together (other dtypes are range-checked before the
     cast), and stores whether the coloring is binary.  The predicates are
     cached as two ints, ``_violations``, outside equality and hashing.
+    Colors are validated once, at the boundary: the public constructor
+    checks all it is given; ``_derived`` takes, unscanned, only int8 colors
+    derived from validated ones or built as -1/+1 (leaves, sweep signs).
     """
 
     r: int
@@ -227,6 +230,15 @@ class SignFunction:
         colors.setflags(write=False)
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "_binary", not rest)
+
+    @classmethod
+    def _derived(cls, r: int, n: int, colors: np.ndarray) -> "SignFunction":
+        """Derived -1/+1 int8 colors (class docstring), read-only, unscanned, not ternary."""
+        self = object.__new__(cls)
+        colors.setflags(write=False)
+        for name, value in (("r", r), ("n", n), ("colors", colors), ("_binary", True)):
+            object.__setattr__(self, name, value)  # as __init__ sets them, with no instance dict
+        return self
 
     @classmethod
     def constant(cls, r: int, n: int, color: int = MINUS) -> "SignFunction":
@@ -362,14 +374,13 @@ def _first_violations(r: int, n: int, colors: np.ndarray) -> tuple[int, int]:
 def _double_changes(columns: Iterator[np.ndarray]) -> tuple[int, int]:
     """Rows are deletion color sequences, given one face (column) at a time:
     the first row that changes sign twice, and the first that does so with
-    equal first and last colors; -1 for none.  Counts changes per row."""
+    equal first and last colors; -1 for none.  Counts changes per row, r <= 175, in uint8."""
     first = prev = next(columns)
-    once, twice = np.zeros((2, len(first)), dtype=bool)
+    changes = np.zeros(len(first), dtype=np.uint8)
     for cur in columns:
-        changed = cur != prev
-        twice |= once & changed
-        once |= changed
+        changes += cur != prev
         prev = cur
+    twice = changes > 1
     if not twice.any():
         return -1, -1
     both = twice & (first == prev)

@@ -221,7 +221,7 @@ def enumerate_monotone(
     if len(prefix) > comb(n, r) or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {comb(n, r)}")
     for colors in _search(r, n, [0], max_nodes=max_nodes, prefix=prefix, rng=rng):
-        yield SignFunction(r, n, np.array(colors, dtype=np.int8))
+        yield SignFunction._derived(r, n, np.array(colors, dtype=np.int8))
 
 
 def random_monotone_coloring(r: int, n: int, seed: int, **kwargs) -> SignFunction:
@@ -502,7 +502,7 @@ def _projections(c: SignFunction, vertices) -> tuple[SignFunction, ...]:
     for i in vertices:
         if not r <= i <= n:
             raise InvalidArgument(f"need r <= i <= n, got i={_brief(i)}")
-        out.append(SignFunction(r - 1, i - 1, c.colors[comb(i - 1, r):comb(i, r)]))
+        out.append(SignFunction._derived(r - 1, i - 1, c.colors[comb(i - 1, r):comb(i, r)]))
     return tuple(out)
 
 

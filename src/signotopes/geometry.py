@@ -8,17 +8,17 @@ then (j,k), plus means the reverse, so each wire meets the other two in
 increasing (minus) or decreasing (plus) label order.  Summed over the
 triples, these give each wire's local sequence, and the sweep performs
 crossings that are next in the local sequences of both their wires.  A
-diagram is (n, sweep); its trace comes from the one walk that validates
-a sweep.  The converse map reads the color of (i, j, k) off whether wire
-k meets i before j.  The convention is pinned by the round-trip tests,
-since flipping it breaks them.
+diagram is (n, sweep); the one walk that validates a sweep derives its
+trace and records each pair's crossing step by colex rank, off which the
+converse map reads (i, j, k) as minus iff wire k meets i before j.  The
+convention is pinned by the round-trip tests, since flipping it breaks them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, combinations
+from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -53,6 +53,7 @@ class WiringDiagram:
             raise InvalidWiring(f"expected {_brief(comb(n, 2))} crossings, got {len(self.sweep)}")
         order = list(range(1, n + 1))
         where = list(range(-1, n))  # where[wire]: its index in order
+        ranks, steps = _pair_ranks(n), [0] * len(self.sweep)
         trace = [tuple(order)]
         for step, pair in enumerate(self.sweep):
             try:  # unpacking refuses a triple, a list index refuses 1.0
@@ -67,8 +68,16 @@ class WiringDiagram:
                 raise InvalidWiring(f"step {step}: wire {b} is not directly below {a} in {order}")
             order[pa], order[pb] = order[pb], order[pa]
             where[a], where[b] = pb, pa
+            steps[ranks[b][a]] = step
             trace.append(tuple(order))
+        object.__setattr__(self, "_steps", steps)  # _steps[k]: the step of the pair of rank k
         return tuple(trace)
+
+
+@lru_cache(maxsize=None)
+def _pair_ranks(n: int) -> tuple[range, ...]:
+    """``[b][a]``: the colex rank a + b(b-3)/2 of a < b <= n as a Python int, for any int type."""
+    return tuple(range(b * (b - 3) // 2, comb(b, 2)) for b in range(n + 1))
 
 
 def _triples(c: SignFunction) -> np.ndarray:
@@ -84,14 +93,9 @@ def _triples(c: SignFunction) -> np.ndarray:
 def crossing_constraints(c: SignFunction) -> dict[Crossing, set[Crossing]]:
     """Successor sets of the crossing precedence relation."""
     triples = _triples(c)
-    succ: dict[Crossing, set[Crossing]] = {
-        pair: set() for pair in combinations(range(1, c.n + 1), 2)
-    }
+    succ: dict[Crossing, set[Crossing]] = {p: set() for p in combinations(range(1, c.n + 1), 2)}
     for (i, j, k), color in zip(triples.tolist(), c.colors.tolist()):
-        if color < 0:
-            chain = ((i, j), (i, k), (j, k))
-        else:
-            chain = ((j, k), (i, k), (i, j))
+        chain = ((i, j), (i, k), (j, k)) if color < 0 else ((j, k), (i, k), (i, j))
         succ[chain[0]].add(chain[1])
         succ[chain[1]].add(chain[2])
     return succ
@@ -114,56 +118,60 @@ def is_acyclic(succ: dict[Crossing, set[Crossing]]) -> bool:
     return seen == len(succ)
 
 
+@lru_cache(maxsize=None)
+def _meeting_tables(n: int) -> np.ndarray:
+    """Read-only int16 a * n + b (n <= 64), per triple and wire a, b met second: minus, plus."""
+    edges = colex_layout(n, 3).edges.astype(np.int16) - 1
+    tables = edges * n + np.stack([edges[:, [2, 2, 1]], edges[:, [1, 0, 0]]])
+    tables.setflags(write=False)
+    return tables
+
+
 def wiring_diagram(c: SignFunction) -> WiringDiagram:
     """Sweep realizing the crossing constraints of a monotone coloring.
 
-    Greedy and deterministic: at each step the lexicographically
-    smallest crossing that is next for both of its wires is performed;
-    those are exactly the adjacent crossings whose constraints are met.
-    Failure to finish would contradict the correspondence between
-    monotone colorings and sweeps, so it raises NotRealizable.
+    Greedy and deterministic: at each step the lexicographically smallest
+    crossing that is next for both of its wires is performed; those are
+    exactly the adjacent crossings whose constraints are met.  A crossing
+    (a, b) changes only the pairs of a or b, so the next scan starts at wire
+    min(a, next(a), next(b)).  Failure to finish would contradict the
+    correspondence between monotone colorings and sweeps: NotRealizable.
     """
-    edges = _triples(c) - 1
+    _triples(c)  # refuses r != 3 and non-monotone input
     n = c.n
-    # second[t, w]: of the other two wires of triple t, the one its w-th wire meets second.
-    second = np.where((c.colors < 0)[:, None], edges[:, [2, 2, 1]], edges[:, [1, 0, 0]])
-    before = np.zeros((n, n), dtype=np.int64)  # before[a, b]: how many wires a meets before b
-    np.add.at(before, (edges, second), 1)
-    np.fill_diagonal(before, n)
+    # before[a * n + b]: how many wires a meets before b; n on the diagonal.
+    second = np.where((c.colors < 0)[:, None], *_meeting_tables(n))
+    before = np.bincount(second.ravel(), minlength=n * n)
+    before[::n + 1] = n
     # Row a lists the wires a meets in order, then a itself as an end marker.
-    meets = np.argsort(before, axis=1).tolist()
-    met = [0] * n
+    meets = [iter(row) for row in np.argsort(before.reshape(n, n), axis=1).tolist()]
+    after = [next(row) for row in meets]  # after[a]: the wire a meets next
     sweep: list[Crossing] = []
-    total = comb(n, 2)
-    while len(sweep) < total:
-        for a in range(n):
-            b = meets[a][met[a]]
-            if b > a and meets[b][met[b]] == a:
+    a = 0
+    for _ in range(comb(n, 2)):
+        for a in range(a, n):
+            b = after[a]
+            if b > a and after[b] == a:
                 break
         else:
-            raise NotRealizable(
-                f"stuck after {len(sweep)} of {total} crossings; "
-                f"this contradicts monotonicity of the input"
-            )
-        met[a] += 1
-        met[b] += 1
+            raise NotRealizable(f"stuck after {len(sweep)} of {comb(n, 2)} crossings; "
+                                f"this contradicts monotonicity of the input")
+        after[a], after[b] = next(meets[a]), next(meets[b])
         sweep.append((a + 1, b + 1))
+        a = min(a, after[a], after[b])
     return WiringDiagram(n, tuple(sweep))
 
 
 def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     """Colors from crossing order: (i,j,k) is minus iff k meets i before j."""
     check_size(3, max(w.n, 3))  # before the O(n^3) trace that validation derives
-    w.trace  # deriving the trace validates the sweep
+    w.trace  # deriving the trace validates the sweep and records its steps
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
-    # The pair (a, b) has colex rank (a - 1) + C(b - 1, 2) = a + b(b - 3)/2.
-    a, b = np.fromiter(chain.from_iterable(w.sweep), np.int64, 2 * len(w.sweep)).reshape(-1, 2).T
-    position = np.empty(len(w.sweep), dtype=np.int64)
-    position[a + b * (b - 3) // 2] = np.arange(len(w.sweep))
+    step, faces = np.array(w._steps), colex_layout(w.n, 3).deletion
     # Columns 1 and 2 of the triple deletion table are the pairs (i,k) and (j,k).
-    faces = position[colex_layout(w.n, 3).deletion]
-    return SignFunction(3, w.n, np.where(faces[:, 1] < faces[:, 2], np.int8(-1), np.int8(1)))
+    minus = step[faces[:, 1]] < step[faces[:, 2]]
+    return SignFunction._derived(3, w.n, np.where(minus, np.int8(-1), np.int8(1)))
 
 
 def sweep_text(w: WiringDiagram) -> str:

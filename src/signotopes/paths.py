@@ -10,6 +10,7 @@ which puts the DP base at r-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .core import SignFunction, _brief, _require_binary, colex_layout
@@ -33,6 +34,14 @@ class PathReport:
         return max(self.best_minus, self.best_plus)
 
 
+@lru_cache(maxsize=None)
+def _views(r: int, n: int) -> tuple:
+    """The layout views the DP reads: per edge (u, *t) in colex order (by t, then u),
+    the ranks of (u, *t[:-1]) and t, deletion table columns 0 and -1; the tuples t."""
+    table = colex_layout(n, r).deletion
+    return table[:, 0], table[:, -1], colex_layout(n, r - 1).edges
+
+
 def longest_mono_paths(c: SignFunction) -> PathReport:
     """Exact longest monochromatic path lengths via DP over (r-1)-tuples.
 
@@ -51,16 +60,11 @@ def longest_mono_paths(c: SignFunction) -> PathReport:
     r, n = c.r, c.n
     base = r - 1
     m = comb(n, base)
-    suffixes = colex_layout(n, base).edges.tolist()
+    before, last, suffixes = (view.tolist() for view in _views(r, n))
     length = ([base] * m, [base] * m)
     parent = ([-1] * m, [-1] * m)
 
-    # Row e of the r-subset deletion table is the edge (u, *t): column 0
-    # is its predecessor (u, *t[:-1]), the last column is t.  Rows run in
-    # colex order, grouped by t ascending and by u within a group.
-    table = colex_layout(n, r).deletion
-    ends = zip(table[:, 0].tolist(), table[:, -1].tolist())
-    for value, (p_rank, t_rank) in zip(c.colors.tolist(), ends):
+    for value, p_rank, t_rank in zip(c.colors.tolist(), before, last):
         col = _MINUS if value < 0 else _PLUS
         cand = length[col][p_rank] + 1
         if cand > length[col][t_rank]:

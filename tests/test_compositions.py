@@ -26,7 +26,7 @@ from signotopes import (
 )
 from signotopes.compositions import _can_change_twice
 from signotopes.core import TABLE_CAP, colex_layout
-from signotopes.errors import InvalidArgument, NoReduction, TooLarge
+from signotopes.errors import InvalidArgument, NoReduction, TernaryNotAllowed, TooLarge
 
 
 def ref_compositions(m, parts=None):
@@ -392,6 +392,15 @@ class TestCompletions:
             else:
                 with pytest.raises(TooLarge, match="table cap"):
                     next(completions(t, mode="all"))
+
+    def test_a_zero_outside_the_fill_positions_is_refused(self):
+        # every completion is built unscanned, so the template is checked once per call
+        t = block_coloring(3, 2)
+        for zeros in (t.zero_positions[1:], t.zero_positions[:-1]):
+            partial = TernaryColoring(t.fun, r=3, h=2, n=9, m=3, zero_positions=zeros)
+            for mode, count in (("all", 0), ("sample", 3)):
+                with pytest.raises(TernaryNotAllowed, match="^0 entries require ternary_allowed=True$"):
+                    next(completions(partial, mode=mode, count=count))
 
     def test_bad_mode(self):
         t = block_coloring(3, 2)

@@ -487,6 +487,23 @@ class TestPredicates:
             assert (monotone_violation(c), transitive_violation(c)) == want
             assert reference_violations(c) == want
 
+    def test_change_counts_fit_in_a_byte(self):
+        # rows are counted in uint8: a row of r + 1 faces changes sign r times at
+        # most, and r = 175 is the largest check_size admits (63 with a row at all)
+        check_size(175, 175)
+        for r, n in ((176, 176), (64, 65)):
+            with pytest.raises(TooLarge):
+                check_size(r, n)
+        r, n = 63, 64
+        row = colex_layout(n, r + 1).deletion[0]
+        for flips in (63, 62, 2, 1):  # the row's one (r+1)-subset changes sign flips times
+            colors = np.empty(n, dtype=np.int8)
+            colors[row] = [(-1) ** (min(j, flips) + 1) for j in range(r + 1)]
+            c = SignFunction(r, n, colors)
+            mono, trans = monotone_violation(c), transitive_violation(c)
+            assert (mono, trans) == reference_violations(c)
+            assert (mono is None) == (flips < 2)
+
     # Sizes whose blocks past the split h = core._head(r, n) are checked one at a time.
     STREAMED = [(3, 40), (3, 64), (4, 30), (2, 175)]
 
@@ -648,3 +665,88 @@ class TestSymmetries:
 
         for c in enumerate_monotone(3, 5):
             assert is_monotone(c.reversed_order())
+
+
+class TestDerivedColorings:
+    """`SignFunction._derived` stores colors the package derived as -1/+1 without
+    scanning them; each use is checked here against the public constructor."""
+
+    @pytest.fixture
+    def derived(self, monkeypatch):
+        """Every `_derived` call also builds `SignFunction(r, n, colors)`, which
+        validates, and compares; the (r, n) of each call are returned."""
+        original = SignFunction._derived
+        calls = []
+
+        def checked(cls, r, n, colors):
+            public = SignFunction(r, n, colors)
+            out = original(r, n, colors)
+            assert out == public and hash(out) == hash(public)
+            assert out.is_binary and not out.ternary_allowed and out.colors.dtype == np.int8
+            assert not out.colors.flags.writeable
+            calls.append((r, n))
+            return out
+
+        monkeypatch.setattr(SignFunction, "_derived", classmethod(checked))
+        return calls
+
+    @pytest.mark.parametrize("r,n,count", [(3, 6, 908), (4, 6, 148)])
+    def test_enumerated_leaves_and_their_projections(self, derived, r, n, count):
+        from signotopes import enumerate_monotone, projection_signature
+
+        found = list(enumerate_monotone(r, n))
+        assert derived == [(r, n)] * count == [(c.r, c.n) for c in found]
+        for c in found:
+            sig = projection_signature(c)
+            assert [q.n for q in sig] == list(range(r - 1, n))
+        assert len(derived) == count * (n - r + 2)
+
+    @pytest.mark.parametrize("r,n", [(3, 8), (4, 7)])
+    def test_samples_and_their_projections(self, derived, r, n):
+        from signotopes import projection_signature, random_monotone_coloring
+
+        for seed in range(200):
+            c = random_monotone_coloring(r, n, seed)
+            assert derived[-1] == (r, n)
+            sig = projection_signature(c)
+            assert derived[-len(sig):] == [(r - 1, i - 1) for i in range(r, n + 1)]
+        assert len(derived) == 200 * (n - r + 2)
+
+    def test_signs_from_wiring(self, derived):
+        from signotopes import enumerate_monotone, signs_from_wiring, wiring_diagram
+
+        colorings = list(enumerate_monotone(3, 6)) + [tower_coloring(3, 6)]
+        derived.clear()
+        for c in colorings:
+            assert signs_from_wiring(wiring_diagram(c)) == c
+        assert derived == [(c.r, c.n) for c in colorings]
+
+    @pytest.mark.parametrize("r,h,count", [(3, 3, 200), (5, 2, 20)])
+    def test_completions(self, derived, r, h, count):
+        t = block_coloring(r, h)
+        filled = list(completions(t, mode="sample", count=count, seed=5))
+        assert derived == [(r, r ** h)] * count and len(set(filled)) == count
+        assert all(is_monotone(c) for c in filled)
+
+    def test_derived_colorings_take_no_more_memory_than_checked_ones(self):
+        # their fields are set as the dataclass sets them, without an instance dict
+        from signotopes import enumerate_monotone
+
+        arrays = [c.colors for c in enumerate_monotone(3, 6)]
+
+        def traced(build):
+            tracemalloc.start()
+            try:
+                held = [build(colors) for colors in arrays]
+                return tracemalloc.get_traced_memory()[0] / len(held)
+            finally:
+                tracemalloc.stop()
+
+        public = traced(lambda colors: SignFunction(3, 6, colors))
+        assert traced(lambda colors: SignFunction._derived(3, 6, colors.copy())) <= public
+
+    def test_derived_colors_are_not_shared_with_the_work_buffer(self):
+        t = block_coloring(3, 2)
+        filled = list(completions(t))
+        assert len({c.colors.tobytes() for c in filled}) == len(filled) == 64
+        assert all(not c.colors.flags.writeable for c in filled)

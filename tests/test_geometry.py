@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -68,6 +69,38 @@ def ref_render_svg(w):
     return "\n".join(lines) + "\n"
 
 
+def ref_wiring_sweep(c):
+    """The greedy sweep from local sequences counted triple by triple, rescanning
+    from wire 1 after every crossing for the smallest pair next to each other."""
+    n = c.n
+    before = [[0] * (n + 1) for _ in range(n + 1)]  # before[a][b]: wires a meets before b
+    for (i, j, k), color in zip(combinations_colex(n), c.colors.tolist()):
+        if color < 0:  # i, j meet the others in increasing order, k meets i then j
+            before[i][k] += 1
+            before[j][k] += 1
+            before[k][j] += 1
+        else:
+            before[i][j] += 1
+            before[j][i] += 1
+            before[k][i] += 1
+    meets = {a: sorted((b for b in range(1, n + 1) if b != a), key=lambda b: before[a][b]) + [a]
+             for a in range(1, n + 1)}
+    met = dict.fromkeys(meets, 0)
+    sweep = []
+    while len(sweep) < comb(n, 2):
+        a = next(a for a in range(1, n + 1)
+                 if meets[a][met[a]] > a and meets[meets[a][met[a]]][met[meets[a][met[a]]]] == a)
+        b = meets[a][met[a]]
+        met[a] += 1
+        met[b] += 1
+        sweep.append((a, b))
+    return tuple(sweep)
+
+
+def combinations_colex(n):
+    return sorted(combinations(range(1, n + 1), 3), key=lambda e: e[::-1])
+
+
 class TestConstraints:
     def test_all_minus_chain(self):
         succ = crossing_constraints(SignFunction.constant(3, 3))
@@ -122,6 +155,14 @@ class TestWiring:
             position = {pair: t for t, pair in enumerate(wiring_diagram(c).sweep)}
             for p, later in crossing_constraints(c).items():
                 assert all(position[p] < position[q] for q in later), (c.n, p)
+
+    def test_greedy_matches_the_rescan_from_wire_one(self):
+        from signotopes import random_monotone_coloring
+
+        colorings = list(enumerate_monotone(3, 6))
+        colorings += [random_monotone_coloring(3, 9, seed, max_edges=84) for seed in range(200)]
+        for c in colorings + [tower_coloring(3, 6)]:
+            assert wiring_diagram(c).sweep == ref_wiring_sweep(c)
 
     def test_mixed_example_has_a_sweep(self):
         found = 0

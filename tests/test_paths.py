@@ -82,6 +82,21 @@ class TestLongestPaths:
         with pytest.raises(TernaryNotAllowed):
             longest_mono_paths(c)
 
+    @pytest.mark.parametrize("r,n", [(2, 9), (3, 6), (3, 64), (4, 7)])
+    def test_cached_layout_reads_are_views(self, r, n):
+        # the per-(r, n) cache holds views into the shared layout, no per-edge objects
+        from signotopes.core import colex_layout
+        from signotopes.paths import _views
+
+        longest_mono_paths(SignFunction.constant(r, n))
+        before, last, suffixes = _views(r, n)
+        table = colex_layout(n, r).deletion
+        for view, owner in ((before, table), (last, table),
+                            (suffixes, colex_layout(n, r - 1).edges)):
+            assert isinstance(view, np.ndarray) and view.dtype != object
+            assert np.shares_memory(view, owner) and not view.flags.writeable
+        assert before.tolist() == table[:, 0].tolist() and last.tolist() == table[:, -1].tolist()
+
 
 class TestSymmetries:
     def test_color_swap_exchanges_lengths(self):
