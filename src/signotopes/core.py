@@ -95,7 +95,9 @@ class ColexLayout:
       deleting the (k-j)-th smallest element of edge t, so the largest
       element is deleted first and the smallest last.  Block v is
       ``[arange(C(v-1, k-1)), D[:C(v-1, k-1)] + C(v-1, k-1)]`` with D the
-      (n-1, k-1) deletion table.
+      (n-1, k-1) deletion table;
+    * ``reversal[t]`` is the rank of edge t under the relabeling
+      i -> n+1-i, an involution read by ``SignFunction.reversed_order``.
 
     ``deletion`` is stored column-major, so each column ``deletion[:, j]``
     (face j of every k-subset) is contiguous: the predicates gather and
@@ -129,6 +131,12 @@ class ColexLayout:
         for _, lo, width, sub in self._blocks():
             out[lo:lo + width, 0] = np.arange(width)
             out[lo:lo + width, 1:] = sub.deletion[:width] + width
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def reversal(self) -> np.ndarray:
+        out = self.rank(self.n + 1 - self.edges[:, ::-1])
         out.setflags(write=False)
         return out
 
@@ -283,8 +291,7 @@ class SignFunction:
 
     def reversed_order(self) -> "SignFunction":
         """The coloring under the vertex relabeling i -> n+1-i."""
-        lay = colex_layout(self.n, self.r)
-        out = self.colors[lay.rank(self.n + 1 - lay.edges[:, ::-1])]
+        out = self.colors[colex_layout(self.n, self.r).reversal]
         return SignFunction(self.r, self.n, out, self.ternary_allowed)
 
     def __eq__(self, other) -> bool:

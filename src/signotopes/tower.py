@@ -27,7 +27,7 @@ is monotone and has no monochromatic monotone path on 2n+r-1 vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import index
+from operator import ge, index
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,6 +66,13 @@ class TowerGroundSet:
 
     Elements returned by :meth:`elements` are in increasing element
     order; the first half has type - and the second half type +.
+
+    Gamma is tabulated once per level, on first use: a level of N
+    elements with N^2 <= TABLE_CAP gets an N x N table of Python ints,
+    filled through ``_gamma_code``, which ``gamma``, ``gamma_iter``,
+    ``coloring`` and the three verifiers read.  A larger level (level 3
+    of (3, 21), 2^21 elements) is read through the same accessor, which
+    then computes each code on demand and stores nothing.
     """
 
     def __init__(self, r: int, n: int):
@@ -74,6 +81,7 @@ class TowerGroundSet:
         self.size = self.sizes[self.r]
         if self.size > TABLE_CAP:
             raise TooLarge(f"{_brief(self.size)} elements exceed the table cap {TABLE_CAP}")
+        self._tables: list[list[list[int]] | None] = [None] * (self.r + 1)
 
     # -- element structure --------------------------------------------------
 
@@ -114,7 +122,7 @@ class TowerGroundSet:
         TowerElements.  Display/debugging only.
         """
         bits = self.bits_of(el)  # checks el and that its level is >= 3
-        lower = el.level - 1
+        lower = index(el.level) - 1
         size = self.sizes[lower]
         picks = [
             TowerElement(lower, k if bit == 0 else size - 1 - k)
@@ -137,7 +145,7 @@ class TowerGroundSet:
             raise InvalidArgument("gamma is defined from level 2 upward")
         if x == y:
             raise InvalidArgument("gamma needs two distinct elements")
-        return TowerElement(level - 1, self._gamma_code(level, x, y))
+        return TowerElement(level - 1, self._gamma_table(level)[x][y])
 
     def _gamma_code(self, level: int, a: int, b: int) -> int:
         if level == 2:
@@ -147,6 +155,24 @@ class TowerGroundSet:
         if (b >> (width - 1 - k)) & 1:
             return self.sizes[level - 1] - 1 - k
         return k
+
+    def _gamma_table(self, level: int) -> list[list[int]] | _UntabledGamma:
+        """Gamma's codes at `level` (>= 2): ``table[a][b]`` for a != b.
+
+        The table is built on the first call and kept; its diagonal holds
+        0 and is never read.  A level whose table would pass TABLE_CAP
+        entries gets rows that compute ``_gamma_code`` on each read.
+        """
+        table = self._tables[level]
+        if table is None:
+            size = self.sizes[level]
+            if size * size > TABLE_CAP:
+                return _UntabledGamma(self._gamma_code, level)
+            code = self._gamma_code
+            table = self._tables[level] = [
+                [code(level, a, b) if a != b else 0 for b in range(size)] for a in range(size)
+            ]
+        return table
 
     def gamma_iter(self, seq: Sequence[TowerElement], times: int) -> list[TowerElement]:
         """Apply gamma elementwise to consecutive entries, `times` times."""
@@ -158,29 +184,26 @@ class TowerGroundSet:
             )
         if any(x == y for x, y in zip(codes, codes[1:])):
             raise InvalidArgument("consecutive entries must be distinct")
-        return [TowerElement(level - times, code) for code in self._descend(level, codes, times)]
-
-    def _descend(self, level: int, codes: list[int], times: int) -> list[int]:
-        """Gamma codes of consecutive entries, iterated `times` times from `level`."""
         for step in range(times):
-            codes = [self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
-        return codes
+            table = self._gamma_table(level - step)
+            codes = [table[x][y] for x, y in zip(codes, codes[1:])]
+        return [TowerElement(level - times, code) for code in codes]
 
     def coloring(self) -> SignFunction:
         """The edge coloring: iterate gamma down to a sign per r-subset.
 
         Vertex i of the result is the i-th element in the element order.
-        Gamma is tabulated per level; consecutive entries stay distinct
-        on the way down, so the tables' diagonals are never read.
+        Each level's step gathers from the ground set's gamma table (class
+        docstring); ``check_size`` admits at most 64 vertices at r = 3 and
+        fewer above, so every level is tabulated.  Consecutive entries
+        stay distinct on the way down, so the diagonals are never read.
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
         check_size(self.r, self.size)
         codes = colex_layout(self.size, self.r).edges - 1
         for level in range(self.r, 1, -1):
-            size = self.sizes[level]
-            gamma = np.array([[self._gamma_code(level, a, b) if a != b else 0
-                               for b in range(size)] for a in range(size)])
+            gamma = np.array(self._gamma_table(level))
             codes = gamma[codes[:, :-1], codes[:, 1:]]
         return SignFunction(self.r, self.size, np.where(codes[:, 0], 1, -1))
 
@@ -199,9 +222,9 @@ class TowerGroundSet:
             raise InvalidArgument("gamma is defined from level 2 upward")
         if x == y or y == z or x == z:
             raise InvalidArgument("elements must be pairwise distinct")
-        gab = self._gamma_code(level, x, y)
-        gbc = self._gamma_code(level, y, z)
-        gac = self._gamma_code(level, x, z)
+        rows = self._gamma_table(level)
+        row = rows[x]
+        gab, gbc, gac = row[y], rows[y][z], row[z]
         if level == 2:
             if gab != gbc:
                 return gac in (gab, gbc)
@@ -232,13 +255,12 @@ class TowerGroundSet:
             raise InvalidArgument("gamma is defined from level 2 upward")
         if x == y:
             raise InvalidArgument("need a != b")
-        gab = self._gamma_code(level, x, y)
-        ok = True
-        if x2 != y and x <= x2:
-            ok = ok and gab >= self._gamma_code(level, x2, y)
-        if y2 != x and y <= y2:
-            ok = ok and gab <= self._gamma_code(level, x, y2)
-        return ok
+        rows = self._gamma_table(level)
+        row = rows[x]
+        gab = row[y]
+        if x2 != y and x <= x2 and gab < rows[x2][y]:
+            return False
+        return not (y2 != x and y <= y2 and gab > row[y2])
 
     def check_profile_lemma(self, seq: Sequence[TowerElement]) -> bool:
         """The deletion values of an increasing s-tuple interleave evenly.
@@ -247,25 +269,29 @@ class TowerGroundSet:
         of iterating gamma down to a single element.  The consecutive
         comparisons of H must fit one of the two templates: rises only in
         odd slots with even slots tied, or falls only in even slots with
-        odd slots tied.
+        odd slots tied.  H is computed in two fixed buffers: deleting
+        position p instead of p+1 changes only entry p of what is left.
         """
         level, codes = self._codes(seq)
         s = len(codes)
         if not 3 <= s <= level + 1:
             raise InvalidArgument(f"need 3 <= s <= r+1, got s={s}, r={level}")
-        if any(x >= y for x, y in zip(codes, codes[1:])):
+        if any(map(ge, codes, codes[1:])):
             raise InvalidArgument("sequence must be strictly increasing")
-        h = [self._descend(level, codes[: pos - 1] + codes[pos:], s - 2)[0]
-             for pos in range(s, 0, -1)]
-        odd_ok = all(
-            h[j - 1] <= h[j] if j % 2 == 1 else h[j - 1] == h[j]
-            for j in range(1, s)
-        )
-        even_ok = all(
-            h[j - 1] == h[j] if j % 2 == 1 else h[j - 1] >= h[j]
-            for j in range(1, s)
-        )
-        return odd_ok or even_ok
+        top, *lower = [self._gamma_table(level - step) for step in range(s - 2)]
+        rest, work, h = codes[:-1], [0] * (s - 2), []
+        for pos in range(s - 1, -1, -1):
+            if pos < s - 1:
+                rest[pos] = codes[pos + 1]
+            for i in range(s - 2):
+                work[i] = top[rest[i]][rest[i + 1]]
+            for step, table in enumerate(lower, 2):
+                for i in range(s - 1 - step):
+                    work[i] = table[work[i]][work[i + 1]]
+            h.append(work[0])
+        rises = [y - x for x, y in zip(h, h[1:])]  # slot j of the templates is rises[j - 1]
+        odd, even = rises[::2], rises[1::2]
+        return (min(odd) >= 0 and not any(even)) or (not any(odd) and max(even) <= 0)
 
     # -- internals -------------------------------------------------------------
 
@@ -274,21 +300,46 @@ class TowerGroundSet:
             raise InvalidArgument(f"level {_brief(level)} outside 1..{self.r}")
 
     def _codes(self, els: Iterable[TowerElement]) -> tuple[int, list[int]]:
-        """Level and codes of a nonempty run of valid elements: the one element check."""
+        """Level and codes of a nonempty run of valid elements: the one element check.
+
+        Levels and codes are read with ``operator.index``, so numpy
+        integers give Python ints and a float raises TypeError.
+        """
         els = list(els)
         if not els:
             raise InvalidArgument("empty sequence")
-        level = els[0].level
+        level = index(els[0].level)
         self._check_level(level)
         size = self.sizes[level]
+        codes = []
         for el in els:
-            if el.level != level:
+            if index(el.level) != level:
                 raise InvalidArgument(f"levels differ: {level} vs {_brief(el.level)}")
-            if not 0 <= el.code < size:
+            code = index(el.code)
+            if not 0 <= code < size:
                 raise InvalidArgument(
-                    f"code {_brief(el.code)} outside level-{level} range 0..{size - 1}"
+                    f"code {_brief(code)} outside level-{level} range 0..{size - 1}"
                 )
-        return level, [el.code for el in els]
+            codes.append(code)
+        return level, codes
+
+
+class _UntabledGamma:
+    """Gamma at a level past the table cap, read as ``rows[a][b]``.
+
+    ``rows[a]`` is a row bound to a; reading ``row[b]`` computes
+    ``gamma_code(level, a, b)``.  Nothing is stored.
+    """
+
+    __slots__ = ("gamma_code", "level", "a")
+
+    def __init__(self, gamma_code, level: int, a: int | None = None):
+        self.gamma_code, self.level, self.a = gamma_code, level, a
+
+    def __getitem__(self, key: int):
+        if self.a is None:
+            return _UntabledGamma(self.gamma_code, self.level, key)
+        return self.gamma_code(self.level, self.a, key)
 
 
 def tower_coloring(r: int, n: int) -> SignFunction:

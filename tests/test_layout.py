@@ -71,6 +71,17 @@ def test_tables_are_read_only():
             table[0, 0] = 7
 
 
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_reversal_is_the_rank_of_the_mirrored_edge(r):
+    for n in (r, r + 1, 7, 9, 12):
+        lay = colex_layout(n, r)
+        want = [colex_rank(tuple(n + 1 - v for v in reversed(e)), n) for e in lay.edges.tolist()]
+        assert lay.reversal.tolist() == want == lay.rank(n + 1 - lay.edges[:, ::-1]).tolist()
+        assert (lay.reversal[lay.reversal] == np.arange(comb(n, r))).all()
+        with pytest.raises(ValueError):
+            lay.reversal[0] = 1
+
+
 @pytest.mark.parametrize("n,k", [(6, 3), (9, 4), (12, 5), (64, 4)])
 def test_deletion_table_is_column_major(n, k):
     # The predicates read one contiguous column at a time.

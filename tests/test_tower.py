@@ -406,3 +406,226 @@ class TestVerifiers:
         assert not all(
             ground.check_profile_lemma(seq) for s in (3, 4) for seq in combinations(els, s)
         )
+
+
+# -- reference verifiers: the bodies that computed every gamma with _gamma_code ------
+#
+# They read `ground._gamma_code` on every comparison and descend with new
+# lists per deleted position, so they share no table with the verifiers
+# under test; patching `_gamma_code` reaches both.
+
+def ref_descend(ground, level, codes, times):
+    for step in range(times):
+        codes = [ground._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
+    return codes
+
+
+def ref_deletion(ground, level, x, y, z):
+    gab = ground._gamma_code(level, x, y)
+    gbc = ground._gamma_code(level, y, z)
+    gac = ground._gamma_code(level, x, z)
+    if level == 2:
+        if gab != gbc:
+            return gac in (gab, gbc)
+        return gac == gab == gbc
+    last = ground.sizes[level - 1] - 1
+    kab, kbc, kac = min(gab, last - gab), min(gbc, last - gbc), min(gac, last - gac)
+    if kab != kbc:
+        return gac == (gab if kab < kbc else gbc)
+    return kab < kac and kbc < kac
+
+
+def ref_replacement(ground, level, x, y, x2, y2):
+    gab = ground._gamma_code(level, x, y)
+    ok = True
+    if x2 != y and x <= x2:
+        ok = ok and gab >= ground._gamma_code(level, x2, y)
+    if y2 != x and y <= y2:
+        ok = ok and gab <= ground._gamma_code(level, x, y2)
+    return ok
+
+
+def ref_profile(ground, level, codes):
+    s = len(codes)
+    h = [ref_descend(ground, level, codes[: pos - 1] + codes[pos:], s - 2)[0]
+         for pos in range(s, 0, -1)]
+    odd_ok = all(h[j - 1] <= h[j] if j % 2 == 1 else h[j - 1] == h[j] for j in range(1, s))
+    even_ok = all(h[j - 1] == h[j] if j % 2 == 1 else h[j - 1] >= h[j] for j in range(1, s))
+    return odd_ok or even_ok
+
+
+def last_difference(self, level, a, b):
+    """A wrong selector: the *last* differing class, which breaks every lemma."""
+    if level == 2:
+        return 1 if a < b else 0
+    width, diff = self.sizes[level - 1] // 2, a ^ b
+    k = width - (diff & -diff).bit_length()
+    if (b >> (width - 1 - k)) & 1:
+        return self.sizes[level - 1] - 1 - k
+    return k
+
+
+@pytest.fixture(params=["first_difference", "last_difference"])
+def selector(request, monkeypatch):
+    """Gamma as built, or patched to the last-difference selector for every new ground set."""
+    if request.param == "last_difference":
+        monkeypatch.setattr(TowerGroundSet, "_gamma_code", last_difference)
+    return request.param
+
+
+def exhaustive_inputs(size, r):
+    idx = range(size)
+    quads = [ab + ab2 for ab in permutations(idx, 2) for ab2 in product(idx, repeat=2)]
+    seqs = [seq for s in range(3, r + 2) for seq in combinations(idx, s)]
+    return list(permutations(idx, 3)), quads, seqs
+
+
+def seeded_inputs(size, r, samples, seed):
+    rng = np.random.default_rng(seed)
+    picks = lambda k: [tuple(int(v) for v in rng.choice(size, k, replace=False))  # noqa: E731
+                       for _ in range(samples)]
+    quads = [ab + tuple(int(v) for v in rng.integers(0, size, 2)) for ab in picks(2)]
+    seqs = [tuple(sorted(seq[:int(rng.integers(3, r + 2))])) for seq in picks(r + 1)]
+    return picks(3), quads, seqs
+
+
+def assert_verdicts_match_reference(ground, level, triples, quads, seqs):
+    """Each verifier's verdict equals the reference's on every input; returns the False counts."""
+    el = lambda code: TowerElement(level, code)  # noqa: E731
+    rejected = []
+    for verifier, ref, inputs in [
+        (ground.check_deletion_lemma, ref_deletion, triples),
+        (ground.check_replacement_lemma, ref_replacement, quads),
+        (lambda *els: ground.check_profile_lemma(els),
+         lambda g, lv, *c: ref_profile(g, lv, list(c)), seqs),
+    ]:
+        got = [verifier(*map(el, codes)) for codes in inputs]
+        want = [ref(ground, level, *codes) for codes in inputs]
+        assert got == want
+        rejected.append(want.count(False))
+    return rejected
+
+
+class TestGammaTables:
+    @pytest.mark.parametrize("r,n", [(2, 3), (3, 3), (3, 4), (4, 3)])
+    def test_exhaustive_verdicts_match_reference(self, r, n, selector):
+        ground = TowerGroundSet(r, n)
+        rejected = assert_verdicts_match_reference(ground, r, *exhaustive_inputs(ground.size, r))
+        if selector == "last_difference" and (r, n) == (3, 4):  # failing verdicts are compared too
+            assert rejected == [3360, 13326, 1276]
+        if selector == "first_difference":
+            assert rejected == [0, 0, 0]
+
+    @pytest.mark.parametrize("r,n,seed", [(3, 5, 11), (4, 4, 12)])
+    def test_seeded_verdicts_match_reference(self, r, n, seed, selector):
+        ground = TowerGroundSet(r, n)
+        inputs = seeded_inputs(ground.size, r, 3000, seed)
+        rejected = assert_verdicts_match_reference(ground, r, *inputs)
+        assert (sum(rejected) > 0) == (selector == "last_difference")
+
+    def test_gamma_and_iteration_read_the_table(self, selector):
+        ground = TowerGroundSet(4, 3)
+        for level in (2, 3, 4):
+            size = ground.sizes[level]
+            for a, b in permutations(range(size), 2):
+                got = ground.gamma(TowerElement(level, a), TowerElement(level, b))
+                assert got == TowerElement(level - 1, ground._gamma_code(level, a, b))
+        for seq in combinations(range(16), 4):
+            got = ground.gamma_iter([TowerElement(4, v) for v in seq], 3)
+            assert [e.code for e in got] == ref_descend(ground, 4, list(seq), 3)
+            assert got[0].level == 1
+
+    def test_tables_are_built_once_per_level_and_stay_within_the_cap(self):
+        ground = TowerGroundSet(4, 4)  # levels of 8, 16 and 256 elements
+        assert ground._tables == [None] * 5
+        els = ground.elements()
+        ground.check_profile_lemma(els[:5])
+        tables = ground._tables
+        assert tables[:2] == [None, None]
+        for level in (2, 3, 4):
+            size = ground.sizes[level]
+            assert len(tables[level]) == size and {len(row) for row in tables[level]} == {size}
+            assert size * size <= TABLE_CAP
+            assert ground._gamma_table(level) is tables[level]
+
+    @pytest.mark.parametrize("r,n,cap", [(3, 4, 100), (4, 3, 100), (4, 3, 50)])
+    def test_levels_past_a_small_cap_are_not_tabulated(self, r, n, cap, selector, monkeypatch):
+        monkeypatch.setattr("signotopes.tower.TABLE_CAP", cap)
+        ground = TowerGroundSet(r, n)
+        assert_verdicts_match_reference(ground, r, *exhaustive_inputs(ground.size, r))
+        for level in range(2, r + 1):
+            table, size = ground._tables[level], ground.sizes[level]
+            assert (table is None) == (size * size > cap)
+            assert table is None or len(table) * len(table[0]) <= cap
+        assert ground._tables[r] is None
+
+    def test_level_of_two_million_elements_is_read_untabulated(self):
+        ground = TowerGroundSet(3, 21)
+        top = ground.size - 1
+        triples = [(0, 1, 2), (5, 2 ** 20, top), (top, 7, 2 ** 20 + 3), (123_456, 99, 2_000_000)]
+        quads = [(0, top, 5, top), (2 ** 20, 3, 2 ** 20 + 1, 9), (top, 0, 0, top), (17, 4, 17, 4)]
+        seqs = [(0, 1, 2), (3, 2 ** 19, 2 ** 20, top), (10, 11, 1_000_000, 2_000_000)]
+        tracemalloc.start()
+        try:
+            assert_verdicts_match_reference(ground, 3, triples, quads, seqs)
+            a, b = TowerElement(3, 5), TowerElement(3, top)
+            assert ground.gamma(a, b) == TowerElement(2, ground._gamma_code(3, 5, top))
+            assert ground.gamma_iter([a, TowerElement(3, 2 ** 20), b], 2)[0].level == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ground._tables[3] is None and len(ground._tables[2]) == 42
+        assert peak < 256 * 1024  # a level-3 row alone would be 2^21 entries, 16 MB
+
+
+class TestElementFields:
+    """Levels and codes are read with operator.index: numpy ints work, floats do not."""
+
+    def test_numpy_integer_codes_give_python_ints(self):
+        ground = TowerGroundSet(3, 3)
+        plain = [TowerElement(3, v) for v in (1, 4, 6, 7)]
+        wide = [TowerElement(np.int64(3), np.int64(v)) for v in (1, 4, 6, 7)]
+        for els in (wide, [TowerElement(3, np.uint8(v)) for v in (1, 4, 6, 7)]):
+            assert ground.check_deletion_lemma(*els[:3]) is ground.check_deletion_lemma(*plain[:3])
+            assert ground.check_replacement_lemma(*els) is ground.check_replacement_lemma(*plain)
+            assert ground.check_profile_lemma(els) is ground.check_profile_lemma(plain) is True
+            for got, want in [
+                ([ground.gamma(els[0], els[2])], [ground.gamma(plain[0], plain[2])]),
+                (ground.gamma_iter(els[:3], 2), ground.gamma_iter(plain[:3], 2)),
+                (ground.gamma_iter(els[:3], 0), plain[:3]),
+                ([ground.sigma(els[1])], [ground.sigma(plain[1])]),
+            ]:
+                assert got == want
+                assert all(type(e.level) is int and type(e.code) is int for e in got)
+            assert ground.type_of(els[1]) == ground.type_of(plain[1]) == 1
+            bits = ground.bits_of(els[1])
+            assert bits == ground.bits_of(plain[1]) and all(type(b) is int for b in bits)
+
+    def test_members_of_gives_python_int_fields(self):
+        ground = TowerGroundSet(4, 3)
+        got = ground.members_of(TowerElement(np.int64(4), np.int64(3)))
+        assert got == ground.members_of(TowerElement(4, 3))
+        assert all(type(e.level) is int and type(e.code) is int for e in got)
+
+    def test_float_fields_raise_type_error(self, monkeypatch):
+        def no_gamma(*args):
+            raise AssertionError("gamma reached")
+
+        ground = TowerGroundSet(3, 3)
+        monkeypatch.setattr(TowerGroundSet, "_gamma_code", no_gamma)
+        a, b, c = (TowerElement(3, v) for v in (0, 2, 5))
+        for bad in (TowerElement(3, 1.5), TowerElement(3.0, 1), TowerElement(3, 1.0)):
+            calls = [
+                lambda: ground.check_deletion_lemma(a, bad, c),
+                lambda: ground.check_replacement_lemma(a, b, bad, c),
+                lambda: ground.check_replacement_lemma(a, b, c, bad),
+                lambda: ground.check_profile_lemma([a, bad, c]),
+                lambda: ground.gamma(a, bad),
+                lambda: ground.gamma_iter([a, bad, c], 1),
+                lambda: ground.sigma(bad),
+                lambda: ground.type_of(bad),
+                lambda: ground.bits_of(bad),
+            ]
+            for call in calls:
+                with pytest.raises(TypeError):
+                    call()
