@@ -36,11 +36,11 @@ from one row, by the engine nodes per p-node of the last walk, at
 least twice, while that walk yields fewer p's than it has rows, and
 twice otherwise; no output depends on the batch sizes, since band
 totals are popcount sums and the budget is checked only between
-batches.  Every batch is cut from one block of the level below, which is
-asked for its next block only once every row of the last one has been
-walked: the last level stops at the first row that extends, no level
-walks a batch past it, and a budget overrun anywhere arrives between
-batches.  [r] is an ordinary level:
+batches.  Every batch is cut from one block of the level below, whose
+stream each level takes as an argument and asks for its next block only
+once every row of the last one has been walked: the last level stops at
+the first row that extends, no level walks a batch past it, and a budget
+overrun anywhere arrives between batches.  [r] is an ordinary level:
 its one band gives the edge -1, then +1, or neither when m = r.  The
 color swap maps avoiders to avoiders and the engine's tree onto
 itself, so the first leaf, if any, lies below the edge -1, and the
@@ -57,6 +57,15 @@ row's band alone up to the leaf.  Once a leaf turns up, the last level
 walks the rows below its lowest row on their own, until such a walk
 yields nothing, and takes the top band's rows before the answer from
 that walk.  No walk's masks change while it runs.
+
+`ramsey_number` keeps its levels, from [r] up, alive across its vertex
+counts.  Below [n_max], the first avoider on [n] is the first row of the
+first block the level on [n] yields, whose batch is then walked whole,
+as the search on [n+1] walks it too; that block, then the rest of the
+level, feeds [n+1].  The search on [n+1] from scratch walks whole the
+same batches at every level below its leaf, so ``spent``, shared by
+every vertex count, is its own, and each vertex count reports the fresh
+search's nodes.  Only [n_max] stops at the first row that extends.
 """
 
 from __future__ import annotations
@@ -67,6 +76,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb, factorial, log2
 from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
@@ -618,27 +628,27 @@ class _Band:
                 np.concatenate((self.ends[rows], at_p), axis=1))
 
 
-def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int):
+def _batches(r: int, k: int, m: int, limit: float, spent: list[int], nodes: list[int],
+             blocks: Iterator[tuple]):
     """The avoiders on [k-1] in engine order, in batches of at most
-    TABLE_CAP colors, each cut from one block that `_avoiders` yielded
-    one level down, with the walk of each batch's band through vertex k:
-    yields (`_Band`, the `_join` walk).  A caller that resumes has walked
-    the band to the end, and its total goes to ``spent[0]``.  The first
-    batch is one row, and `_growth` sizes each next one from the last
-    walk; no output depends on the sizes, since band totals are popcount
-    sums and the budget is checked only between batches.  TooLarge is
-    raised once ``offset``, the engine's count at the search's start,
-    plus ``spent[0]`` pass ``limit``: the engine walks every band
-    ``spent`` holds before its leaf, and reports 2 * spent - 2 >= spent
-    without one.  The level below is asked for its next block only when
-    every row of the last one has been walked, so its own TooLarge
-    arrives between batches too: a search within the budget ends among
-    the rows already yielded.  On [r] the one batch is the edgeless
-    coloring of [r-1]."""
+    TABLE_CAP colors, each cut from one of ``blocks``, the blocks on
+    [k-1] as `_avoiders` yields them, with the walk of each batch's band
+    through vertex k: yields (`_Band`, the `_join` walk).  A caller that
+    resumes has walked the band to the end, and its total goes to
+    ``spent[0]``.  The first batch is one row, and `_growth` sizes each
+    next one from the last walk; no output depends on the sizes, since
+    band totals are popcount sums and the budget is checked only between
+    batches.  TooLarge is raised once ``nodes[0]``, the engine's count
+    at the search's start, plus ``spent[0]`` pass ``limit``: the engine
+    walks every band ``spent`` holds before its leaf, and reports
+    2 * spent - 2 >= spent without one.  The next block is taken only
+    when every row of the last one has been walked, so the level below
+    raises its own TooLarge between batches too: a search within the
+    budget ends among the rows already yielded."""
     # at least 1, since check_size admitted (r, n); on [r-1], C(r-1, r) = 0: no edge
     cap = TABLE_CAP // (comb(k - 1, r) or 1)
     size = 1
-    for below, rows, plus, ends in _avoiders(r, k - 1, m, limit, spent, offset):
+    for below, rows, plus, ends in blocks:
         lo = 0
         while lo < len(rows):
             hi = lo + size
@@ -646,7 +656,7 @@ def _batches(r: int, k: int, m: int, limit: float, spent: list[int], offset: int
             walked, steps = [0], [0, 0]
             yield band, _join(r, k, band.table, walked, float("inf"), band.masks, steps)
             spent[0] += 2 * band.table[0] + walked[0] // 2
-            if offset + spent[0] > limit:
+            if nodes[0] + spent[0] > limit:
                 raise TooLarge(f"search exceeded node budget {limit}")
             lo, size = hi, min(size * _growth(band.table[0], steps[1], walked[0] // 2, steps[0]),
                                cap)
@@ -662,11 +672,13 @@ def _growth(rows: int, leaves: int, nodes: int, steps: int) -> int:
     return max(2, nodes // steps) if leaves < rows else 2
 
 
-def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: int):
+def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], nodes: list[int],
+              blocks: Iterator[tuple]):
     """The avoiders on [k] whose first edge is minus, in the path-pruned
-    engine's order, as blocks (band, rows, plus, ends): the `_Band` whose
-    walk found them, the rows of that band they extend, one per avoider,
-    and the avoiders' plus flags and path ends, grown once per block.
+    engine's order, as nonempty blocks (band, rows, plus, ends): the
+    `_Band` whose walk found them, the rows of that band they extend,
+    one per avoider, and the avoiders' plus flags and path ends, grown
+    once per block.  ``blocks`` is the level below: its blocks on [k-1].
 
     Each batch of avoiders on [k-1] walks its band through vertex k once
     (`_batches` gives the walk, with the masks `_longest_through` gives,
@@ -676,18 +688,15 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: in
     is the engine's own order of p: one `unpackbits` turns the leaves'
     bitsets into flags, at most TABLE_CAP / 8 of them per block of rows
     (unless 8 rows per leaf pass it), and the flags read by row give
-    both.  On [r-1] the one coloring has no edge, so [r] is an ordinary
+    both; a byte range of the bitsets with no bit set yields no block.
+    On [r-1] the one coloring has no edge, so [r] is an ordinary
     level: its band walks p = -1, then +1, each ending a path of r
     vertices, but yields -1 alone, since the color swap maps the
     avoiders below +1 onto those below -1.  An exhaustive walk thus adds
     to ``spent`` the root's two attempts and the engine's nodes below -1
     alone: half the engine's total, plus one.
     """
-    if k == r - 1:
-        yield (None, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool),
-               np.zeros((1, 0), dtype=np.uint8))
-        return
-    for band, walk in _batches(r, k, m, limit, spent, offset):
+    for band, walk in _batches(r, k, m, limit, spent, nodes, blocks):
         if leaves := [(list(p), bits) for p, bits in walk if k > r or p[0] < 0]:
             width = -(-band.table[0] // 8)
             raw = b"".join(bits.to_bytes(width, "little") for _, bits in leaves)
@@ -697,6 +706,8 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: in
             # bytes read 1.4 MB more peak RSS in find_avoiding_coloring(3, 11, 5)
             step = max(1, TABLE_CAP // 64 // len(leaves))  # bytes of each leaf's bitset
             for lo in range(0, width, step):
+                if not raw[:, lo:lo + step].any():
+                    continue
                 block = np.unpackbits(raw[:, lo:lo + step], axis=1, bitorder="little").T
                 rows, which = block.nonzero()  # sorted by row, then by leaf
                 del block  # not held across the yield
@@ -704,12 +715,24 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], offset: in
                 yield band, rows, *band.grown(rows, flags[which])
 
 
-def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
-                   max_nodes: int | None) -> SignFunction | None:
-    """Admit (r, n), then the path-pruned engine's first leaf, with
-    ``nodes[0]`` advanced by its count from the search's start; None,
-    with the exhaustive total, when there is none.  Past ``max_nodes``
-    raises TooLarge, as the engine would.
+def _levels(r: int, k: int, m: int, limit: float, spent: list[int], nodes: list[int]):
+    """The blocks of avoiders on [k], level by level from the one
+    coloring of [r-1], which has no edge."""
+    blocks = iter([(None, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool),
+                    np.zeros((1, 0), dtype=np.uint8))])
+    for level in range(r, k + 1):
+        blocks = _avoiders(r, level, m, limit, spent, nodes, blocks)
+    return blocks
+
+
+def _first_avoider(r: int, n: int, m: int, nodes: list[int], limit: float, spent: list[int],
+                   blocks: Iterator[tuple]) -> SignFunction | None:
+    """The path-pruned engine's first leaf on [n], with ``nodes[0]``
+    advanced by its count from the search's start; None, with the
+    exhaustive total, when there is none.  ``blocks`` gives the avoiders
+    on [n-1] (`_avoiders`), ``spent`` the totals of the bands already
+    walked whole below them.  Past ``limit`` raises TooLarge, as the
+    engine would.
 
     The leaf lies in the band of the first avoider c on [n-1] in engine
     order that extends, the edgeless coloring of [r-1] when n = r: the
@@ -726,10 +749,7 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
     c (`_Band.count`).  No later batch, here or below, is walked; a
     batch where no row extends adds its band total to ``spent``.
     """
-    max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
-    limit = float("inf") if max_nodes is None else max_nodes
-    spent = [0]  # the engine's attempts in every band walked exhaustively
-    for band, walk in _batches(r, n, m, limit, spent, nodes[0]):
+    for band, walk in _batches(r, n, m, limit, spent, nodes, blocks):
         first = None
         while (leaf := next(walk, None)) is not None:  # then the rows below its lowest row, alone
             (p, bits), walked = leaf, [0]
@@ -741,6 +761,22 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], max_edges: int,
             return SignFunction(r, n, np.array(colors, dtype=np.int8))
     _add_nodes(nodes, 2 * spent[0] - 2, limit)
     return None
+
+
+def _first_of_level(r: int, n: int, nodes: list[int], limit: float, spent: list[int],
+                    blocks: Iterator[tuple]) -> tuple[SignFunction | None, Iterator[tuple]]:
+    """The first avoider on [n], the first row of the first of ``blocks``
+    (the level on [n]), and the level again from that block; None and
+    the level when it yields nothing.  ``nodes[0]`` advances by the
+    engine's count, as in `_first_avoider`."""
+    for block in blocks:
+        band, rows, plus, _ = block
+        colors = (plus[0] * 2 - 1).tolist()
+        _add_nodes(nodes, spent[0] + band.count(int(rows[0]), colors[comb(n - 1, r):]), limit)
+        again = chain(iter([block]), blocks)  # not [block]: chain holds its arguments to the end
+        return SignFunction(r, n, np.array(colors, dtype=np.int8)), again
+    _add_nodes(nodes, 2 * spent[0] - 2, limit)
+    return None, blocks
 
 
 def find_avoiding_coloring(
@@ -759,8 +795,11 @@ def find_avoiding_coloring(
     r, n, m = index(r), index(n), index(m)
     if m < r:
         raise InvalidArgument(f"need m >= r, got m={_brief(m)}, r={_brief(r)}")
-    nodes = [0]
-    return _first_avoider(r, n, m, nodes, max_edges, max_nodes), nodes[0]
+    _, max_nodes = _check_limits(r, n, max_edges, max_nodes)
+    limit = float("inf") if max_nodes is None else max_nodes
+    nodes, spent = [0], [0]
+    blocks = _levels(r, n - 1, m, limit, spent, nodes)
+    return _first_avoider(r, n, m, nodes, limit, spent, blocks), nodes[0]
 
 
 def ramsey_number(
@@ -772,16 +811,44 @@ def ramsey_number(
     max_nodes: int | None = None,
 ) -> RamseyReport:
     """Least N forcing monochromatic m-vertex paths, searched up to n_max;
-    ``max_nodes`` bounds the whole run, summed over every vertex count."""
+    ``max_nodes`` bounds the whole run, summed over every vertex count.
+
+    The searches for n = m..n_max share one set of levels, from [r]
+    up: the first avoider on [n] is the first row of the first block the
+    level on [n] yields, and that block, with the rest of the level,
+    then feeds [n+1].  Each n reports what a fresh search would: the
+    fresh search walks whole the same batches at every level below its
+    leaf, the batch of the last witness among them, so the ``spent``
+    the levels share is the fresh search's, and the witness's count is
+    ``spent`` plus its chain (`_Band.count`), or 2 * spent - 2 when the
+    level yields nothing.  Budget checks count from the total of the
+    earlier vertex counts: ``spent`` changes only between batches, each
+    change is checked, and one check on entering each n covers the
+    changes made before it, so the run raises TooLarge exactly when one
+    of its fresh searches would.  Only on [n_max], where no later level
+    needs its batch whole, does the search stop early as
+    `find_avoiding_coloring` does.
+    """
     r, m, n_max = index(r), index(m), index(n_max)
     if not 2 <= r <= m <= n_max:
         raise InvalidArgument(f"need 2 <= r <= m <= n_max, got {_brief((r, m, n_max))}")
+    nodes, spent = [0], [0]
     witness = None
-    nodes = [0]
     for n in range(m, n_max + 1):
-        if (avoider := _first_avoider(r, n, m, nodes, max_edges, max_nodes)) is None:
+        _, budget = _check_limits(r, n, max_edges, max_nodes)
+        limit = float("inf") if budget is None else budget
+        if n == m:
+            blocks = _levels(r, m - 1, m, limit, spent, nodes)
+        elif nodes[0] + spent[0] > limit:  # each change to spent so far, checked again
+            raise TooLarge(f"search exceeded node budget {limit}")
+        if n == n_max:
+            found = _first_avoider(r, n, m, nodes, limit, spent, blocks)
+        else:
+            found, blocks = _first_of_level(r, n, nodes, limit, spent,
+                                            _avoiders(r, n, m, limit, spent, nodes, blocks))
+        if found is None:
             return RamseyReport(r, m, n, n, witness, nodes[0])
-        witness = avoider
+        witness = found
     return RamseyReport(r, m, None, n_max + 1, witness, nodes[0])
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -645,7 +646,7 @@ def check_levels(r, n, m):
     constraints = reference_constraints(r, n)
     spent = [0]
     seen, counts, later, source = [], {}, set(), None
-    for band, rows, plus, ends in enumeration._avoiders(r, n, m, float("inf"), spent, 0):
+    for band, rows, plus, ends in enumeration._levels(r, n, m, float("inf"), spent, [0]):
         size = len(band.plus)
         for flags, row_ends, row in zip(plus, ends, rows):
             seen.append(tuple((flags * 2 - 1).tolist()))
@@ -682,7 +683,10 @@ class TestLevels:
 
     # A band's leaves become row flags a block of rows at a time, at most
     # TABLE_CAP / 8 flags per block: under a small cap, batches yield several.
-    @pytest.mark.parametrize("r,n,m", [(2, 8, 5), (3, 7, 5), (4, 7, 6)])
+    # A byte range of the leaves' bitsets with no bit set yields no block:
+    # (2, 7, 4), (2, 8, 4) and (2, 9, 4) have 3, 1 and 18 such ranges here.
+    @pytest.mark.parametrize("r,n,m", [(2, 8, 5), (3, 7, 5), (4, 7, 6),
+                                       (2, 7, 4), (2, 8, 4), (2, 9, 4)])
     def test_blocks_of_rows_under_a_small_cap(self, monkeypatch, r, n, m):
         monkeypatch.setattr(enumeration, "TABLE_CAP", 256)
         avoiders, batches = enumeration._avoiders, []
@@ -690,6 +694,7 @@ class TestLevels:
         def recorded(*args):
             for block in avoiders(*args):
                 batches.append(block[0])
+                assert len(block[1]) > 0
                 yield block
 
         monkeypatch.setattr(enumeration, "_avoiders", recorded)
@@ -861,8 +866,8 @@ def search_outcome(r, n, m, budget):
         return str(error)
 
 
-def joins_walked(monkeypatch, r, n, m):
-    """How many `_join` walks a search makes, those of its count included."""
+def joins_made(monkeypatch, search, *args):
+    """How many `_join` walks ``search(*args)`` makes, those of its counts included."""
     join = enumeration._join
     walks = [0]
 
@@ -872,8 +877,26 @@ def joins_walked(monkeypatch, r, n, m):
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_join", counted)
-        band_first_avoider(r, n, m)
+        search(*args)
     return walks[0]
+
+
+def bands_through(monkeypatch, k, search, *args, **caps):
+    """The sizes of the tables whose bands through vertex k ``search``
+    walks before it runs out of budget, which it must."""
+    join = enumeration._join
+    sizes = []
+
+    def recorded(r, k_, table, *args, **kwargs):
+        if k_ == k:
+            sizes.append(table[0])
+        return join(r, k_, table, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_join", recorded)
+        with pytest.raises(TooLarge, match="node budget"):
+            search(*args, **caps)
+    return sizes
 
 
 def plain_doubling(rows, leaves, nodes, steps):
@@ -895,9 +918,99 @@ class TestBatchSchedule:
         assert [search_outcome(*case) for case in cases] == grown
 
     def test_sharing_walks_fewer_bands_than_doubling(self, monkeypatch):
-        grown = joins_walked(monkeypatch, 3, 10, 5)
+        grown = joins_made(monkeypatch, band_first_avoider, 3, 10, 5)
         monkeypatch.setattr(enumeration, "_growth", plain_doubling)
-        assert grown < joins_walked(monkeypatch, 3, 10, 5)
+        assert grown < joins_made(monkeypatch, band_first_avoider, 3, 10, 5)
+
+
+def ramsey_outcome(r, m, n_max, **caps):
+    """A run's number, lower bound, witness bytes and nodes, or its TooLarge message."""
+    try:
+        rep = ramsey_number(r, m, n_max, **caps)
+    except TooLarge as error:
+        return str(error)
+    witness = None if rep.witness is None else (rep.witness.n, rep.witness.colors.tobytes())
+    return rep.number, rep.lower_bound, witness, rep.nodes
+
+
+def reference_ramsey(r, m, n_max, max_nodes=None, **caps):
+    """`ramsey_number` as one fresh search per vertex count, each given
+    what the earlier ones left of the budget."""
+    total, witness = 0, None
+    for n in range(m, n_max + 1):
+        left = None if max_nodes is None else max_nodes - total
+        try:
+            found, nodes = find_avoiding_coloring(r, n, m, max_nodes=left, **caps)
+        except TooLarge as error:  # a search names its own budget, the run the whole one
+            return str(error).replace(f"budget {left}", f"budget {max_nodes}")
+        total += nodes
+        if found is None:
+            return n, n, witness, total
+        witness = n, found.colors.tobytes()
+    return None, n_max + 1, witness, total
+
+
+RAMSEY_BUDGETS = [None, 0, 1, 50, 1_039, 1_040, 3_000, 10**5]
+
+
+class TestRamseyChain:
+    """`ramsey_number` keeps one set of levels across every vertex count,
+    and reports what one fresh search per vertex count would: the same
+    number, bound, witness and nodes, or the same TooLarge."""
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_same_outcomes_as_fresh_searches(self, r):
+        cases = [(m, n_max, budget) for m in range(r, r + 4) for n_max in range(m, 10)
+                 for budget in RAMSEY_BUDGETS]
+        outcomes = {"number": 0, "unresolved": 0, "budget": 0}
+        for m, n_max, budget in cases:
+            expected = reference_ramsey(r, m, n_max, max_nodes=budget, max_edges=2000)
+            assert ramsey_outcome(r, m, n_max, max_nodes=budget, max_edges=2000) == expected
+            if isinstance(expected, str):
+                outcomes["budget"] += 1
+            else:
+                outcomes["unresolved" if expected[0] is None else "number"] += 1
+        assert all(outcomes.values())
+
+    # C(9, 3) = 84 edges pass the default cap of 64: the run stops on
+    # entering [9] as the fresh search on [9] would, after [6]..[8], unless
+    # the budget runs out first.
+    def test_edge_cap_on_entering_a_vertex_count(self):
+        budgets = (None, 100)
+        outcomes = [ramsey_outcome(3, 6, 9, max_nodes=budget) for budget in budgets]
+        assert outcomes == [reference_ramsey(3, 6, 9, max_nodes=budget) for budget in budgets]
+        assert "more than 64 edges" in outcomes[0] and outcomes[1].endswith("node budget 100")
+
+    # Past the budget the run stops where the fresh search on [10] would,
+    # after the same walks through vertex 10: none while what [4]..[9]
+    # leave of it is less than the levels below [10] spent before the
+    # first such walk, between 3,000 and 10,000 nodes.
+    @pytest.mark.parametrize("left", [0, 3_000, 10_000, 10**5])
+    def test_budget_stops_where_the_fresh_search_would(self, monkeypatch, left):
+        before = ramsey_number(2, 4, 9).nodes  # n = 4..9, as in ramsey_number(2, 4, 12)
+        chained = bands_through(monkeypatch, 10, ramsey_number, 2, 4, 12, max_nodes=before + left)
+        assert chained == bands_through(monkeypatch, 10, find_avoiding_coloring, 2, 10, 4,
+                                        max_nodes=left)
+        assert (len(chained) > 0) == (left >= 10_000)
+
+    # The level above takes the witness's block from the level again; once
+    # it takes the next one, nothing may keep the first for the rest of the
+    # run (1.6 MB more traced peak in ramsey_number(3, 5, 11) when it did).
+    def test_a_block_taken_again_is_let_go(self):
+        nodes, spent = [0], [0]
+        level = enumeration._levels(2, 5, 4, float("inf"), spent, nodes)
+        found, again = enumeration._first_of_level(2, 5, nodes, float("inf"), spent, level)
+        _, _, plus, _ = next(again)
+        assert found.colors.tolist() == (plus[0] * 2 - 1).tolist()
+        plus = weakref.ref(plus)
+        assert next(again) is not None  # the level above takes its next block
+        assert plus() is None
+
+    def test_the_chain_walks_fewer_bands_than_fresh_searches(self, monkeypatch):
+        # n = 4..10: six first avoiders and the refutation on [10]
+        chained = joins_made(monkeypatch, ramsey_number, 2, 4, 12)
+        fresh = sum(joins_made(monkeypatch, find_avoiding_coloring, 2, n, 4) for n in range(4, 11))
+        assert chained < fresh
 
 
 class TestSearchCaps:
