@@ -38,11 +38,11 @@ twice otherwise; no output depends on the batch sizes, since band
 totals are popcount sums and the budget is checked only between
 batches.  Every batch is cut from one block of the level below, whose
 stream each level takes as an argument and asks for its next block only
-once every row of the last one has been walked: the last level stops at
-the first row that extends, no level walks a batch past it, and a budget
-overrun anywhere arrives between batches.  [r] is an ordinary level:
-its one band gives the edge -1, then +1, or neither when m = r.  The
-color swap maps avoiders to avoiders and the engine's tree onto
+once every row of the last one has been walked: the search stops at
+the first row that extends, no level walks a batch past it, and a
+budget overrun anywhere arrives between batches.  [r] is an ordinary
+level: its one band gives the edge -1, then +1, or neither when m = r.
+The color swap maps avoiders to avoiders and the engine's tree onto
 itself, so the first leaf, if any, lies below the edge -1, and the
 tree below +1 repeats the node total below -1: [r] yields the edge -1
 alone, and a search without a leaf reports 2 * spent - 2 nodes, where
@@ -53,19 +53,20 @@ totals of the batches walked whole at every level, all walked by the
 engine before its leaf, plus the chain of avoiders above the leaf, each
 the leaf of its row's band whose p is its own last colors: per chain
 band, 2 per row before the chain row, those rows' total, and the chain
-row's band alone up to the leaf.  Once a leaf turns up, the last level
-walks the rows below its lowest row on their own, until such a walk
-yields nothing, and takes the top band's rows before the answer from
-that walk.  No walk's masks change while it runs.
+row's band alone up to the leaf.  No walk's masks change while it runs.
 
-`ramsey_number` keeps its levels, from [r] up, alive across its vertex
-counts.  Below [n_max], the first avoider on [n] is the first row of the
-first block the level on [n] yields, whose batch is then walked whole,
-as the search on [n+1] walks it too; that block, then the rest of the
-level, feeds [n+1].  The search on [n+1] from scratch walks whole the
-same batches at every level below its leaf, so ``spent``, shared by
-every vertex count, is its own, and each vertex count reports the fresh
-search's nodes.  Only [n_max] stops at the first row that extends.
+One step, `_first_avoider`, finds the first avoider on [n], for
+`find_avoiding_coloring` and for every vertex count of `ramsey_number`
+alike.  It walks the bands through vertex n, a batch at a time, up to
+the first leaf, then the rows below that leaf's lowest row on their
+own, until such a walk yields nothing, and takes the top band's rows
+before the answer from that walk.  It then hands on the level on [n]:
+the paused walk, its first leaf put back in front, and the batches
+after it.  `ramsey_number` feeds that level to the step on [n+1], so
+its levels, from [r] up, live across its vertex counts.  The search on
+[n+1] from scratch walks whole the same batches at every level below
+its leaf, so ``spent``, shared by every vertex count, is its own, and
+each vertex count reports the fresh search's nodes.
 """
 
 from __future__ import annotations
@@ -503,13 +504,14 @@ def projection_signature(c: SignFunction) -> tuple[SignFunction, ...]:
 
 
 def _projections(c: SignFunction, vertices) -> tuple[SignFunction, ...]:
-    """The projections onto each i in ``vertices``, from one check of c."""
+    """The projections onto each i in ``vertices``, from one check of c;
+    each i is read as an integer, so a float raises TypeError."""
     r, n = c.r, c.n
     if r < 3:
         raise InvalidArgument("projection needs uniformity >= 3")
     _require_binary(c)
     out = []
-    for i in vertices:
+    for i in map(index, vertices):
         if not r <= i <= n:
             raise InvalidArgument(f"need r <= i <= n, got i={_brief(i)}")
         out.append(SignFunction._derived(r - 1, i - 1, c.colors[comb(i - 1, r):comb(i, r)]))
@@ -672,13 +674,14 @@ def _growth(rows: int, leaves: int, nodes: int, steps: int) -> int:
     return max(2, nodes // steps) if leaves < rows else 2
 
 
-def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], nodes: list[int],
-              blocks: Iterator[tuple]):
+def _avoiders(batches: Iterator[tuple]):
     """The avoiders on [k] whose first edge is minus, in the path-pruned
     engine's order, as nonempty blocks (band, rows, plus, ends): the
     `_Band` whose walk found them, the rows of that band they extend,
     one per avoider, and the avoiders' plus flags and path ends, grown
-    once per block.  ``blocks`` is the level below: its blocks on [k-1].
+    once per block.  ``batches`` is the level's batch walks, the bands
+    through vertex k of the avoiders on [k-1] (`_batches`, or what
+    `_first_avoider` hands on).
 
     Each batch of avoiders on [k-1] walks its band through vertex k once
     (`_batches` gives the walk, with the masks `_longest_through` gives,
@@ -696,8 +699,8 @@ def _avoiders(r: int, k: int, m: int, limit: float, spent: list[int], nodes: lis
     to ``spent`` the root's two attempts and the engine's nodes below -1
     alone: half the engine's total, plus one.
     """
-    for band, walk in _batches(r, k, m, limit, spent, nodes, blocks):
-        if leaves := [(list(p), bits) for p, bits in walk if k > r or p[0] < 0]:
+    for band, walk in batches:
+        if leaves := [(list(p), bits) for p, bits in walk if band.k > band.r or p[0] < 0]:
             width = -(-band.table[0] // 8)
             raw = b"".join(bits.to_bytes(width, "little") for _, bits in leaves)
             raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(leaves), width)
@@ -721,18 +724,20 @@ def _levels(r: int, k: int, m: int, limit: float, spent: list[int], nodes: list[
     blocks = iter([(None, np.zeros(1, dtype=np.int32), np.zeros((1, 0), dtype=bool),
                     np.zeros((1, 0), dtype=np.uint8))])
     for level in range(r, k + 1):
-        blocks = _avoiders(r, level, m, limit, spent, nodes, blocks)
+        blocks = _avoiders(_batches(r, level, m, limit, spent, nodes, blocks))
     return blocks
 
 
 def _first_avoider(r: int, n: int, m: int, nodes: list[int], limit: float, spent: list[int],
-                   blocks: Iterator[tuple]) -> SignFunction | None:
+                   blocks: Iterator[tuple]) -> tuple[SignFunction | None, Iterator[tuple]]:
     """The path-pruned engine's first leaf on [n], with ``nodes[0]``
-    advanced by its count from the search's start; None, with the
-    exhaustive total, when there is none.  ``blocks`` gives the avoiders
-    on [n-1] (`_avoiders`), ``spent`` the totals of the bands already
-    walked whole below them.  Past ``limit`` raises TooLarge, as the
-    engine would.
+    advanced by its count from the search's start, and the level on [n]
+    (`_avoiders`); None, with the exhaustive total, and no level when
+    there is no leaf.  ``blocks`` gives the avoiders on [n-1]
+    (`_avoiders`), ``spent`` the totals of the bands already walked
+    whole below them, ``nodes[0]`` the count before the search.  Past
+    ``limit`` raises TooLarge, as the engine would: ``spent`` may have
+    grown since ``nodes[0]`` last did, so that is checked first.
 
     The leaf lies in the band of the first avoider c on [n-1] in engine
     order that extends, the edgeless coloring of [r-1] when n = r: the
@@ -746,37 +751,33 @@ def _first_avoider(r: int, n: int, m: int, nodes: list[int], limit: float, spent
     first leaf's lowest row extends; the rows below it alone can lower
     the answer, so they are walked on their own, and so on until such a
     walk yields no leaf, whose total is then the top band's rows before
-    c (`_Band.count`).  No later batch, here or below, is walked; a
-    batch where no row extends adds its band total to ``spent``.
+    c (`_Band.count`).  The batch's own walk pauses at its first leaf,
+    and no later batch, here or below, is walked; a batch where no row
+    extends adds its band total to ``spent``.  The level handed on
+    resumes that walk, its first leaf put back in front, and then the
+    batches after it, so it yields what the level on [n] from scratch
+    yields, and leaves the same ``spent``.  The leaf need not be copied:
+    its colors are `_search`'s own list, which changes only when the
+    walk resumes, after `_avoiders` has copied them.
     """
-    for band, walk in _batches(r, n, m, limit, spent, nodes, blocks):
-        first = None
-        while (leaf := next(walk, None)) is not None:  # then the rows below its lowest row, alone
+    if nodes[0] + spent[0] > limit:
+        raise TooLarge(f"search exceeded node budget {limit}")
+    batches = _batches(r, n, m, limit, spent, nodes, blocks)
+    for band, walk in batches:
+        if (head := next(walk, None)) is None:
+            continue
+        below = iter([head])
+        while (leaf := next(below, None)) is not None:  # then the rows below its lowest row, alone
             (p, bits), walked = leaf, [0]
             first, p = (bits & -bits).bit_length() - 1, list(p)
-            walk = band.walk(0, first, walked) if first else iter(())
-        if first is not None:
-            _add_nodes(nodes, spent[0] + band.count(first, p, walked), limit)
-            colors = (band.plus[first] * 2 - 1).tolist() + p
-            return SignFunction(r, n, np.array(colors, dtype=np.int8))
+            below = band.walk(0, first, walked) if first else iter(())
+        _add_nodes(nodes, spent[0] + band.count(first, p, walked), limit)
+        colors = (band.plus[first] * 2 - 1).tolist() + p
+        # iter([x]), not [x]: chain keeps its arguments to the end, a spent list iterator lets x go
+        level = _avoiders(chain(iter([(band, chain(iter([head]), walk))]), batches))
+        return SignFunction(r, n, np.array(colors, dtype=np.int8)), level
     _add_nodes(nodes, 2 * spent[0] - 2, limit)
-    return None
-
-
-def _first_of_level(r: int, n: int, nodes: list[int], limit: float, spent: list[int],
-                    blocks: Iterator[tuple]) -> tuple[SignFunction | None, Iterator[tuple]]:
-    """The first avoider on [n], the first row of the first of ``blocks``
-    (the level on [n]), and the level again from that block; None and
-    the level when it yields nothing.  ``nodes[0]`` advances by the
-    engine's count, as in `_first_avoider`."""
-    for block in blocks:
-        band, rows, plus, _ = block
-        colors = (plus[0] * 2 - 1).tolist()
-        _add_nodes(nodes, spent[0] + band.count(int(rows[0]), colors[comb(n - 1, r):]), limit)
-        again = chain(iter([block]), blocks)  # not [block]: chain holds its arguments to the end
-        return SignFunction(r, n, np.array(colors, dtype=np.int8)), again
-    _add_nodes(nodes, 2 * spent[0] - 2, limit)
-    return None, blocks
+    return None, iter(())
 
 
 def find_avoiding_coloring(
@@ -790,7 +791,9 @@ def find_avoiding_coloring(
     """A monotone coloring of K^r_n without monochromatic m-vertex paths.
 
     The path-pruned engine's first leaf, found by the band join (module
-    docstring).  Returns (coloring or None, node count).
+    docstring): the levels [r]..[n-1], then the one step on [n] that
+    `ramsey_number` takes at every vertex count.  Returns (coloring or
+    None, node count).
     """
     r, n, m = index(r), index(n), index(m)
     if m < r:
@@ -799,7 +802,7 @@ def find_avoiding_coloring(
     limit = float("inf") if max_nodes is None else max_nodes
     nodes, spent = [0], [0]
     blocks = _levels(r, n - 1, m, limit, spent, nodes)
-    return _first_avoider(r, n, m, nodes, limit, spent, blocks), nodes[0]
+    return _first_avoider(r, n, m, nodes, limit, spent, blocks)[0], nodes[0]
 
 
 def ramsey_number(
@@ -813,39 +816,30 @@ def ramsey_number(
     """Least N forcing monochromatic m-vertex paths, searched up to n_max;
     ``max_nodes`` bounds the whole run, summed over every vertex count.
 
-    The searches for n = m..n_max share one set of levels, from [r]
-    up: the first avoider on [n] is the first row of the first block the
-    level on [n] yields, and that block, with the rest of the level,
-    then feeds [n+1].  Each n reports what a fresh search would: the
+    Every n = m..n_max takes the same step as `find_avoiding_coloring`,
+    `_first_avoider`, on one set of levels from [r] up: the step on [n]
+    stops at its first leaf and hands on the level on [n], which feeds
+    the step on [n+1].  Each n reports what a fresh search would: the
     fresh search walks whole the same batches at every level below its
-    leaf, the batch of the last witness among them, so the ``spent``
-    the levels share is the fresh search's, and the witness's count is
+    leaf, the batch of the last witness among them, so the ``spent`` the
+    levels share is the fresh search's, and the witness's count is
     ``spent`` plus its chain (`_Band.count`), or 2 * spent - 2 when the
     level yields nothing.  Budget checks count from the total of the
     earlier vertex counts: ``spent`` changes only between batches, each
-    change is checked, and one check on entering each n covers the
-    changes made before it, so the run raises TooLarge exactly when one
-    of its fresh searches would.  Only on [n_max], where no later level
-    needs its batch whole, does the search stop early as
-    `find_avoiding_coloring` does.
+    change is checked, and the step checks once more on entering each n,
+    which covers the changes made before it, so the run raises TooLarge
+    exactly when one of its fresh searches would.
     """
     r, m, n_max = index(r), index(m), index(n_max)
     if not 2 <= r <= m <= n_max:
         raise InvalidArgument(f"need 2 <= r <= m <= n_max, got {_brief((r, m, n_max))}")
+    _, max_nodes = _check_limits(r, m, max_edges, max_nodes)
+    limit = float("inf") if max_nodes is None else max_nodes
     nodes, spent = [0], [0]
-    witness = None
+    blocks, witness = _levels(r, m - 1, m, limit, spent, nodes), None
     for n in range(m, n_max + 1):
-        _, budget = _check_limits(r, n, max_edges, max_nodes)
-        limit = float("inf") if budget is None else budget
-        if n == m:
-            blocks = _levels(r, m - 1, m, limit, spent, nodes)
-        elif nodes[0] + spent[0] > limit:  # each change to spent so far, checked again
-            raise TooLarge(f"search exceeded node budget {limit}")
-        if n == n_max:
-            found = _first_avoider(r, n, m, nodes, limit, spent, blocks)
-        else:
-            found, blocks = _first_of_level(r, n, nodes, limit, spent,
-                                            _avoiders(r, n, m, limit, spent, nodes, blocks))
+        _check_limits(r, n, max_edges, max_nodes)
+        found, blocks = _first_avoider(r, n, m, nodes, limit, spent, blocks)
         if found is None:
             return RamseyReport(r, m, n, n, witness, nodes[0])
         witness = found

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import index
 
 from .core import SignFunction, _brief, _require_binary, colex_layout
 from .errors import InvalidArgument
@@ -91,7 +92,9 @@ def longest_mono_paths(c: SignFunction) -> PathReport:
 
 
 def contains_path(c: SignFunction, m: int) -> bool:
-    """Whether some monochromatic monotone path spans at least m vertices."""
+    """Whether some monochromatic monotone path spans at least m vertices;
+    ``m`` is read as an integer, so a float raises TypeError."""
+    m = index(m)
     if m < c.r:
         raise InvalidArgument(f"path must span at least r={c.r} vertices, got m={_brief(m)}")
     return longest_mono_paths(c).best >= m

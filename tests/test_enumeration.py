@@ -293,6 +293,15 @@ class TestProjection:
         }
         assert len(sigs) == 8
 
+    # a numpy i gave a projection whose n was numpy.int64, which json refuses
+    def test_numpy_integer_vertex(self):
+        c = random_monotone_coloring(3, 6, 0)
+        p = project(c, np.int64(5))
+        assert type(p.n) is int and p == project(c, 5)
+        assert json.dumps({"n": p.n}) == '{"n": 4}'
+        with pytest.raises(TypeError):
+            project(c, 5.0)
+
     def test_validation(self):
         with pytest.raises(InvalidArgument):
             project(SignFunction.constant(2, 4), 3)
@@ -993,18 +1002,41 @@ class TestRamseyChain:
                                         max_nodes=left)
         assert (len(chained) > 0) == (left >= 10_000)
 
-    # The level above takes the witness's block from the level again; once
-    # it takes the next one, nothing may keep the first for the rest of the
-    # run (1.6 MB more traced peak in ramsey_number(3, 5, 11) when it did).
+    # The step hands on the level from the witness's block; once the level
+    # above takes the next one, nothing may keep the first for the rest of
+    # the run (1.6 MB more traced peak in ramsey_number(3, 5, 11) when it did).
     def test_a_block_taken_again_is_let_go(self):
         nodes, spent = [0], [0]
-        level = enumeration._levels(2, 5, 4, float("inf"), spent, nodes)
-        found, again = enumeration._first_of_level(2, 5, nodes, float("inf"), spent, level)
-        _, _, plus, _ = next(again)
+        below = enumeration._levels(2, 4, 4, float("inf"), spent, nodes)
+        found, again = enumeration._first_avoider(2, 5, 4, nodes, float("inf"), spent, below)
+        band, _, plus, _ = next(again)
         assert found.colors.tolist() == (plus[0] * 2 - 1).tolist()
-        plus = weakref.ref(plus)
+        plus, band = weakref.ref(plus), weakref.ref(band)
         assert next(again) is not None  # the level above takes its next block
         assert plus() is None
+        while next(again)[0] is band():  # then the blocks of the next batch
+            pass
+        assert band() is None
+
+    # The step pauses its batch's walk at the first leaf; the level it hands
+    # on resumes it with that leaf in front, so it neither drops nor repeats
+    # a row, and leaves the same spent once walked to the end.
+    @pytest.mark.parametrize("r,n,m", LEVEL_SIZES)
+    def test_the_level_handed_on_is_the_level_from_scratch(self, r, n, m):
+        def blocks(level):
+            return [(rows.tolist(), plus.tolist(), ends.tolist()) for _, rows, plus, ends in level]
+
+        spent = [0]
+        expected = blocks(enumeration._levels(r, n, m, float("inf"), spent, [0]))
+        nodes, handed = [0], [0]
+        below = enumeration._levels(r, n - 1, m, float("inf"), handed, nodes)
+        found, level = enumeration._first_avoider(r, n, m, nodes, float("inf"), handed, below)
+        assert blocks(level) == expected
+        assert handed == spent
+        if expected:
+            assert found.colors.tolist() == [2 * flag - 1 for flag in expected[0][1][0]]
+        else:
+            assert found is None
 
     def test_the_chain_walks_fewer_bands_than_fresh_searches(self, monkeypatch):
         # n = 4..10: six first avoiders and the refutation on [10]

@@ -129,6 +129,15 @@ class TestContainsPath:
             c = random_monotone_coloring(3, 6, seed)
             assert not contains_path(c, 7)
 
+    # a numpy m gave numpy.bool, and a fractional one was compared as it was
+    def test_m_is_read_as_an_integer(self):
+        c = SignFunction.constant(3, 5)
+        assert contains_path(c, np.int64(5)) is True
+        assert contains_path(c, np.int64(6)) is False
+        for m in (4.5, 5.0, float("nan")):
+            with pytest.raises(TypeError):
+                contains_path(c, m)
+
     def test_m_below_r_rejected(self):
         with pytest.raises(InvalidArgument):
             contains_path(SignFunction.constant(3, 5), 2)
