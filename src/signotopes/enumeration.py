@@ -3,13 +3,17 @@
 Every search runs on one iterative engine, `_search`, which assigns
 edges in colex order.  Of the r-subsets of an (r+1)-subset, the one
 without the smallest element comes last, so on entering its level the
-engine reads the other r colors and decides, once, which colors it may
-take: a 2-bit mask read off a table of sign patterns.  Every leaf is
-monotone, and each monotone coloring is reached exactly once.  One hook
-per level can narrow the mask; its one user is `_join`, which walks the
-extensions of a table of colorings one vertex down with its bitset
-filter.  The engine and the join read one cached table per (r, n),
-`_search_tables`: the grouped deletion table.
+engine reads the other r colors of every such row and decides, once,
+which colors it may take.  It reads them with one reader per level and
+looks the tuple read up in that level's cache of decisions, filled on
+first sight: a 2-bit mask, the AND of each row's mask from a table of
+sign patterns, and which rows' heads start +1 and which -1.  Every leaf
+is monotone, and each monotone coloring is reached exactly once.  When
+the engine walks the extensions of a table of colorings one vertex
+down for `_join`, it runs the join's bitset filter in the same step,
+ANDing the columns of the rows the decision names.  The engine and the
+join read one cached table per (r, n), `_search_tables`: the grouped
+deletion table, with the readers and the decision caches.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -79,6 +83,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, log2
+from numbers import Integral
 from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -95,27 +100,52 @@ SEARCH_EDGE_CAP = 64
 _Table = tuple[int, list[int]]
 
 
+def _no_heads(colors: list[int]) -> tuple:
+    return ()
+
+
 @lru_cache(maxsize=None)
 def _search_tables(r: int, n: int):
-    """(starts, preds, heads, pattern): the (r+1)-subset deletion table of [n]
-    with its rows grouped by their last column, the colex-largest r-subset k,
-    into the runs ``starts[k]:starts[k + 1]`` (deleting the smallest element
-    keeps colex order).  ``preds[k]`` holds the first column of k's run, the
-    windows that can precede k in a monotone path; ``heads[k]`` reads each
-    row's head, the r edges before k (rank 1 has none: one edge never
-    changes sign).  ``pattern`` maps the 2r heads with at most one sign
-    change to the colors k may take (bit 0: -1, bit 1: +1): both, or the
-    head's last; a missing head allows none."""
+    """(starts, preds, (readers, decisions), pattern): the (r+1)-subset
+    deletion table of [n] with its rows grouped by their last column, the
+    colex-largest r-subset k, into the runs ``starts[k]:starts[k + 1]``
+    (deleting the smallest element keeps colex order).  ``preds[k]`` holds
+    the first column of k's run, the windows that can precede k in a
+    monotone path.  ``readers[k]`` reads the heads of k's run, each row's
+    r edges before k, row after row, as one tuple: () for an empty run.
+    ``decisions[k]``, filled on first sight by `_decide`, maps what it
+    reads to k's decision.  ``pattern`` maps the 2r heads with at most one
+    sign change to the colors k may take (bit 0: -1, bit 1: +1): both, or
+    the head's last; a missing head allows none, and at rank 1 every head
+    allows both (one edge never changes sign)."""
     table = colex_layout(n, r + 1).deletion
     starts = np.searchsorted(table[:, -1], np.arange(comb(n, r) + 1)).tolist()
-    preds, heads = [], []
+    heads = table[:, :-1].ravel().tolist()
+    preds, readers = [], []
     for lo, hi in zip(starts, starts[1:]):
-        columns = table[lo:hi, :-1].T.tolist()
-        preds.append(tuple(columns[0]))
-        heads.append(list(map(itemgetter, *columns)) if r > 1 else [])
+        preds.append(tuple(heads[lo * r:hi * r:r]))
+        columns = heads[lo * r:hi * r]
+        if len(columns) > 1:
+            readers.append(itemgetter(*columns))
+        elif columns:
+            readers.append(lambda colors, get=itemgetter(*columns): (get(colors),))
+        else:
+            readers.append(_no_heads)
     pattern = {head: 3 if j in (0, r) else 1 << (head[-1] > 0)
                for j in range(r + 1) for a in (-1, 1) for head in [(a,) * j + (-a,) * (r - j)]}
-    return starts, preds, heads, pattern
+    return starts, preds, (readers, [{} for _ in readers]), pattern
+
+
+def _decide(r: int, lo: int, key: tuple, pattern: dict) -> tuple[int, tuple, tuple]:
+    """The decision of the level whose run starts at row ``lo`` and whose
+    heads read ``key``: the colors its edge may take, the AND of each
+    head's ``pattern`` mask, and the ranks of the rows whose head starts
+    +1, then of those whose head starts -1."""
+    mask, plus, minus = 3, [], []
+    for u, at in enumerate(range(0, len(key), r), lo):
+        mask &= pattern.get(key[at:at + r], 0)
+        (plus if key[at] > 0 else minus).append(u)
+    return mask, tuple(plus), tuple(minus)
 
 
 def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> tuple[int, int | None]:
@@ -142,6 +172,7 @@ def _search(
     max_nodes: int | None = None,
     prefix: Sequence[int] = (),
     rng: random.Random | None = None,
+    join: tuple | None = None,
     hook: Callable[[int, list[int], int], int] | None = None,
 ) -> Iterator[list[int]]:
     """Depth-first search yielding the shared color list at every leaf.
@@ -149,20 +180,30 @@ def _search(
     The caller has admitted (r, n) and checked ``prefix``.  A leaf is a
     full consistent coloring; copy what you keep.  Entering level k
     decides once which colors edge k may take, as a mask (bit 0: -1,
-    bit 1: +1): the deletion rows ending at k, then, if a color is
-    left, ``hook(k, colors, mask)`` returns the mask narrowed to the
-    colors it allows.  ``prefix`` pins the first edges through the same
-    step, uncounted; one outside its mask yields nothing.  Each level
-    tries -1 before +1 unless ``rng`` swaps them, one ``rng.random()``
-    per non-leaf level entered.  ``nodes[0]`` adds up attempts, each
-    counted before its mask test, and is current at every yield and at
-    the end; past ``max_nodes`` the search raises TooLarge.  A level's
-    first color is attempted on entry and only the second goes on the
-    stack.
+    bit 1: +1), with one read of the heads of the deletion rows ending
+    at k and one look-up of that read's decision (`_search_tables`).
+    If a color is left, ``join`` = (plus, minus, masks, bits, counter,
+    limit), `_join`'s state, filters its bitsets: ``bits[k + 1]`` gets
+    ``bits[k]`` at edge k-1's color, ANDed with ``masks[k]`` if there
+    are masks, and each color's half with the columns of the rows the
+    decision names, ``minus[u]`` for a head starting -1, ``plus[u]``
+    for one starting +1, dropping a color whose half is empty; below
+    the last edge four times the popcounts of the colors left go to
+    ``counter[0]``, past ``limit`` TooLarge.  Otherwise
+    ``hook(k, colors, mask)``, the tests' reference pruner, returns
+    the mask narrowed to the colors it allows.  ``prefix`` pins the
+    first edges through the same step, uncounted; one outside its mask
+    yields nothing.  Each level tries -1 before +1 unless ``rng`` swaps
+    them, one ``rng.random()`` per non-leaf level entered.  ``nodes[0]``
+    adds up attempts, each counted before its mask test, and is current
+    at every yield and at the end; past ``max_nodes`` the search raises
+    TooLarge.  A level's first color is attempted on entry and only the
+    second goes on the stack.
     """
     edge_count = comb(n, r)
-    _, _, heads, pattern = _search_tables(r, n)
-    lookup = pattern.get
+    starts, _, (readers, decisions), pattern = _search_tables(r, n)
+    if join is not None:
+        plus, minus, masks, bits, counter, cap = join
     colors = [0] * edge_count
     limit = float("inf") if max_nodes is None else max_nodes
     count = nodes[0]
@@ -174,10 +215,28 @@ def _search(
             nodes[0] = count
             yield colors
         else:
-            mask = 3
-            for head in heads[k]:
-                mask &= lookup(head(colors), 0)
-            if mask and hook is not None:
+            key = readers[k](colors)
+            decision = decisions[k].get(key)
+            if decision is None:
+                decision = decisions[k][key] = _decide(r, starts[k], key, pattern)
+            mask, plus_rows, minus_rows = decision
+            if mask and join is not None:
+                valid_minus = valid_plus = bits[k][colors[k - 1] > 0]  # bits[0]: all rows
+                if masks:
+                    valid_minus &= masks[k][0]
+                    valid_plus &= masks[k][1]
+                for u in plus_rows:
+                    valid_minus &= plus[u]
+                for u in minus_rows:
+                    valid_plus &= minus[u]
+                bits[k + 1] = valid_minus, valid_plus
+                mask &= (valid_minus != 0) | (valid_plus != 0) << 1
+                if k + 1 < edge_count:
+                    counter[0] += 4 * ((mask & 1 and valid_minus.bit_count())
+                                       + (mask >> 1 and valid_plus.bit_count()))
+                    if counter[0] > cap:
+                        raise TooLarge(f"search exceeded node budget {cap}")
+            elif mask and hook is not None:
                 mask = hook(k, colors, mask)
             if k < pinned:
                 col = prefix[k]
@@ -310,9 +369,11 @@ def _join(
     (c(U), p's deletion sequence of U); the engine completes the latter
     at p's edge U - min(U).  If it then changes sign, it ends in p's
     color there, so c(U) must be the opposite one.  Entering that edge,
-    the hook decides both its colors in one pass: each color's bitset of
-    rows still valid is ANDed with the columns it needs, and a color
-    whose bitset is empty is not allowed.  ``masks``, if given, holds
+    the engine decides both its colors in one pass (`_search`, whose
+    cached decision names the rows U and whether p's deletion sequence
+    of U starts +1 or -1): each color's bitset of rows still valid is
+    ANDed with the columns it needs, and a color whose bitset is empty
+    is not allowed.  ``masks``, if given, holds
     per p-edge the rows allowed to color it -1 and +1, ANDed in as well,
     and must not change during the walk.  ``steps``, if given, counts in
     ``steps[0]`` the attempts of the walk of p itself (for a one-row
@@ -329,36 +390,13 @@ def _join(
     """
     size, plus = table
     full = (1 << size) - 1
-    # Row u of p's deletion table is the r-subset U of [n-1] of rank u, in U - min(U)'s run:
-    # per p-edge, each row's first column with the rows coloring U plus and minus.
-    starts, preds, _, _ = _search_tables(r - 1, n - 1)
-    runs = [[(first, plus[u], full ^ plus[u]) for u, first in enumerate(firsts, lo)]
-            for firsts, lo in zip(preds, starts)]
-    edges = len(runs)
+    # Row u of p's deletion table is the r-subset U of [n-1] of rank u: the column of c(U).
+    edges = comb(n - 1, r - 1)
     bits = [(full, full)] * (edges + 1)  # bits[k + 1]: valid rows if p-edge k is -1, if +1
-
-    def hook(k: int, colors: list[int], mask: int) -> int:
-        valid_minus = valid_plus = bits[k][colors[k - 1] > 0]  # either half of bits[0]: all rows
-        if masks:
-            valid_minus &= masks[k][0]
-            valid_plus &= masks[k][1]
-        for first, col_plus, col_minus in runs[k]:
-            if colors[first] > 0:
-                valid_minus &= col_plus
-            else:
-                valid_plus &= col_minus
-        bits[k + 1] = valid_minus, valid_plus
-        mask &= (valid_minus != 0) | (valid_plus != 0) << 1
-        if k + 1 < edges:  # `_add_nodes`, inline: this runs once per node entered
-            nodes[0] += 4 * ((mask & 1 and valid_minus.bit_count())
-                             + (mask >> 1 and valid_plus.bit_count()))
-            if nodes[0] > limit:
-                raise TooLarge(f"search exceeded node budget {limit}")
-        return mask
-
     if steps is None:
         steps = [0, 0]
-    for colors in _search(r - 1, n - 1, steps, hook=hook):
+    join = (plus, [full ^ col for col in plus], masks, bits, nodes, limit)
+    for colors in _search(r - 1, n - 1, steps, join=join):
         steps[1] += 1
         yield colors, bits[edges][colors[-1] > 0]
 
@@ -864,10 +902,12 @@ def tow(h: int, x):
     Accepts nonpositive x (the intermediate values then pass through
     floats), which keeps size invariants checkable at small parameters;
     a float intermediate that would leave the float range raises TooLarge.
+    An integer x is read with `operator.index`, so a numpy integer does
+    not wrap.
     """
     if h < 1 or x != x:  # x != x: NaN, which never passes the cap
         raise InvalidArgument(f"need height >= 1 and x not NaN, got h={_brief(h)}, x={_brief(x)}")
-    val = x
+    val = index(x) if isinstance(x, Integral) else x
     for _ in range(h - 1):
         if val > TABLE_CAP:
             return AtLeast(TABLE_CAP)

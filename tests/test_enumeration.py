@@ -187,6 +187,99 @@ def last_extend_of_s3_9():
         tracemalloc.stop()
 
 
+def reference_join(r, n, table, nodes, limit, masks=None, steps=None):
+    """`_join` as a hook on the engine, deciding each p-edge row by row:
+    every row's head masked by its sign pattern, then, by the color of
+    the row's first edge, one column ANDed into one color's bitset."""
+    size, plus = table
+    full = (1 << size) - 1
+    *_, pattern = _search_tables(r - 1, n - 1)
+    runs = [[] for _ in range(comb(n - 1, r - 1))]
+    for u, row in enumerate(colex_layout(n - 1, r).deletion.tolist()):
+        runs[row[-1]].append((row[:-1], plus[u], full ^ plus[u]))
+    edges = len(runs)
+    bits = [(full, full)] * (edges + 1)
+
+    def hook(k, colors, mask):
+        valid_minus = valid_plus = bits[k][colors[k - 1] > 0]
+        if masks:
+            valid_minus &= masks[k][0]
+            valid_plus &= masks[k][1]
+        mask = 3
+        for head, col_plus, col_minus in runs[k]:
+            mask &= pattern.get(tuple(colors[t] for t in head), 0)
+            if colors[head[0]] > 0:
+                valid_minus &= col_plus
+            else:
+                valid_plus &= col_minus
+        bits[k + 1] = valid_minus, valid_plus
+        mask &= (valid_minus != 0) | (valid_plus != 0) << 1
+        if k + 1 < edges:
+            nodes[0] += 4 * ((mask & 1 and valid_minus.bit_count())
+                             + (mask >> 1 and valid_plus.bit_count()))
+            if nodes[0] > limit:
+                raise TooLarge(f"search exceeded node budget {limit}")
+        return mask
+
+    if steps is None:
+        steps = [0, 0]
+    for colors in _search(r - 1, n - 1, steps, hook=hook):
+        steps[1] += 1
+        yield colors, bits[edges][colors[-1] > 0]
+
+
+def join_outcome(join, r, n, table, masks=None, start=0):
+    """Every yield of ``join`` with the node count at it, then the final
+    node count and the walk's steps."""
+    nodes, steps = [start], [0, 0]
+    yields = [(tuple(p), bits, nodes[0])
+              for p, bits in join(r, n, table, nodes, float("inf"), masks, steps)]
+    return yields, nodes[0], steps
+
+
+def join_tables(r, n):
+    """The join's input tables, the colorings of [m-1] with the first edge
+    minus, for m = r+1..n."""
+    table = (1, [0])
+    for m in range(r + 1, n + 1):
+        yield m, table
+        if m < n:
+            table = _extend(table, [(list(p), bits) for p, bits in _join(r, m, table, [0],
+                                                                         float("inf"))])
+
+
+class TestJoinAgainstReference:
+    """`_join`, whose filter runs inside the engine's level step off the
+    cached decisions, against the per-row hook it replaced: the same
+    yields in the same order, with the same bitsets, node counts at every
+    yield and at the end, and the same steps."""
+
+    @pytest.mark.parametrize("r,n", JOIN_SIZES)
+    def test_tables_with_and_without_masks(self, r, n):
+        draw = random.Random(r * 100 + n)
+        for m, table in join_tables(r, n):
+            full = (1 << table[0]) - 1
+            masks = [(draw.randint(0, full) | draw.randint(0, full), draw.randint(0, full))
+                     for _ in range(comb(m - 1, r - 1))]
+            for kind in (None, masks):
+                want = join_outcome(reference_join, r, m, table, kind, start=7)
+                assert join_outcome(_join, r, m, table, kind, start=7) == want
+
+    def test_bands_of_a_first_avoider(self, monkeypatch):
+        join, calls = enumeration._join, []
+
+        def recorded(r, n, table, nodes, limit, masks=None, steps=None):
+            calls.append((r, n, table, masks))
+            return join(r, n, table, nodes, limit, masks, steps)
+
+        monkeypatch.setattr(enumeration, "_join", recorded)
+        assert find_avoiding_coloring(3, 9, 5, max_edges=84)[0] is not None
+        assert len(calls) > 20 and sum(table[0] > 1 for _, _, table, _ in calls) > 5
+        for r, n, table, masks in calls:
+            assert join_outcome(join, r, n, table, masks) == \
+                join_outcome(reference_join, r, n, table, masks)
+
+
 class TestCountJoin:
     """The extension join against the backtracking engine it replaced."""
 
@@ -603,13 +696,50 @@ class TestEngineAgainstReference:
 
     def test_large_rank_builds_no_exponential_table(self):
         # The pattern table holds the 2r heads with at most one sign
-        # change, not all 2^r, so a large r costs nothing before the walk.
-        assert len(_search_tables(150, 150)[3]) == 300
+        # change, not all 2^r, and no decision is cached before a walk,
+        # so a large r costs nothing before the walk.
+        _, _, (_, decisions), pattern = _search_tables(150, 150)
+        assert len(pattern) == 300 and decisions == [{}]
+        assert sum(1 for _ in _search(150, 150, [0])) == 2
+        assert decisions == [{(): (3, (), ())}]  # the one edge has no row
         assert len(list(enumerate_monotone(30, 30))) == 2
         assert find_avoiding_coloring(30, 30, 30) is not None
         assert ramsey_number(30, 30, 30).number == 30
         with pytest.raises(TooLarge):  # its join walks rank 29 on [30]
             count_monotone(30, 31, max_nodes=10**5)
+
+
+def cached_decisions(r, sizes):
+    """How many decisions the tables of rank r on each of ``sizes`` hold."""
+    return sum(len(d) for n in sizes for d in _search_tables(r, n)[2][1])
+
+
+class TestDecisionCache:
+    @pytest.mark.parametrize("r,n", ENGINE_SIZES)
+    def test_every_decision_matches_its_rows(self, r, n):
+        # each row of the level allows the colors that change its sign at most
+        # once, and the ranks follow the colors of the rows' first edges
+        assert sum(1 for _ in _search(r, n, [0])) == count_monotone(r, n).count
+        starts, _, (_, decisions), _ = _search_tables(r, n)
+        rows = reference_constraints(r, n)
+        assert sum(map(len, decisions)) > 0
+        for k, decided in enumerate(decisions):
+            for key, decision in decided.items():
+                assert len(key) == r * len(rows[k])
+                heads = [key[i:i + r] for i in range(0, len(key), r)]
+                mask = sum(bit for bit, col in ((1, -1), (2, 1))
+                           if all(reference_consistent(head + (col,), range(r + 1))
+                                  for head in heads))
+                ranks = [tuple(u for u, head in enumerate(heads, starts[k]) if head[0] * sign > 0)
+                         for sign in (1, -1)]
+                assert decision == (mask, *ranks)
+
+    def test_a_second_count_adds_no_entry(self):
+        count_monotone(3, 7)
+        held = cached_decisions(2, range(3, 7))
+        assert held > 0
+        count_monotone(3, 7)
+        assert cached_decisions(2, range(3, 7)) == held
 
 
 def engine_first_avoider(r, n, m, max_nodes=None):
@@ -1149,6 +1279,14 @@ class TestTow:
             with pytest.raises(TooLarge, match="float range"):
                 tow(h, x)
         assert tow(2, -2000) == 0.0
+
+    def test_numpy_integers_do_not_wrap(self):
+        # computed in the numpy type, 2^64 and 2^40 wrapped to 0
+        for h, x in [(3, np.int64(6)), (2, np.int32(40)), (4, np.int64(4)), (2, np.uint8(3))]:
+            out = tow(h, x)
+            assert type(out) is int and out == tow(h, int(x))
+        assert tow(5, np.int64(4)) == AtLeast(TABLE_CAP)
+        assert tow(2, np.float64(0.5)) == 2 ** 0.5  # a float stays a float
 
     def test_validation(self):
         with pytest.raises(InvalidArgument):

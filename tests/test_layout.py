@@ -52,16 +52,18 @@ def test_deletion_rows_are_link_sequences(n, k):
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 10) for r in range(1, 6) if n >= r])
 def test_search_tables_match_reference(n, r):
-    starts, preds, heads, _ = _search_tables(r, n)
+    starts, preds, (readers, decisions), _ = _search_tables(r, n)
     constraints, want_preds = reference_search_tables(r, n)
     table = [tuple(row) for row in colex_layout(n, r + 1).deletion.tolist()]
     assert len(starts) == len(constraints) + 1 and starts[-1] == len(table)
     assert [table[lo:hi] for lo, hi in zip(starts, starts[1:])] == constraints
     assert list(preds) == list(want_preds)
-    # Rank 1 reads no heads: a sequence of two colors changes sign at most once.
+    # One reader per edge reads every head of its run, row after row, rank 1
+    # included, as one tuple: a one-column run's too, and () for an empty run.
     probe = list(range(comb(n, r)))
-    assert [[head(probe) for head in group] for group in heads] == [
-        [row[:-1] for row in rows] if r > 1 else [] for rows in constraints]
+    assert [reader(probe) for reader in readers] == [
+        tuple(t for row in rows for t in row[:-1]) for rows in constraints]
+    assert len(decisions) == len(readers)
 
 
 def test_tables_are_read_only():
