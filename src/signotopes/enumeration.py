@@ -4,16 +4,16 @@ Every search runs on one iterative engine, `_search`, which assigns
 edges in colex order.  Of the r-subsets of an (r+1)-subset, the one
 without the smallest element comes last, so on entering its level the
 engine reads the other r colors of every such row and decides, once,
-which colors it may take.  It reads them with one reader per level and
-looks the tuple read up in that level's cache of decisions, filled on
-first sight: a 2-bit mask, the AND of each row's mask from a table of
+which colors it may take: one reader per level reads them, and the
+tuple read indexes that level's table of decisions, which fills itself
+on a miss: a 2-bit mask, the AND of each row's mask from a table of
 sign patterns, and which rows' heads start +1 and which -1.  Every leaf
 is monotone, and each monotone coloring is reached exactly once.  When
 the engine walks the extensions of a table of colorings one vertex
 down for `_join`, it runs the join's bitset filter in the same step,
 ANDing the columns of the rows the decision names.  The engine and the
-join read one cached table per (r, n), `_search_tables`: the grouped
-deletion table, with the readers and the decision caches.
+join read one cached table per (r, n), `_search_tables`: the deletion
+table's runs, the readers and the self-filling decision tables.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -83,7 +83,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb, factorial, log2
-from numbers import Integral
+from numbers import Integral, Real
 from operator import index, itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -100,68 +100,71 @@ SEARCH_EDGE_CAP = 64
 _Table = tuple[int, list[int]]
 
 
-def _no_heads(colors: list[int]) -> tuple:
-    return ()
+class _Decisions(dict):
+    """One level's decisions by what its reader reads, each computed on a
+    miss from the level's rank ``r``, its run start ``lo`` and the shared
+    ``pattern`` (`_search_tables`): the colors its edge may take, the AND
+    of each head's pattern mask, then the ranks of the rows whose head
+    starts +1 and of those whose head starts -1."""
+
+    __slots__ = ("r", "lo", "pattern")
+
+    def __init__(self, r: int, lo: int, pattern: dict):
+        self.r, self.lo, self.pattern = r, lo, pattern
+
+    def __missing__(self, key: tuple) -> tuple[int, tuple, tuple]:
+        mask, plus, minus = 3, [], []
+        for u, at in enumerate(range(0, len(key), self.r), self.lo):
+            mask &= self.pattern.get(key[at:at + self.r], 0)
+            (plus if key[at] > 0 else minus).append(u)
+        decision = self[key] = mask, tuple(plus), tuple(minus)
+        return decision
 
 
 @lru_cache(maxsize=None)
-def _search_tables(r: int, n: int):
-    """(starts, preds, (readers, decisions), pattern): the (r+1)-subset
-    deletion table of [n] with its rows grouped by their last column, the
-    colex-largest r-subset k, into the runs ``starts[k]:starts[k + 1]``
-    (deleting the smallest element keeps colex order).  ``preds[k]`` holds
-    the first column of k's run, the windows that can precede k in a
-    monotone path.  ``readers[k]`` reads the heads of k's run, each row's
-    r edges before k, row after row, as one tuple: () for an empty run.
-    ``decisions[k]``, filled on first sight by `_decide`, maps what it
-    reads to k's decision.  ``pattern`` maps the 2r heads with at most one
-    sign change to the colors k may take (bit 0: -1, bit 1: +1): both, or
-    the head's last; a missing head allows none, and at rank 1 every head
-    allows both (one edge never changes sign)."""
+def _search_tables(r: int, n: int) -> tuple[list[int], list[Callable], list[_Decisions]]:
+    """(starts, readers, decisions): the (r+1)-subset deletion table of [n]
+    has its rows grouped by their last column, the colex-largest r-subset
+    k, into the runs ``starts[k]:starts[k + 1]`` (deleting the smallest
+    element keeps colex order).  ``readers[k]`` reads the heads of k's
+    run, each row's r edges before k, row after row, as one tuple: () for
+    an empty run.  ``decisions[k]`` maps what it reads to k's decision,
+    filling itself on a miss.  The ``pattern`` they share maps the 2r
+    heads with at most one sign change to the colors k may take (bit 0:
+    -1, bit 1: +1), both or the head's last; a missing head allows none,
+    and at rank 1 every head allows both (one edge never changes sign)."""
     table = colex_layout(n, r + 1).deletion
     starts = np.searchsorted(table[:, -1], np.arange(comb(n, r) + 1)).tolist()
     heads = table[:, :-1].ravel().tolist()
-    preds, readers = [], []
+    pattern = {head: 3 if j in (0, r) else 1 << (head[-1] > 0)
+               for j in range(r + 1) for a in (-1, 1) for head in [(a,) * j + (-a,) * (r - j)]}
+    readers = []
     for lo, hi in zip(starts, starts[1:]):
-        preds.append(tuple(heads[lo * r:hi * r:r]))
         columns = heads[lo * r:hi * r]
         if len(columns) > 1:
             readers.append(itemgetter(*columns))
         elif columns:
             readers.append(lambda colors, get=itemgetter(*columns): (get(colors),))
         else:
-            readers.append(_no_heads)
-    pattern = {head: 3 if j in (0, r) else 1 << (head[-1] > 0)
-               for j in range(r + 1) for a in (-1, 1) for head in [(a,) * j + (-a,) * (r - j)]}
-    return starts, preds, (readers, [{} for _ in readers]), pattern
+            readers.append(lambda colors: ())
+    return starts, readers, [_Decisions(r, lo, pattern) for lo in starts[:-1]]
 
 
-def _decide(r: int, lo: int, key: tuple, pattern: dict) -> tuple[int, tuple, tuple]:
-    """The decision of the level whose run starts at row ``lo`` and whose
-    heads read ``key``: the colors its edge may take, the AND of each
-    head's ``pattern`` mask, and the ranks of the rows whose head starts
-    +1, then of those whose head starts -1."""
-    mask, plus, minus = 3, [], []
-    for u, at in enumerate(range(0, len(key), r), lo):
-        mask &= pattern.get(key[at:at + r], 0)
-        (plus if key[at] > 0 else minus).append(u)
-    return mask, tuple(plus), tuple(minus)
-
-
-def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> tuple[int, int | None]:
+def _check_limits(r: int, n: int, max_edges: int, max_nodes: int | None) -> float:
     """Admit (r, n) and the caps for a search, before any work, and return
-    the caps as Python integers: a float, NaN included, raises TypeError."""
+    the node limit: ``inf`` when ``max_nodes`` is None, else ``max_nodes``
+    as a Python integer.  A float cap, NaN included, raises TypeError."""
     if not 2 <= r <= n:
         raise InvalidArgument(f"need 2 <= r <= n, got r={_brief(r)}, n={_brief(n)}")
     max_edges = index(max_edges)
-    max_nodes = None if max_nodes is None else index(max_nodes)
-    if max_edges < 0 or (max_nodes is not None and max_nodes < 0):
+    limit = float("inf") if max_nodes is None else index(max_nodes)
+    if max_edges < 0 or limit < 0:
         raise InvalidArgument(f"need both caps >= 0, got {_brief((max_edges, max_nodes))}")
     if _capped_comb(n, r, max_edges) > max_edges:
         raise TooLarge(f"r={_brief(r)}, n={_brief(n)} has more than {_brief(max_edges)} "
                        f"edges (search cap); pass max_edges explicitly to override")
     check_size(r, n)
-    return max_edges, max_nodes
+    return limit
 
 
 def _search(
@@ -180,9 +183,9 @@ def _search(
     The caller has admitted (r, n) and checked ``prefix``.  A leaf is a
     full consistent coloring; copy what you keep.  Entering level k
     decides once which colors edge k may take, as a mask (bit 0: -1,
-    bit 1: +1), with one read of the heads of the deletion rows ending
-    at k and one look-up of that read's decision (`_search_tables`).
-    If a color is left, ``join`` = (plus, minus, masks, bits, counter,
+    bit 1: +1), in one subscript: the level's table of decisions, which
+    fills itself on a miss, at what its reader reads, the heads of the
+    deletion rows ending at k (`_search_tables`).  If a color is left, ``join`` = (plus, minus, masks, bits, counter,
     limit), `_join`'s state, filters its bitsets: ``bits[k + 1]`` gets
     ``bits[k]`` at edge k-1's color, ANDed with ``masks[k]`` if there
     are masks, and each color's half with the columns of the rows the
@@ -201,7 +204,7 @@ def _search(
     second goes on the stack.
     """
     edge_count = comb(n, r)
-    starts, _, (readers, decisions), pattern = _search_tables(r, n)
+    _, readers, decisions = _search_tables(r, n)
     if join is not None:
         plus, minus, masks, bits, counter, cap = join
     colors = [0] * edge_count
@@ -215,11 +218,7 @@ def _search(
             nodes[0] = count
             yield colors
         else:
-            key = readers[k](colors)
-            decision = decisions[k].get(key)
-            if decision is None:
-                decision = decisions[k][key] = _decide(r, starts[k], key, pattern)
-            mask, plus_rows, minus_rows = decision
+            mask, plus_rows, minus_rows = decisions[k][readers[k](colors)]
             if mask and join is not None:
                 valid_minus = valid_plus = bits[k][colors[k - 1] > 0]  # bits[0]: all rows
                 if masks:
@@ -287,10 +286,10 @@ def enumerate_monotone(
     (TooLarge beyond).
     """
     r, n = index(r), index(n)
-    max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
+    limit = _check_limits(r, n, max_edges, max_nodes)
     if len(prefix) > comb(n, r) or any(v not in (-1, 1) for v in prefix):
         raise InvalidArgument(f"prefix must be over -1/+1 with length <= {comb(n, r)}")
-    for colors in _search(r, n, [0], max_nodes=max_nodes, prefix=prefix, rng=rng):
+    for colors in _search(r, n, [0], max_nodes=limit, prefix=prefix, rng=rng):
         yield SignFunction._derived(r, n, np.array(colors, dtype=np.int8))
 
 
@@ -456,12 +455,11 @@ def count_monotone(
     they nor whether ``max_nodes`` is exceeded depend on the worker count.
     """
     r, n = index(r), index(n)
-    max_edges, max_nodes = _check_limits(r, n, max_edges, max_nodes)
+    limit = _check_limits(r, n, max_edges, max_nodes)
     workers = index(workers)
     if workers < 1:
         raise InvalidArgument(f"need workers >= 1, got {_brief(workers)}")
     start = time.perf_counter()
-    limit = float("inf") if max_nodes is None else max_nodes
     table: _Table = (1, [0])  # [r] with its one edge minus
     nodes = [0]
     _add_nodes(nodes, 2, limit)  # both colors of the first edge
@@ -836,8 +834,7 @@ def find_avoiding_coloring(
     r, n, m = index(r), index(n), index(m)
     if m < r:
         raise InvalidArgument(f"need m >= r, got m={_brief(m)}, r={_brief(r)}")
-    _, max_nodes = _check_limits(r, n, max_edges, max_nodes)
-    limit = float("inf") if max_nodes is None else max_nodes
+    limit = _check_limits(r, n, max_edges, max_nodes)
     nodes, spent = [0], [0]
     blocks = _levels(r, n - 1, m, limit, spent, nodes)
     return _first_avoider(r, n, m, nodes, limit, spent, blocks)[0], nodes[0]
@@ -871,8 +868,7 @@ def ramsey_number(
     r, m, n_max = index(r), index(m), index(n_max)
     if not 2 <= r <= m <= n_max:
         raise InvalidArgument(f"need 2 <= r <= m <= n_max, got {_brief((r, m, n_max))}")
-    _, max_nodes = _check_limits(r, m, max_edges, max_nodes)
-    limit = float("inf") if max_nodes is None else max_nodes
+    limit = _check_limits(r, m, max_edges, max_nodes)
     nodes, spent = [0], [0]
     blocks, witness = _levels(r, m - 1, m, limit, spent, nodes), None
     for n in range(m, n_max + 1):
@@ -902,12 +898,13 @@ def tow(h: int, x):
     Accepts nonpositive x (the intermediate values then pass through
     floats), which keeps size invariants checkable at small parameters;
     a float intermediate that would leave the float range raises TooLarge.
-    An integer x is read with `operator.index`, so a numpy integer does
-    not wrap.
+    An integer x is read with `operator.index` and any other real with
+    `float`, so a numpy integer does not wrap and a numpy float neither
+    rounds to its own range nor overflows to inf.
     """
     if h < 1 or x != x:  # x != x: NaN, which never passes the cap
         raise InvalidArgument(f"need height >= 1 and x not NaN, got h={_brief(h)}, x={_brief(x)}")
-    val = index(x) if isinstance(x, Integral) else x
+    val = index(x) if isinstance(x, Integral) else float(x) if isinstance(x, Real) else x
     for _ in range(h - 1):
         if val > TABLE_CAP:
             return AtLeast(TABLE_CAP)

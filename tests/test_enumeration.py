@@ -4,7 +4,9 @@ import os
 import random
 import time
 import tracemalloc
+import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -193,7 +195,7 @@ def reference_join(r, n, table, nodes, limit, masks=None, steps=None):
     the row's first edge, one column ANDed into one color's bitset."""
     size, plus = table
     full = (1 << size) - 1
-    *_, pattern = _search_tables(r - 1, n - 1)
+    pattern = _search_tables(r - 1, n - 1)[2][0].pattern
     runs = [[] for _ in range(comb(n - 1, r - 1))]
     for u, row in enumerate(colex_layout(n - 1, r).deletion.tolist()):
         runs[row[-1]].append((row[:-1], plus[u], full ^ plus[u]))
@@ -500,7 +502,7 @@ def path_pruner(r, n, m):
     m-vertex path: the path-pruned engine, the reference the band join of
     Ramsey search reproduces.  One pass over the windows that can precede
     k gives the longest path ending at k for both colors; both are kept."""
-    _, preds, _, _ = _search_tables(r, n)
+    preds = windows(r, n)
     longest = [(0, 0)] * len(preds)  # per edge: (if colored -1, if colored +1)
 
     def hook(k, colors, mask):
@@ -563,6 +565,12 @@ def reference_constraints(r, n):
     return constraints
 
 
+def windows(r, n):
+    """Per edge, the first column of each deletion row listed under it: the
+    windows that can precede the edge in a monotone path."""
+    return [[row[0] for row in rows] for rows in reference_constraints(r, n)]
+
+
 def reference_search(r, n, nodes, *, max_nodes=None, prefix=(), rng=None, hook=None):
     """The engine before the per-level color masks: every attempt runs the
     constraint rows of its edge, then ``hook(k, colors) -> bool``."""
@@ -605,7 +613,7 @@ def reference_search(r, n, nodes, *, max_nodes=None, prefix=(), rng=None, hook=N
 
 def reference_path_pruner(r, n, m):
     """The pruner before both colors were decided in one pass."""
-    preds = [[row[0] for row in rows] for rows in reference_constraints(r, n)]
+    preds = windows(r, n)
     plen = [0] * len(preds)
 
     def hook(k, colors):
@@ -698,8 +706,8 @@ class TestEngineAgainstReference:
         # The pattern table holds the 2r heads with at most one sign
         # change, not all 2^r, and no decision is cached before a walk,
         # so a large r costs nothing before the walk.
-        _, _, (_, decisions), pattern = _search_tables(150, 150)
-        assert len(pattern) == 300 and decisions == [{}]
+        _, _, decisions = _search_tables(150, 150)
+        assert len(decisions[0].pattern) == 300 and decisions == [{}]
         assert sum(1 for _ in _search(150, 150, [0])) == 2
         assert decisions == [{(): (3, (), ())}]  # the one edge has no row
         assert len(list(enumerate_monotone(30, 30))) == 2
@@ -711,28 +719,72 @@ class TestEngineAgainstReference:
 
 def cached_decisions(r, sizes):
     """How many decisions the tables of rank r on each of ``sizes`` hold."""
-    return sum(len(d) for n in sizes for d in _search_tables(r, n)[2][1])
+    return sum(len(d) for n in sizes for d in _search_tables(r, n)[2])
+
+
+def reference_decision(r, lo, rows, key):
+    """Each row of the level allows the colors that change its sign at most
+    once, and the ranks follow the colors of the rows' first edges."""
+    assert len(key) == r * len(rows)
+    heads = [key[i:i + r] for i in range(0, len(key), r)]
+    mask = sum(bit for bit, col in ((1, -1), (2, 1))
+               if all(reference_consistent(head + (col,), range(r + 1)) for head in heads))
+    ranks = [tuple(u for u, head in enumerate(heads, lo) if head[0] * sign > 0)
+             for sign in (1, -1)]
+    return mask, *ranks
 
 
 class TestDecisionCache:
     @pytest.mark.parametrize("r,n", ENGINE_SIZES)
     def test_every_decision_matches_its_rows(self, r, n):
-        # each row of the level allows the colors that change its sign at most
-        # once, and the ranks follow the colors of the rows' first edges
         assert sum(1 for _ in _search(r, n, [0])) == count_monotone(r, n).count
-        starts, _, (_, decisions), _ = _search_tables(r, n)
+        starts, _, decisions = _search_tables(r, n)
         rows = reference_constraints(r, n)
         assert sum(map(len, decisions)) > 0
         for k, decided in enumerate(decisions):
             for key, decision in decided.items():
-                assert len(key) == r * len(rows[k])
-                heads = [key[i:i + r] for i in range(0, len(key), r)]
-                mask = sum(bit for bit, col in ((1, -1), (2, 1))
-                           if all(reference_consistent(head + (col,), range(r + 1))
-                                  for head in heads))
-                ranks = [tuple(u for u, head in enumerate(heads, starts[k]) if head[0] * sign > 0)
-                         for sign in (1, -1)]
-                assert decision == (mask, *ranks)
+                assert decision == reference_decision(r, starts[k], rows[k], key)
+
+    @pytest.mark.parametrize("r,n", ENGINE_SIZES)
+    def test_a_miss_stores_exactly_the_key_read(self, r, n):
+        starts, readers, decisions = _search_tables(r, n)
+        rows = reference_constraints(r, n)
+        draw = random.Random(r * 100 + n)
+        for _ in range(5):
+            colors = [draw.choice((-1, 1)) for _ in readers]
+            for k, decided in enumerate(decisions):
+                decided.clear()
+                key = readers[k](colors)
+                decision = decided[key]
+                assert dict(decided) == {key: decision}
+                assert decision == reference_decision(r, starts[k], rows[k], key)
+        # a walk from empty tables stores exactly the keys its readers read
+        read, kept = [set() for _ in readers], readers[:]
+
+        def recorded(colors, k, reader):
+            key = reader(colors)
+            read[k].add(key)
+            return key
+
+        readers[:] = [partial(recorded, k=k, reader=reader) for k, reader in enumerate(kept)]
+        try:
+            for decided in decisions:
+                decided.clear()
+            same_walk(r, n)
+        finally:
+            readers[:] = kept
+        assert [set(decided) for decided in decisions] == read
+
+    @pytest.mark.parametrize("r,n", ENGINE_SIZES)
+    def test_a_second_walk_adds_no_entry(self, r, n):
+        _, _, decisions = _search_tables(r, n)
+        walk(_search, r, n)
+        held = [dict(decided) for decided in decisions]
+        # the same walk, a seeded one over the same tree, a pruned one within it
+        walk(_search, r, n)
+        walk(_search, r, n, rng=random.Random(r + n))
+        walk(_search, r, n, hook=path_pruner(r, n, r + 2))
+        assert [dict(decided) for decided in decisions] == held
 
     def test_a_second_count_adds_no_entry(self):
         count_monotone(3, 7)
@@ -1287,6 +1339,18 @@ class TestTow:
             assert type(out) is int and out == tow(h, int(x))
         assert tow(5, np.int64(4)) == AtLeast(TABLE_CAP)
         assert tow(2, np.float64(0.5)) == 2 ** 0.5  # a float stays a float
+
+    def test_numpy_floats_are_read_as_python_floats(self):
+        # numpy's power neither raises OverflowError nor leaves float32's range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h, x in [(2, np.float64(2000.5)), (2, np.float32(1500.5)), (10, np.float64(-5))]:
+                with pytest.raises(TooLarge, match="float range"):
+                    tow(h, x)
+            for h, x in [(2, np.float32(200.5)), (2, np.float16(20.5)), (3, np.float64(3.5))]:
+                out = tow(h, x)
+                assert type(out) is float and out == tow(h, float(x))
+            assert tow(2, np.float32(200.5)) == 2 ** 200.5
 
     def test_validation(self):
         with pytest.raises(InvalidArgument):

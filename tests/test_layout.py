@@ -52,12 +52,17 @@ def test_deletion_rows_are_link_sequences(n, k):
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 10) for r in range(1, 6) if n >= r])
 def test_search_tables_match_reference(n, r):
-    starts, preds, (readers, decisions), _ = _search_tables(r, n)
+    starts, readers, decisions = _search_tables(r, n)
     constraints, want_preds = reference_search_tables(r, n)
     table = [tuple(row) for row in colex_layout(n, r + 1).deletion.tolist()]
     assert len(starts) == len(constraints) + 1 and starts[-1] == len(table)
     assert [table[lo:hi] for lo, hi in zip(starts, starts[1:])] == constraints
-    assert list(preds) == list(want_preds)
+    # The windows of the tests' path pruner, the first column of each deletion
+    # row listed under its last, are the edges that can precede each edge.
+    windows = [[] for _ in constraints]
+    for row in table:
+        windows[row[-1]].append(row[0])
+    assert windows == [list(p) for p in want_preds]
     # One reader per edge reads every head of its run, row after row, rank 1
     # included, as one tuple: a one-column run's too, and () for an empty run.
     probe = list(range(comb(n, r)))
