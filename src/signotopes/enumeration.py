@@ -11,9 +11,10 @@ sign patterns, and which rows' heads start +1 and which -1.  Every leaf
 is monotone, and each monotone coloring is reached exactly once.  When
 the engine walks the extensions of a table of colorings one vertex
 down for `_join`, it runs the join's bitset filter in the same step,
-ANDing the columns of the rows the decision names.  The engine and the
-join read one cached table per (r, n), `_search_tables`: the deletion
-table's runs, the readers and the self-filling decision tables.
+ANDing the columns of the rows the decision names; each color carries
+its bitset of valid rows, on the stack too, and a prefix is pinned
+before the walk.  The engine and the join read one cached table per
+(r, n), `_search_tables`: deletion runs, readers and decision tables.
 
 Counting does not walk the engine's tree.  The edges containing vertex
 n come last in colex order, so a monotone coloring of [n] is a pair
@@ -32,10 +33,12 @@ colors closing a monochromatic m-vertex path, but that engine is never
 run: every band is walked as a join, one vertex at a time.  A path
 through vertex k enters its last window from a window of [k-1], so
 which colors p may take there, and how long a path each color ends, are
-fixed by c alone.  From the one coloring of [r-1], which has no edge,
-each level k walks the band through k once per batch of avoiders on
-[k-1] and yields the avoiders on [k] in the engine's order, a block at
-a time.  One walk of p serves every row of its batch, so batches grow,
+fixed by c alone: p may color S + {k} x only in the rows with no window
+{a} + S of color x ending a path of m-1 or more vertices (`_Band`).
+From the one coloring of [r-1], which has no edge, each level k walks
+the band through k once per batch of avoiders on [k-1] and yields the
+avoiders on [k] in the engine's order, a block at a time.  One walk of
+p serves every row of its batch, so batches grow,
 from one row, by the engine nodes per p-node of the last walk, at
 least twice, while that walk yields fewer p's than it has rows, and
 twice otherwise; no output depends on the batch sizes, since band
@@ -185,72 +188,76 @@ def _search(
     decides once which colors edge k may take, as a mask (bit 0: -1,
     bit 1: +1), in one subscript: the level's table of decisions, which
     fills itself on a miss, at what its reader reads, the heads of the
-    deletion rows ending at k (`_search_tables`).  If a color is left, ``join`` = (plus, minus, masks, bits, counter,
-    limit), `_join`'s state, filters its bitsets: ``bits[k + 1]`` gets
-    ``bits[k]`` at edge k-1's color, ANDed with ``masks[k]`` if there
-    are masks, and each color's half with the columns of the rows the
-    decision names, ``minus[u]`` for a head starting -1, ``plus[u]``
-    for one starting +1, dropping a color whose half is empty; below
-    the last edge four times the popcounts of the colors left go to
-    ``counter[0]``, past ``limit`` TooLarge.  Otherwise
-    ``hook(k, colors, mask)``, the tests' reference pruner, returns
-    the mask narrowed to the colors it allows.  ``prefix`` pins the
-    first edges through the same step, uncounted; one outside its mask
-    yields nothing.  Each level tries -1 before +1 unless ``rng`` swaps
-    them, one ``rng.random()`` per non-leaf level entered.  ``nodes[0]``
-    adds up attempts, each counted before its mask test, and is current
-    at every yield and at the end; past ``max_nodes`` the search raises
-    TooLarge.  A level's first color is attempted on entry and only the
-    second goes on the stack.
+    deletion rows ending at k (`_search_tables`).  If a color is left,
+    ``join`` = (plus, minus, masks, rows, counter, limit), `_join`'s
+    state, filters its bitsets: each color's valid rows are the path's
+    (``rows`` at k = 0) ANDed with ``masks[k]``, if there are masks, and
+    the columns of the rows the decision names, ``minus[u]`` for a head
+    starting -1, ``plus[u]`` for one starting +1.  A color with no row
+    left is not allowed; a color carries its rows, on the stack too, and
+    a leaf yields (colors, its rows).  Below the last edge four times
+    their popcounts go to ``counter[0]``, through a local written back
+    at every yield, the end and TooLarge, past ``limit``.  Otherwise
+    ``hook(k, colors, mask)``, the tests' reference pruner, narrows the
+    mask.  ``prefix`` pins the first edges before the walk, uncounted;
+    one outside its mask yields nothing, and a join walk pins none.
+    Each level tries -1 before +1 unless ``rng`` swaps them, one
+    ``rng.random()`` per non-leaf level entered.  ``nodes[0]`` adds up
+    attempts, each counted before its mask test, is current at every
+    yield and at the end, and past ``max_nodes`` raises TooLarge; a
+    level's first color is attempted on entry, the second stacked.
     """
     edge_count = comb(n, r)
     _, readers, decisions = _search_tables(r, n)
-    if join is not None:
-        plus, minus, masks, bits, counter, cap = join
     colors = [0] * edge_count
+    for k, col in enumerate(prefix):
+        mask = decisions[k][readers[k](colors)][0]
+        if mask and hook is not None:
+            mask = hook(k, colors, mask)
+        if not mask >> (col > 0) & 1:
+            return
+        colors[k] = col
+    plus, minus, masks, valid, counter, cap = join or ((), (), (), 0, [0], 0)
+    added = counter[0]
     limit = float("inf") if max_nodes is None else max_nodes
     count = nodes[0]
-    stack: list[tuple[int, int, int]] = []  # untried (edge, color, allowed), next on top
-    order, swapped = (-1, 1, 1, 2), (1, 2, -1, 1)  # (first color, its mask bit, second, its bit)
-    k, pinned = 0, len(prefix)
+    stack: list[tuple[int, int, int]] = []  # untried (edge, color, valid rows or mask bit)
+    k = len(prefix)
     while True:
         if k == edge_count:
-            nodes[0] = count
-            yield colors
+            nodes[0], counter[0] = count, added
+            yield colors if join is None else (colors, valid)
         else:
             mask, plus_rows, minus_rows = decisions[k][readers[k](colors)]
-            if mask and join is not None:
-                valid_minus = valid_plus = bits[k][colors[k - 1] > 0]  # bits[0]: all rows
-                if masks:
-                    valid_minus &= masks[k][0]
-                    valid_plus &= masks[k][1]
-                for u in plus_rows:
-                    valid_minus &= plus[u]
-                for u in minus_rows:
-                    valid_plus &= minus[u]
-                bits[k + 1] = valid_minus, valid_plus
-                mask &= (valid_minus != 0) | (valid_plus != 0) << 1
-                if k + 1 < edge_count:
-                    counter[0] += 4 * ((mask & 1 and valid_minus.bit_count())
-                                       + (mask >> 1 and valid_plus.bit_count()))
-                    if counter[0] > cap:
-                        raise TooLarge(f"search exceeded node budget {cap}")
-            elif mask and hook is not None:
+            if mask and hook is not None:
                 mask = hook(k, colors, mask)
-            if k < pinned:
-                col = prefix[k]
-                if not mask >> (col > 0) & 1:
-                    return
-                colors[k] = col
-                k += 1
-                continue
-            first, bit, second, other = swapped if rng is not None and rng.random() < 0.5 else order
-            stack.append((k, second, mask & other))
+            ok_minus, ok_plus = mask & 1, mask & 2
+            if mask and join is not None:
+                ok_minus = ok_plus = valid
+                if masks:
+                    ok_minus, ok_plus = valid & masks[k][0], valid & masks[k][1]
+                for u in plus_rows:
+                    ok_minus &= plus[u]
+                for u in minus_rows:
+                    ok_plus &= minus[u]
+                ok_minus, ok_plus = mask & 1 and ok_minus, mask >> 1 and ok_plus
+                if k + 1 < edge_count:
+                    added += 4 * ((ok_minus and ok_minus.bit_count())
+                                  + (ok_plus and ok_plus.bit_count()))
+                    if added > cap:
+                        counter[0] = added
+                        raise TooLarge(f"search exceeded node budget {cap}")
+            if rng is not None and rng.random() < 0.5:
+                stack.append((k, -1, ok_minus))
+                col, ok = 1, ok_plus
+            else:
+                stack.append((k, 1, ok_plus))
+                col, ok = -1, ok_minus
             count += 1
             if count > limit:
                 raise TooLarge(f"search exceeded node budget {max_nodes}")
-            if mask & bit:
-                colors[k] = first
+            if ok:
+                colors[k], valid = col, ok
                 k += 1
                 continue
         while stack:
@@ -259,11 +266,11 @@ def _search(
             if count > limit:
                 raise TooLarge(f"search exceeded node budget {max_nodes}")
             if ok:
-                colors[k] = col
+                colors[k], valid = col, ok
                 k += 1
                 break
         else:
-            nodes[0] = count
+            nodes[0], counter[0] = count, added
             return
 
 
@@ -371,8 +378,9 @@ def _join(
     the engine decides both its colors in one pass (`_search`, whose
     cached decision names the rows U and whether p's deletion sequence
     of U starts +1 or -1): each color's bitset of rows still valid is
-    ANDed with the columns it needs, and a color whose bitset is empty
-    is not allowed.  ``masks``, if given, holds
+    ANDed with the columns it needs, a color whose bitset is empty is
+    not allowed, and the others ride on the engine's stack with their
+    bitsets, so walks pause and resume alone.  ``masks``, if given, holds
     per p-edge the rows allowed to color it -1 and +1, ANDed in as well,
     and must not change during the walk.  ``steps``, if given, counts in
     ``steps[0]`` the attempts of the walk of p itself (for a one-row
@@ -385,19 +393,17 @@ def _join(
     only colorings with the first edge minus, so for each interior
     depth four times its popcount, the engine's attempted assignments
     there for these colorings and their color swaps, goes to
-    ``nodes[0]``; past ``limit`` that raises TooLarge.
+    ``nodes[0]``, current at every yield and end; past ``limit``, TooLarge.
     """
     size, plus = table
     full = (1 << size) - 1
-    # Row u of p's deletion table is the r-subset U of [n-1] of rank u: the column of c(U).
-    edges = comb(n - 1, r - 1)
-    bits = [(full, full)] * (edges + 1)  # bits[k + 1]: valid rows if p-edge k is -1, if +1
     if steps is None:
         steps = [0, 0]
-    join = (plus, [full ^ col for col in plus], masks, bits, nodes, limit)
-    for colors in _search(r - 1, n - 1, steps, join=join):
+    # Row u of p's deletion table is the r-subset U of [n-1] of rank u: the column of c(U).
+    join = (plus, [full ^ col for col in plus], masks, full, nodes, limit)
+    for leaf in _search(r - 1, n - 1, steps, join=join):
         steps[1] += 1
-        yield colors, bits[edges][colors[-1] > 0]
+        yield leaf
 
 
 def _leaf_rows(size: int, leaves: Sequence[int]) -> tuple[np.ndarray, list[int]]:
@@ -585,15 +591,16 @@ def _columns(flags: np.ndarray) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _windows(r: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _windows(r: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """For the p-edges S of rank r-1 on [k-1]: which have a run in p's
-    deletion table (a p-edge containing 1 has no window), and where each
-    such run starts."""
+    deletion table (a p-edge containing 1 has no window), where each
+    such run starts, and per edge of c on [k-1], the p-edge whose run
+    holds it, a window {a} + S."""
     starts = np.array(_search_tables(r - 1, k - 1)[0])
     used = starts[:-1] < starts[1:]
     lo = starts[:-1][used]
     used.flags.writeable = lo.flags.writeable = False  # shared by every caller
-    return used, lo
+    return used, lo, tuple(np.repeat(np.arange(len(used)), np.diff(starts)).tolist())
 
 
 def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -603,7 +610,7 @@ def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.n
     (2, rows, p-edges).  Such a path enters from a window {a} + S of c of
     that color, the run of S in p's deletion table, so it is
     max(r, 1 + the run's longest end in that color)."""
-    used, lo = _windows(r, k)
+    used, lo, _ = _windows(r, k)
     longest = np.zeros((2, len(plus), len(used)), dtype=ends.dtype)
     for color, flags in enumerate((~plus, plus)):
         longest[color][:, used] = np.maximum.reduceat(np.where(flags, ends, 0), lo, axis=1)
@@ -615,22 +622,31 @@ def _longest_through(r: int, k: int, plus: np.ndarray, ends: np.ndarray) -> np.n
 class _Band:
     """A batch of avoiders on [k-1], rows of one block that the level
     below yielded, whose band through vertex k is walked as one join.
-    It owns the rows' plus flags, ends and `_longest_through`, the table
-    and per-p-edge masks the walk reads (see `_join`), ``below``, the
-    band of the level below the block came from (None for the edgeless
-    [r-1]), and ``rows``, where each row lies in it.  The engine's count
+    It owns the rows' plus flags and ends, the table and per-p-edge
+    masks the walk reads (see `_join`), ``below``, the band of the level
+    below the block came from (None for the edgeless [r-1]), and
+    ``rows``, where each row lies in it.  The engine's count
     at a leaf is ``spent``, the bands of every batch walked whole at
     every level, plus the chain's own nodes, which `count` takes down
     the chain of bands the leaf came from to the edgeless [r-1], finding
-    each avoider on it among its row's leaves by its own colors."""
+    each avoider on it among its row's leaves by its own colors.  Its
+    masks come from one `_columns` call over plus and hot (end >= m-1)
+    flags: no row gives a p-edge S color x next to a hot x-window {a} + S."""
 
     def __init__(self, r: int, k: int, m: int, below: _Band | None, rows: np.ndarray,
                  plus: np.ndarray, ends: np.ndarray):
         self.r, self.k, self.below, self.rows = r, k, below, rows
         self.plus, self.ends = plus, ends
-        self.longest = _longest_through(r, k, plus, ends)
-        self.table: _Table = (len(plus), _columns(plus))
-        self.masks = list(zip(_columns(self.longest[0] < m), _columns(self.longest[1] < m)))
+        columns = _columns(np.concatenate((plus, ends >= m - 1), axis=1))
+        used, _, owner = _windows(r, k)
+        hot = [[0, 0] for _ in used]  # per p-edge, the rows with a hot window colored -1, +1
+        for s, col, flags in zip(owner, columns, columns[len(owner):]):
+            if flags:
+                hot[s][0] |= flags & ~col
+                hot[s][1] |= flags & col
+        top = (1 << len(plus)) - 1 if m > r else 0  # a p-edge ends a path of r vertices
+        self.table: _Table = (len(plus), columns[:len(owner)])
+        self.masks = [(top & ~to_minus, top & ~to_plus) for to_minus, to_plus in hot]
 
     def walk(self, lo: int, hi: int, nodes: list[int], steps: list[int] | None = None):
         """The `_join` walk of rows lo..hi-1 alone, renumbered from 0."""
@@ -657,11 +673,14 @@ class _Band:
         return entry + walked[0] // 2 + steps[0]
 
     def grown(self, rows: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``rows`` extended by the p's with plus flags ``p``: the
-        plus flags and ends of the avoiders on [k].  The new ends are
-        `_longest_through`'s at p's colors; they fit in uint8, since
-        check_size keeps n below 256."""
-        at_p = self.longest[p.view(np.int8), rows[:, None], np.arange(p.shape[1])]
+        """Rows ``rows``, sorted, extended by the p's with plus flags
+        ``p``: the plus flags and ends of the avoiders on [k].  The new
+        ends are `_longest_through`'s at p's colors, taken once per row;
+        they fit in uint8, since check_size keeps n below 256."""
+        distinct = rows[rows != np.concatenate(([-1], rows[:-1]))]
+        longest = _longest_through(self.r, self.k, self.plus[distinct], self.ends[distinct])
+        at = np.searchsorted(distinct, rows)  # each row's place among the distinct rows
+        at_p = longest[p.view(np.int8), at[:, None], np.arange(p.shape[1])]
         return (np.concatenate((self.plus[rows], p), axis=1),
                 np.concatenate((self.ends[rows], at_p), axis=1))
 
@@ -720,7 +739,7 @@ def _avoiders(batches: Iterator[tuple]):
     `_first_avoider` hands on).
 
     Each batch of avoiders on [k-1] walks its band through vertex k once
-    (`_batches` gives the walk, with the masks `_longest_through` gives,
+    (`_batches` gives the walk, with the masks its hot edges give,
     and sizes the batches by how much their walks share, which changes
     neither the avoiders, their order nor any count),
     and its leaves come out sorted by row, then by p in walk order, which

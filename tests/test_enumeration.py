@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -280,6 +281,62 @@ class TestJoinAgainstReference:
         for r, n, table, masks in calls:
             assert join_outcome(join, r, n, table, masks) == \
                 join_outcome(reference_join, r, n, table, masks)
+
+
+def interleaved(walks):
+    """Each `_join` walk of ``walks`` = [(r, n, table, masks, start)], all
+    started at once and resumed one leaf at a time in turn, as
+    `join_outcome` reports it."""
+    states = []
+    for r, n, table, masks, start in walks:
+        nodes, steps = [start], [0, 0]
+        states.append((_join(r, n, table, nodes, float("inf"), masks, steps), nodes, steps, []))
+    live = list(states)
+    while live:
+        for state in list(live):
+            walk, nodes, _, yields = state
+            if (leaf := next(walk, None)) is None:
+                live.remove(state)
+            else:
+                yields.append((tuple(leaf[0]), leaf[1], nodes[0]))
+    return [(yields, nodes[0], steps) for _, nodes, steps, yields in states]
+
+
+class TestPausedWalks:
+    """A `_join` walk keeps its state, its rows per color and its node
+    count, in its own generator: paused between leaves while other walks
+    run, as `_first_avoider` pauses a band's walk and hands it on, it
+    yields what it yields alone."""
+
+    def test_interleaved_walks_yield_what_they_yield_alone(self):
+        draw = random.Random(5)
+        tables = dict(join_tables(3, 7))
+        size, plus = tables[7]
+        half = (size // 2, enumeration._bits(plus, 0, size // 2))  # same (r, n), other rows
+        full = (1 << size) - 1
+        masks = [tuple(full ^ sum({1 << draw.randrange(size) for _ in range(9)}) for _ in "-+")
+                 for _ in range(comb(6, 2))]  # nine rows fewer per p-edge and color
+        walks = [(3, 7, tables[7], None, 0), (3, 7, half, None, 7), (3, 6, tables[6], None, 0),
+                 (2, 6, dict(join_tables(2, 6))[6], None, 3), (3, 7, tables[7], masks, 0)]
+        alone = [join_outcome(_join, r, n, table, kind, start)
+                 for r, n, table, kind, start in walks]
+        assert all(len(yields) > 5 for yields, _, _ in alone)
+        assert interleaved(walks) == alone
+        assert interleaved(walks[::-1]) == alone[::-1]
+
+    @pytest.mark.parametrize("r,n", [(3, 7), (4, 7), (2, 6)])
+    def test_a_budget_cut_leaves_the_reference_count(self, r, n):
+        table = dict(join_tables(r, n))[n]
+        _, total, _ = join_outcome(reference_join, r, n, table)
+        for limit in (total // 3, total - 1):
+            cut = []
+            for join in (_join, reference_join):
+                nodes, leaves = [0], []
+                with pytest.raises(TooLarge):
+                    for p, bits in join(r, n, table, nodes, limit):
+                        leaves.append((tuple(p), bits))
+                cut.append((leaves, nodes[0]))
+            assert cut[0] == cut[1] and cut[0][1] > limit
 
 
 class TestCountJoin:
@@ -853,6 +910,63 @@ def check_levels(r, n, m):
     assert counts == {i: leaves[i][1] for i in counts}
     assert 2 * spent[0] - 2 == total  # the color swap: the root's two attempts, two halves
     return later
+
+
+def colex_subsets(n, r):
+    """The r-subsets of range(n) in colex order."""
+    return sorted(itertools.combinations(range(n), r), key=lambda s: s[::-1])
+
+
+def reference_longest(r, k, plus, ends):
+    """Per color, row and p-edge S of rank r-1 on [k-1], the longest
+    monochromatic path ending at S + {k} in that color: r, or one more
+    than the longest end at a window {a} + S of c of that color, taken
+    row by row."""
+    windows = colex_subsets(k - 1, r)
+    at = {s: i for i, s in enumerate(colex_subsets(k - 1, r - 1))}
+    longest = np.full((2, len(plus), len(at)), r, dtype=int)
+    for row in range(len(plus)):
+        for t, window in enumerate(windows):
+            color, s = int(plus[row, t]), at[window[1:]]
+            longest[color, row, s] = max(longest[color, row, s], int(ends[row, t]) + 1)
+    return longest
+
+
+class TestBandMasks:
+    """A band's masks, from its hot edges, and the ends `grown` returns,
+    against the window maxima taken row by row."""
+
+    @pytest.mark.parametrize("r", range(2, 6))
+    def test_masks_and_grown_ends_match_window_maxima(self, r):
+        draw = np.random.default_rng(r)
+        for m in range(r, r + 4):
+            for k in range(r, r + 4):
+                for size in (1, 5, 70):  # 70: past one 64-bit word per column
+                    edges, p_edges = comb(k - 1, r), comb(k - 1, r - 1)
+                    plus = draw.random((size, edges)) < 0.5
+                    ends = draw.integers(r, m + 2, size=(size, edges)).astype(np.uint8)
+                    band = enumeration._Band(r, k, m, None, np.arange(size, dtype=np.int32),
+                                             plus, ends)
+                    longest = reference_longest(r, k, plus, ends)
+                    want = [tuple(sum(1 << i for i in range(size) if longest[x, i, s] < m)
+                                  for x in (0, 1)) for s in range(p_edges)]
+                    assert band.masks == want
+                    assert band.table == (size, [sum(1 << i for i in range(size) if plus[i, t])
+                                                 for t in range(edges)])
+                    full = (1 << size) - 1
+                    for s, p_edge in enumerate(colex_subsets(k - 1, r - 1)):
+                        if m == r:
+                            assert band.masks[s] == (0, 0)
+                        elif 0 in p_edge:  # no window {a} + S: every row may take both
+                            assert band.masks[s] == (full, full)
+                    rows = np.sort(draw.integers(0, size, size=2 * size)).astype(np.int32)
+                    p = draw.random((len(rows), p_edges)) < 0.5
+                    got_plus, got_ends = band.grown(rows, p)
+                    assert got_plus.tolist() == np.concatenate((plus[rows], p), axis=1).tolist()
+                    assert got_ends.dtype == np.uint8
+                    assert got_ends.tolist() == [
+                        ends[i].tolist() + [int(longest[int(x), i, s]) for s, x in enumerate(q)]
+                        for i, q in zip(rows, p)]
 
 
 class TestLevels:
