@@ -22,6 +22,11 @@ the first property holds.  None of this is assumed silently: the
 A and B differ (one level down); iterating it elementwise across an
 increasing r-tuple down to a bare sign yields the edge coloring, which
 is monotone and has no monochromatic monotone path on 2n+r-1 vertices.
+On codes gamma has a closed form: at level 2 it is 1 (the sign +)
+exactly when A precedes B; at level k >= 3, with w = N_{k-1}/2 classes
+below and p the bit length of A ^ B, the first differing class is
+w - p (bit p - 1), where B picks the type-plus code w + p - 1 exactly
+when A < B, and the type-minus code w - p otherwise.
 """
 
 from __future__ import annotations
@@ -67,12 +72,11 @@ class TowerGroundSet:
     Elements returned by :meth:`elements` are in increasing element
     order; the first half has type - and the second half type +.
 
-    Gamma is tabulated once per level, on first use: a level of N
-    elements with N^2 <= TABLE_CAP gets an N x N table of Python ints,
-    filled through ``_gamma_code``, which ``gamma``, ``gamma_iter``,
-    ``coloring`` and the three verifiers read.  A larger level (level 3
-    of (3, 21), 2^21 elements) is read through the same accessor, which
-    then computes each code on demand and stores nothing.
+    Gamma has one definition, the closed form ``_gamma_code``, which
+    ``gamma``, ``gamma_iter``, ``coloring`` and the three verifiers call
+    on every read.  Every admitted ground set, up to level 3 of (3, 21)
+    with 2^21 elements, takes that one path, and an instance holds
+    nothing but its arguments and sizes.
     """
 
     def __init__(self, r: int, n: int):
@@ -81,12 +85,11 @@ class TowerGroundSet:
         self.size = self.sizes[self.r]
         if self.size > TABLE_CAP:
             raise TooLarge(f"{_brief(self.size)} elements exceed the table cap {TABLE_CAP}")
-        self._tables: list[list[list[int]] | None] = [None] * (self.r + 1)
 
     # -- element structure --------------------------------------------------
 
     def elements(self, level: int | None = None) -> list[TowerElement]:
-        level = self.r if level is None else level
+        level = self.r if level is None else index(level)
         self._check_level(level)
         return [TowerElement(level, code) for code in range(self.sizes[level])]
 
@@ -145,34 +148,14 @@ class TowerGroundSet:
             raise InvalidArgument("gamma is defined from level 2 upward")
         if x == y:
             raise InvalidArgument("gamma needs two distinct elements")
-        return TowerElement(level - 1, self._gamma_table(level)[x][y])
+        return TowerElement(level - 1, self._gamma_code(level, x, y))
 
     def _gamma_code(self, level: int, a: int, b: int) -> int:
+        """Gamma on the codes a != b of `level` >= 2, in closed form (module docstring)."""
         if level == 2:
             return 1 if a < b else 0
-        width = self.sizes[level - 1] // 2
-        k = width - (a ^ b).bit_length()
-        if (b >> (width - 1 - k)) & 1:
-            return self.sizes[level - 1] - 1 - k
-        return k
-
-    def _gamma_table(self, level: int) -> list[list[int]] | _UntabledGamma:
-        """Gamma's codes at `level` (>= 2): ``table[a][b]`` for a != b.
-
-        The table is built on the first call and kept; its diagonal holds
-        0 and is never read.  A level whose table would pass TABLE_CAP
-        entries gets rows that compute ``_gamma_code`` on each read.
-        """
-        table = self._tables[level]
-        if table is None:
-            size = self.sizes[level]
-            if size * size > TABLE_CAP:
-                return _UntabledGamma(self._gamma_code, level)
-            code = self._gamma_code
-            table = self._tables[level] = [
-                [code(level, a, b) if a != b else 0 for b in range(size)] for a in range(size)
-            ]
-        return table
+        w, p = self.sizes[level - 1] // 2, (a ^ b).bit_length()
+        return w + p - 1 if a < b else w - p
 
     def gamma_iter(self, seq: Sequence[TowerElement], times: int) -> list[TowerElement]:
         """Apply gamma elementwise to consecutive entries, `times` times."""
@@ -185,25 +168,27 @@ class TowerGroundSet:
         if any(x == y for x, y in zip(codes, codes[1:])):
             raise InvalidArgument("consecutive entries must be distinct")
         for step in range(times):
-            table = self._gamma_table(level - step)
-            codes = [table[x][y] for x, y in zip(codes, codes[1:])]
+            codes = [self._gamma_code(level - step, x, y) for x, y in zip(codes, codes[1:])]
         return [TowerElement(level - times, code) for code in codes]
 
     def coloring(self) -> SignFunction:
         """The edge coloring: iterate gamma down to a sign per r-subset.
 
         Vertex i of the result is the i-th element in the element order.
-        Each level's step gathers from the ground set's gamma table (class
-        docstring); ``check_size`` admits at most 64 vertices at r = 3 and
-        fewer above, so every level is tabulated.  Consecutive entries
-        stay distinct on the way down, so the diagonals are never read.
+        Each level's step gathers from a local N x N array of
+        ``_gamma_code`` values; ``check_size`` admits at most 64 vertices
+        at r = 3 and fewer above, so no array passes 64 x 64.  Consecutive
+        entries stay distinct on the way down, so the diagonal (0) is
+        never read.
         """
         if self.r < 3:
             raise InvalidArgument("the coloring is defined for r >= 3")
         check_size(self.r, self.size)
         codes = colex_layout(self.size, self.r).edges - 1
+        code = self._gamma_code
         for level in range(self.r, 1, -1):
-            gamma = np.array(self._gamma_table(level))
+            idx = range(self.sizes[level])
+            gamma = np.array([[code(level, a, b) if a != b else 0 for b in idx] for a in idx])
             codes = gamma[codes[:, :-1], codes[:, 1:]]
         return SignFunction(self.r, self.size, np.where(codes[:, 0], 1, -1))
 
@@ -222,9 +207,8 @@ class TowerGroundSet:
             raise InvalidArgument("gamma is defined from level 2 upward")
         if x == y or y == z or x == z:
             raise InvalidArgument("elements must be pairwise distinct")
-        rows = self._gamma_table(level)
-        row = rows[x]
-        gab, gbc, gac = row[y], rows[y][z], row[z]
+        code = self._gamma_code
+        gab, gbc, gac = code(level, x, y), code(level, y, z), code(level, x, z)
         if level == 2:
             if gab != gbc:
                 return gac in (gab, gbc)
@@ -255,12 +239,11 @@ class TowerGroundSet:
             raise InvalidArgument("gamma is defined from level 2 upward")
         if x == y:
             raise InvalidArgument("need a != b")
-        rows = self._gamma_table(level)
-        row = rows[x]
-        gab = row[y]
-        if x2 != y and x <= x2 and gab < rows[x2][y]:
+        code = self._gamma_code
+        gab = code(level, x, y)
+        if x2 != y and x <= x2 and gab < code(level, x2, y):
             return False
-        return not (y2 != x and y <= y2 and gab > row[y2])
+        return not (y2 != x and y <= y2 and gab > code(level, x, y2))
 
     def check_profile_lemma(self, seq: Sequence[TowerElement]) -> bool:
         """The deletion values of an increasing s-tuple interleave evenly.
@@ -278,16 +261,16 @@ class TowerGroundSet:
             raise InvalidArgument(f"need 3 <= s <= r+1, got s={s}, r={level}")
         if any(map(ge, codes, codes[1:])):
             raise InvalidArgument("sequence must be strictly increasing")
-        top, *lower = [self._gamma_table(level - step) for step in range(s - 2)]
+        code = self._gamma_code
         rest, work, h = codes[:-1], [0] * (s - 2), []
         for pos in range(s - 1, -1, -1):
             if pos < s - 1:
                 rest[pos] = codes[pos + 1]
             for i in range(s - 2):
-                work[i] = top[rest[i]][rest[i + 1]]
-            for step, table in enumerate(lower, 2):
-                for i in range(s - 1 - step):
-                    work[i] = table[work[i]][work[i + 1]]
+                work[i] = code(level, rest[i], rest[i + 1])
+            for step in range(1, s - 2):
+                for i in range(s - 2 - step):
+                    work[i] = code(level - step, work[i], work[i + 1])
             h.append(work[0])
         rises = [y - x for x, y in zip(h, h[1:])]  # slot j of the templates is rises[j - 1]
         odd, even = rises[::2], rises[1::2]
@@ -322,24 +305,6 @@ class TowerGroundSet:
                 )
             codes.append(code)
         return level, codes
-
-
-class _UntabledGamma:
-    """Gamma at a level past the table cap, read as ``rows[a][b]``.
-
-    ``rows[a]`` is a row bound to a; reading ``row[b]`` computes
-    ``gamma_code(level, a, b)``.  Nothing is stored.
-    """
-
-    __slots__ = ("gamma_code", "level", "a")
-
-    def __init__(self, gamma_code, level: int, a: int | None = None):
-        self.gamma_code, self.level, self.a = gamma_code, level, a
-
-    def __getitem__(self, key: int):
-        if self.a is None:
-            return _UntabledGamma(self.gamma_code, self.level, key)
-        return self.gamma_code(self.level, self.a, key)
 
 
 def tower_coloring(r: int, n: int) -> SignFunction:

@@ -1,3 +1,4 @@
+import json
 import pickle
 import tracemalloc
 from functools import cmp_to_key
@@ -535,30 +536,6 @@ class TestGammaTables:
             assert [e.code for e in got] == ref_descend(ground, 4, list(seq), 3)
             assert got[0].level == 1
 
-    def test_tables_are_built_once_per_level_and_stay_within_the_cap(self):
-        ground = TowerGroundSet(4, 4)  # levels of 8, 16 and 256 elements
-        assert ground._tables == [None] * 5
-        els = ground.elements()
-        ground.check_profile_lemma(els[:5])
-        tables = ground._tables
-        assert tables[:2] == [None, None]
-        for level in (2, 3, 4):
-            size = ground.sizes[level]
-            assert len(tables[level]) == size and {len(row) for row in tables[level]} == {size}
-            assert size * size <= TABLE_CAP
-            assert ground._gamma_table(level) is tables[level]
-
-    @pytest.mark.parametrize("r,n,cap", [(3, 4, 100), (4, 3, 100), (4, 3, 50)])
-    def test_levels_past_a_small_cap_are_not_tabulated(self, r, n, cap, selector, monkeypatch):
-        monkeypatch.setattr("signotopes.tower.TABLE_CAP", cap)
-        ground = TowerGroundSet(r, n)
-        assert_verdicts_match_reference(ground, r, *exhaustive_inputs(ground.size, r))
-        for level in range(2, r + 1):
-            table, size = ground._tables[level], ground.sizes[level]
-            assert (table is None) == (size * size > cap)
-            assert table is None or len(table) * len(table[0]) <= cap
-        assert ground._tables[r] is None
-
     def test_level_of_two_million_elements_is_read_untabulated(self):
         ground = TowerGroundSet(3, 21)
         top = ground.size - 1
@@ -574,8 +551,57 @@ class TestGammaTables:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ground._tables[3] is None and len(ground._tables[2]) == 42
         assert peak < 256 * 1024  # a level-3 row alone would be 2^21 entries, 16 MB
+
+
+def ref_gamma_code(ground, level, a, b):
+    """Gamma by probing b's bit at the first differing class: the oracle for the closed form."""
+    if level == 2:
+        return 1 if a < b else 0
+    width = ground.sizes[level - 1] // 2
+    k = width - (a ^ b).bit_length()
+    if (b >> (width - 1 - k)) & 1:
+        return ground.sizes[level - 1] - 1 - k
+    return k
+
+
+class TestGammaClosedForm:
+    @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4)])
+    def test_every_pair_matches_the_bit_probe(self, r, n):
+        ground = TowerGroundSet(r, n)
+        for level in range(2, r + 1):
+            for a, b in permutations(range(ground.sizes[level]), 2):
+                assert ground._gamma_code(level, a, b) == ref_gamma_code(ground, level, a, b)
+
+    def test_seeded_pairs_of_two_million_elements_match_the_bit_probe(self):
+        ground = TowerGroundSet(3, 21)
+        rng = np.random.default_rng(21)
+        pairs = [tuple(int(v) for v in rng.choice(ground.size, 2, replace=False))
+                 for _ in range(10_000)]
+        assert all(ground._gamma_code(3, a, b) == ref_gamma_code(ground, 3, a, b) for a, b in pairs)
+
+    def test_coloring_reads_the_one_definition(self, monkeypatch):
+        built = TowerGroundSet(3, 4).coloring()
+        monkeypatch.setattr(TowerGroundSet, "_gamma_code", last_difference)
+        assert TowerGroundSet(3, 4).coloring() != built
+
+    def test_one_read_on_a_fresh_ground_set_builds_nothing(self):
+        # one read stores nothing; tabulating its level would trace megabytes here
+        def traced_peak(call):
+            tracemalloc.start()
+            try:
+                return call(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ground = TowerGroundSet(3, 10)
+        a, b, c = ground.elements()[:3]
+        ok, peak = traced_peak(lambda: ground.check_deletion_lemma(a, b, c))
+        assert ok is True and peak < 64 * 1024
+        ground = TowerGroundSet(2, 822)
+        x, y = TowerElement(2, 5), TowerElement(2, 1_000)
+        got, peak = traced_peak(lambda: ground.gamma(x, y))
+        assert got == TowerElement(1, 1) and peak < 64 * 1024
 
 
 class TestElementFields:
@@ -600,6 +626,15 @@ class TestElementFields:
             assert ground.type_of(els[1]) == ground.type_of(plain[1]) == 1
             bits = ground.bits_of(els[1])
             assert bits == ground.bits_of(plain[1]) and all(type(b) is int for b in bits)
+
+    def test_elements_read_the_level_as_an_integer(self):
+        ground = TowerGroundSet(3, 3)
+        for level, want in [(np.int64(3), 3), (np.uint8(2), 2), (True, 1)]:
+            els = ground.elements(level)
+            assert els == ground.elements(want) and {type(e.level) for e in els} == {int}
+            json.dumps([e.level for e in els])
+        with pytest.raises(TypeError):
+            ground.elements(3.0)
 
     def test_members_of_gives_python_int_fields(self):
         ground = TowerGroundSet(4, 3)
