@@ -44,7 +44,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import TABLE_CAP, SignFunction, _brief, check_size, colex_layout
-from .errors import InvalidArgument, NoReduction, TernaryNotAllowed, TooLarge
+from .errors import InvalidArgument, NoReduction, TooLarge
 
 Composition = tuple[int, ...]
 
@@ -61,7 +61,9 @@ def compositions(m: int, parts: int | None = None) -> Iterator[Composition]:
     lexicographic order; m over TABLE_CAP is refused before the first.
 
     There are C(m-1, k-1) compositions into k parts and 2^(m-1) overall.
+    m and parts are read with ``operator.index``, so a float raises TypeError.
     """
+    m, parts = index(m), None if parts is None else index(parts)
     if m < 1 or (parts is not None and parts < 0):
         raise InvalidArgument(f"need m >= 1 and parts >= 0, got (m, parts) = {_brief((m, parts))}")
     if m > TABLE_CAP:
@@ -118,19 +120,27 @@ def sign(sigma: Sequence[int]) -> int | None:
 
 @dataclass(frozen=True)
 class TernaryColoring:
-    """A three-valued coloring produced by the block construction."""
+    """A three-valued coloring of the block construction; `completions` fills its zeros."""
 
     fun: SignFunction
-    r: int
-    h: int
-    n: int
-    m: int
-    zero_positions: tuple[int, ...]
+
+    @property
+    def r(self) -> int:
+        return self.fun.r
+
+    @property
+    def n(self) -> int:
+        return self.fun.n
+
+    @property
+    def zero_positions(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(self.fun.colors == 0).tolist())
 
     def transversal_zero_positions(self) -> tuple[int, ...]:
-        """Zero edges not contained in a single top-level block."""
-        zeros = _positions(self)
-        blocks = (colex_layout(self.n, self.r).edges[zeros] - 1) // self.m
+        """Zero edges not inside one top-level block: n // r vertices, or n when n = r."""
+        zeros = np.flatnonzero(self.fun.colors == 0)
+        m = self.n // self.r if self.n > self.r else self.n
+        blocks = (colex_layout(self.n, self.r).edges[zeros] - 1) // m
         return tuple(zeros[blocks[:, 0] != blocks[:, -1]].tolist())
 
 
@@ -144,8 +154,7 @@ def block_coloring(r: int, h: int) -> TernaryColoring:
     n = r ** h
     check_size(r, n)
     if h == 1:
-        fun = SignFunction(r, n, np.zeros(1, dtype=np.int8), ternary_allowed=True)
-        return TernaryColoring(fun, r, h, n, n, (0,))
+        return TernaryColoring(SignFunction(r, n, np.zeros(1, dtype=np.int8), ternary_allowed=True))
 
     sub = block_coloring(r, h - 1)
     m = r ** (h - 1)
@@ -165,8 +174,7 @@ def block_coloring(r: int, h: int) -> TernaryColoring:
                                 return_index=True, return_inverse=True)
     signs = [sign([len(list(run)) for _, run in groupby(row)]) for row in blocks[first].tolist()]
     colors[mixed] = np.array(signs, dtype=np.int8)[shape]
-    fun = SignFunction(r, n, colors, ternary_allowed=True)
-    return TernaryColoring(fun, r, h, n, m, tuple(np.flatnonzero(colors == 0).tolist()))
+    return TernaryColoring(SignFunction(r, n, colors, ternary_allowed=True))
 
 
 def completions(
@@ -175,13 +183,13 @@ def completions(
     count: int = 0,
     seed: int = 0,
 ) -> Iterator[SignFunction]:
-    """Binary colorings obtained by filling every 0 with - or +.
+    """Binary colorings obtained by filling every 0 of ``t.fun`` with - or +,
+    each with the template's r and n.
 
     ``mode="all"`` walks all 2^z fillings (z = number of zeros), refused
     when 2^z exceeds TABLE_CAP; ``mode="sample"`` draws ``count``
     fillings, at most TABLE_CAP, from a PCG64 generator seeded with
-    ``seed``, reproducibly.  Zero positions that repeat or fall outside
-    0..C(n, r)-1 are refused, all before any work.
+    ``seed``, reproducibly; both refusals come before any work.
 
     Each coloring arrives with both predicates decided (module docstring):
     when some filling can make a subset with a face among the zeros change
@@ -190,7 +198,8 @@ def completions(
     a time, as the same stream as one ``integers(0, 2, size=z, dtype=int8)``
     call per sample.
     """
-    z = len(t.zero_positions)
+    zeros = np.flatnonzero(t.fun.colors == 0)
+    z = len(zeros)
     if mode == "all":
         if z >= TABLE_CAP.bit_length():  # 2^z > TABLE_CAP
             raise TooLarge(f"{z} zeros means 2^{z} completions, "
@@ -203,11 +212,7 @@ def completions(
             raise TooLarge(f"{_brief(count)} samples exceed the table cap {TABLE_CAP}")
     else:
         raise InvalidArgument(f"mode must be 'all' or 'sample', got {mode!r}")
-    zeros = _positions(t)
     colors = np.array(t.fun.colors)  # the work buffer each fill is written into
-    colors[zeros] = 0  # open to either sign, whatever the template holds there
-    if np.count_nonzero(colors) + z < len(colors):  # a 0 no fill covers
-        raise TernaryNotAllowed("0 entries require ternary_allowed=True")
     check_each = _can_change_twice(colors[_touched(t.r, t.n, zeros)])
     total = 2 ** z if mode == "all" else count
     rng = np.random.default_rng(seed) if mode == "sample" else None
@@ -226,19 +231,6 @@ def completions(
             else:
                 object.__setattr__(fun, "_violations", shared)
             yield fun
-
-
-def _positions(t: TernaryColoring) -> np.ndarray:
-    """``t.zero_positions`` as an array, refused unless distinct edge ranks."""
-    size = len(t.fun.colors)
-    bad = next((p for p in t.zero_positions if not 0 <= p < size), None)
-    if bad is not None:
-        raise InvalidArgument(f"zero position {_brief(bad)} out of range 0..{size - 1}")
-    zeros = np.array(t.zero_positions, dtype=np.int64)
-    values, counts = np.unique(zeros, return_counts=True)
-    if (counts > 1).any():
-        raise InvalidArgument(f"zero position {values[counts > 1][0]} repeated")
-    return zeros
 
 
 def _touched(r: int, n: int, zeros: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain
 from math import comb
+from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -199,9 +200,10 @@ class SignFunction:
     """A coloring of all r-subsets of [n], stored in colex order.
 
     ``colors`` holds one of -1, +1 (and 0 only when ``ternary_allowed``).
-    Instances are immutable; the array is a read-only copy of the one
-    given, so they are safe to share across workers.  Equality compares
-    (r, n, colors) — the ternary flag is a permission, not data.
+    Instances are immutable; r and n are read with ``operator.index``,
+    and the array is a read-only copy of the one given, so they are safe
+    to share across workers.  Equality compares (r, n, colors) — the
+    ternary flag is a permission, not data.
 
     Validation is one pass: one byte scan of the int8 copy finds illegal
     values and zeros together (other dtypes are range-checked before the
@@ -218,6 +220,8 @@ class SignFunction:
     ternary_allowed: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "r", index(self.r))
+        object.__setattr__(self, "n", index(self.n))
         check_size(self.r, self.n)
         colors = np.asarray(self.colors)
         if colors.shape != (comb(self.n, self.r),):

@@ -195,9 +195,10 @@ def _search(
     the columns of the rows the decision names, ``minus[u]`` for a head
     starting -1, ``plus[u]`` for one starting +1.  A color with no row
     left is not allowed; a color carries its rows, on the stack too, and
-    a leaf yields (colors, its rows).  Below the last edge four times
-    their popcounts go to ``counter[0]``, through a local written back
-    at every yield, the end and TooLarge, past ``limit``.  Otherwise
+    a leaf adds 1 to ``nodes[1]`` and yields (colors, its rows).  Below
+    the last edge four times their popcounts go to ``counter[0]``,
+    through a local written back at every yield, the end and TooLarge,
+    past ``limit``.  Otherwise
     ``hook(k, colors, mask)``, the tests' reference pruner, narrows the
     mask.  ``prefix`` pins the first edges before the walk, uncounted;
     one outside its mask yields nothing, and a join walk pins none.
@@ -226,6 +227,8 @@ def _search(
     while True:
         if k == edge_count:
             nodes[0], counter[0] = count, added
+            if join is not None:
+                nodes[1] += 1
             yield colors if join is None else (colors, valid)
         else:
             mask, plus_rows, minus_rows = decisions[k][readers[k](colors)]
@@ -382,11 +385,12 @@ def _join(
     not allowed, and the others ride on the engine's stack with their
     bitsets, so walks pause and resume alone.  ``masks``, if given, holds
     per p-edge the rows allowed to color it -1 and +1, ANDed in as well,
-    and must not change during the walk.  ``steps``, if given, counts in
-    ``steps[0]`` the attempts of the walk of p itself (for a one-row
-    table, the engine's attempts in that row's band) and in ``steps[1]``
-    its yields.  Yields (p's shared color list, the bitset of its last
-    color) for every full p.
+    and must not change during the walk.  ``steps``, if given, is the
+    engine's node list: it counts in ``steps[0]`` the attempts of the
+    walk of p itself (for a one-row table, the engine's attempts in that
+    row's band) and in ``steps[1]`` its leaves.  Returns that walk, which
+    yields (p's shared color list, the bitset of its last color) for
+    every full p.
 
     A depth-j bitset counts the consistent partial colorings of [n] on
     the first C(n-1, r) + j edges that extend a row.  The table holds
@@ -397,13 +401,9 @@ def _join(
     """
     size, plus = table
     full = (1 << size) - 1
-    if steps is None:
-        steps = [0, 0]
     # Row u of p's deletion table is the r-subset U of [n-1] of rank u: the column of c(U).
     join = (plus, [full ^ col for col in plus], masks, full, nodes, limit)
-    for leaf in _search(r - 1, n - 1, steps, join=join):
-        steps[1] += 1
-        yield leaf
+    return _search(r - 1, n - 1, [0, 0] if steps is None else steps, join=join)
 
 
 def _leaf_rows(size: int, leaves: Sequence[int]) -> tuple[np.ndarray, list[int]]:

@@ -9,8 +9,8 @@ increasing (minus) or decreasing (plus) label order.  Summed over the
 triples, these give each wire's local sequence, and the sweep performs
 crossings that are next in the local sequences of both their wires.  A
 diagram is (n, sweep); the one walk that validates a sweep derives its
-trace and records each pair's crossing step by colex rank, off which the
-converse map reads (i, j, k) as minus iff wire k meets i before j.  The
+trace, and the converse map then lists each pair's crossing step by
+colex rank and reads (i, j, k) as minus iff wire k meets i before j.  The
 convention is pinned by the round-trip tests, since flipping it breaks them.
 """
 
@@ -53,7 +53,6 @@ class WiringDiagram:
             raise InvalidWiring(f"expected {_brief(comb(n, 2))} crossings, got {len(self.sweep)}")
         order = list(range(1, n + 1))
         where = list(range(-1, n))  # where[wire]: its index in order
-        ranks, steps = _pair_ranks(n), [0] * len(self.sweep)
         trace = [tuple(order)]
         for step, pair in enumerate(self.sweep):
             try:  # unpacking refuses a triple, a list index refuses 1.0
@@ -68,9 +67,7 @@ class WiringDiagram:
                 raise InvalidWiring(f"step {step}: wire {b} is not directly below {a} in {order}")
             order[pa], order[pb] = order[pb], order[pa]
             where[a], where[b] = pb, pa
-            steps[ranks[b][a]] = step
             trace.append(tuple(order))
-        object.__setattr__(self, "_steps", steps)  # _steps[k]: the step of the pair of rank k
         return tuple(trace)
 
 
@@ -165,10 +162,13 @@ def wiring_diagram(c: SignFunction) -> WiringDiagram:
 def signs_from_wiring(w: WiringDiagram) -> SignFunction:
     """Colors from crossing order: (i,j,k) is minus iff k meets i before j."""
     check_size(3, max(w.n, 3))  # before the O(n^3) trace that validation derives
-    w.trace  # deriving the trace validates the sweep and records its steps
+    w.trace  # deriving the trace validates the sweep
     if w.n < 3:
         raise InvalidArgument(f"need at least 3 wires to read signs, got {w.n}")
-    step, faces = np.array(w._steps), colex_layout(w.n, 3).deletion
+    ranks, steps = _pair_ranks(w.n), [0] * len(w.sweep)
+    for t, (a, b) in enumerate(w.sweep):
+        steps[ranks[b][a]] = t  # steps[k]: the step of the pair of rank k
+    step, faces = np.array(steps), colex_layout(w.n, 3).deletion
     # Columns 1 and 2 of the triple deletion table are the pairs (i,k) and (j,k).
     minus = step[faces[:, 1]] < step[faces[:, 2]]
     return SignFunction._derived(3, w.n, np.where(minus, np.int8(-1), np.int8(1)))

@@ -160,6 +160,7 @@ class TowerGroundSet:
     def gamma_iter(self, seq: Sequence[TowerElement], times: int) -> list[TowerElement]:
         """Apply gamma elementwise to consecutive entries, `times` times."""
         level, codes = self._codes(seq)
+        times = index(times)
         if not 0 <= times <= min(len(codes) - 1, level - 1):
             raise InvalidArgument(
                 f"iteration count {_brief(times)} outside 0..min(k-1, r-1) for "

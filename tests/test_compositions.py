@@ -1,6 +1,7 @@
 import sys
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from signotopes import (
 )
 from signotopes.compositions import _can_change_twice
 from signotopes.core import TABLE_CAP, colex_layout
-from signotopes.errors import InvalidArgument, NoReduction, TernaryNotAllowed, TooLarge
+from signotopes.errors import InvalidArgument, NoReduction, TooLarge
 
 
 def ref_compositions(m, parts=None):
@@ -108,6 +109,16 @@ class TestCompositions:
             got = list(compositions(m, k))
             assert len(got) == comb(m - 1, k - 1)
             assert all(len(s) == k and sum(s) == m for s in got)
+
+    def test_arguments_are_read_as_integers(self):
+        assert list(compositions(True)) == list(compositions(1)) == [(1,)]
+        for args in [(np.int64(4),), (np.int64(4), np.int64(2)), (4, np.uint8(3))]:
+            got = list(compositions(*args))
+            assert got == list(compositions(*map(int, args)))
+            assert all(type(p) is int for sigma in got for p in sigma)
+        for args in [(4.0,), (4, 2.0)]:
+            with pytest.raises(TypeError):
+                next(compositions(*args))
 
     def test_negative_part_count_is_refused(self):
         with pytest.raises(InvalidArgument):
@@ -287,19 +298,6 @@ class TestBlockColoring:
         )
         assert len(t.transversal_zero_positions()) == ties
 
-    @pytest.mark.parametrize("position,match", [
-        (-1, "zero position -1 out of range 0..83"),
-        (84, "zero position 84 out of range 0..83"),
-        ("repeat", "repeated"),
-    ])
-    def test_transversal_zeros_refuse_bad_positions(self, position, match):
-        t = block_coloring(3, 2)
-        zeros = t.zero_positions
-        zeros = (zeros[0], *zeros) if position == "repeat" else (*zeros[:-1], position)
-        bad = TernaryColoring(t.fun, r=3, h=2, n=9, m=3, zero_positions=zeros)
-        with pytest.raises(InvalidArgument, match=match):
-            bad.transversal_zero_positions()
-
     def test_block_restriction_recurses(self):
         for r, h in [(3, 2), (3, 3)]:
             t = block_coloring(r, h)
@@ -349,12 +347,25 @@ class TestBlockColoring:
 class TestCompletions:
     def test_zero_free_input_yields_itself(self):
         binary = SignFunction.constant(3, 4)
-        t = TernaryColoring(
-            SignFunction(3, 4, binary.colors, ternary_allowed=True),
-            r=3, h=1, n=4, m=4, zero_positions=(),
-        )
+        t = TernaryColoring(SignFunction(3, 4, binary.colors, ternary_allowed=True))
         out = list(completions(t))
         assert out == [binary]
+
+    def test_the_coloring_alone_gives_r_n_and_the_fills(self):
+        colors = SignFunction.constant(3, 5).colors.copy()
+        colors[0] = 0
+        t = TernaryColoring(SignFunction(3, 5, colors, ternary_allowed=True))
+        assert [f.name for f in fields(TernaryColoring)] == ["fun"]
+        with pytest.raises(TypeError):  # r, n and the zeros are read off the coloring
+            TernaryColoring(t.fun, r=4, h=1, n=5, m=5, zero_positions=(0,))
+        assert (t.r, t.n, t.zero_positions) == (3, 5, (0,))
+        out = list(completions(t))
+        assert [(c.r, c.n, c.edge_count, c.color((1, 2, 3))) for c in out] == [
+            (3, 5, 10, -1), (3, 5, 10, 1)]
+        for r, h in [(3, 1), (3, 2), (4, 2), (5, 2)]:
+            t = block_coloring(r, h)
+            assert TernaryColoring(t.fun) == t
+            assert {(c.r, c.n) for c in completions(t, "sample", 3)} == {(r, r ** h)}
 
     def test_all_mode_exhaustive_and_monotone(self):
         t = block_coloring(3, 2)
@@ -386,21 +397,12 @@ class TestCompletions:
             colors = np.full(comb(n, 2), -1, dtype=np.int8)
             colors[:zeros] = 0
             fun = SignFunction(2, n, colors, ternary_allowed=True)
-            t = TernaryColoring(fun, r=2, h=1, n=n, m=n, zero_positions=tuple(range(zeros)))
+            t = TernaryColoring(fun)
             if admitted:
                 assert next(completions(t, mode="all")) == SignFunction.constant(2, n)
             else:
                 with pytest.raises(TooLarge, match="table cap"):
                     next(completions(t, mode="all"))
-
-    def test_a_zero_outside_the_fill_positions_is_refused(self):
-        # every completion is built unscanned, so the template is checked once per call
-        t = block_coloring(3, 2)
-        for zeros in (t.zero_positions[1:], t.zero_positions[:-1]):
-            partial = TernaryColoring(t.fun, r=3, h=2, n=9, m=3, zero_positions=zeros)
-            for mode, count in (("all", 0), ("sample", 3)):
-                with pytest.raises(TernaryNotAllowed, match="^0 entries require ternary_allowed=True$"):
-                    next(completions(partial, mode=mode, count=count))
 
     def test_bad_mode(self):
         t = block_coloring(3, 2)
@@ -412,10 +414,10 @@ class TestCompletions:
             next(completions(t, mode="sample", count=1, seed=-1))
 
 
-def hand_built(r, n, colors, zeros):
-    """A TernaryColoring of the given colors, filled at the given positions."""
+def hand_built(r, n, colors):
+    """A TernaryColoring of the given colors, filled at their zeros."""
     fun = SignFunction(r, n, np.asarray(colors, dtype=np.int8), ternary_allowed=True)
-    return TernaryColoring(fun, r=r, h=1, n=n, m=n, zero_positions=tuple(zeros))
+    return TernaryColoring(fun)
 
 
 def fresh_violations(c):
@@ -427,7 +429,7 @@ def fresh_violations(c):
 @st.composite
 def templates(draw):
     """Small hand-built templates: a monotone or random binary fixed part, and up
-    to six distinct positions to fill, each holding -1, 0 or +1 in the template."""
+    to six distinct positions to fill, each a 0 of the template."""
     r = draw(st.integers(2, 4))
     n = draw(st.integers(r, 9))
     size = comb(n, r)
@@ -437,8 +439,8 @@ def templates(draw):
     else:
         colors = rng.choice((-1, 1), size=size).astype(np.int8)
     zeros = draw(st.lists(st.integers(0, size - 1), unique=True, max_size=min(size, 6)))
-    colors[zeros] = rng.choice((-1, 0, 0, 1), size=len(zeros))
-    return hand_built(r, n, colors, zeros)
+    colors[zeros] = 0
+    return hand_built(r, n, colors)
 
 
 def ref_rows(colors, n, r, zeros):
@@ -484,7 +486,7 @@ class TestDecidedCompletions:
     fills touch; the answers must be those of a coloring checked from scratch."""
 
     @given(templates())
-    @example(hand_built(2, 3, [1, 1, -1], [0, 1]))  # the template's +1 fills break nothing
+    @example(hand_built(2, 3, [0, 0, -1]))  # one filling of four breaks {1, 2, 3}
     @settings(max_examples=80, deadline=None)
     def test_matches_a_fresh_check(self, t):
         filled = [*completions(t, mode="all"), *completions(t, mode="sample", count=5, seed=3)]
@@ -501,7 +503,7 @@ class TestDecidedCompletions:
         zeros = [colex_rank(e) for e in fill]
         colors[zeros] = 0
         seen = []
-        for c in completions(hand_built(r, n, colors, zeros)):
+        for c in completions(hand_built(r, n, colors)):
             rows = ref_rows(c.colors.tolist(), n, r, zeros)
             want = tuple(rows[i][0] if i >= 0 else None for i in (first(rows), first(rows, column=3)))
             assert (monotone_violation(c), transitive_violation(c)) == want
@@ -522,7 +524,7 @@ class TestDecidedCompletions:
         t = block_coloring(r, h)
         colors = t.fun.colors.copy()
         colors[pick(set(range(len(colors))) - set(t.zero_positions))] *= -1
-        flipped = hand_built(r, t.n, colors, t.zero_positions)
+        flipped = hand_built(r, t.n, colors)
         for c in completions(flipped, mode="sample", count=10, seed=2):
             assert monotone_violation(c) is not None
             assert (monotone_violation(c), transitive_violation(c)) == fresh_violations(c)
@@ -588,7 +590,7 @@ def with_zeros(z):
     """A monotone (3, 8) coloring with its first z edges to fill."""
     colors = random_monotone_coloring(3, 8, 5, max_edges=200).colors.copy()
     colors[:z] = 0
-    return hand_built(3, 8, colors, range(z))
+    return hand_built(3, 8, colors)
 
 
 def flipped_half(r, h):
@@ -597,7 +599,7 @@ def flipped_half(r, h):
     colors = t.fun.colors.copy()
     fixed = np.flatnonzero(colors)
     colors[fixed[:len(fixed) // 2]] *= -1
-    return hand_built(r, t.n, colors, t.zero_positions)
+    return hand_built(r, t.n, colors)
 
 
 @pytest.fixture
@@ -645,7 +647,7 @@ class TestBlockCompletions:
         colors[[colex_rank(e) for e in plus]] = 1
         zeros = [colex_rank(e) for e in fill]
         colors[zeros] = 0
-        t = hand_built(r, n, colors, zeros)
+        t = hand_built(r, n, colors)
         same_as_reference(t, "all")
         same_as_reference(t, "sample", 65, seed=1)
 
@@ -713,21 +715,6 @@ class TestCompletionRefusals:
         t = block_coloring(4, 2)  # 48 zeros: mode "all" is over the cap
         with pytest.raises(error, match=match):
             next(completions(t, **kwargs))
-
-    @pytest.mark.parametrize("position,match", [
-        (-1, "zero position -1 out of range 0..83"),
-        (84, "zero position 84 out of range 0..83"),
-        pytest.param(10 ** 5000, "<16610-bit number> out of range", id="huge"),
-        ("repeat", "repeated"),
-    ])
-    @pytest.mark.parametrize("mode", ["all", "sample"])
-    def test_position_refusals(self, no_template_work, position, match, mode):
-        t = block_coloring(3, 2)
-        zeros = t.zero_positions
-        zeros = (zeros[0], *zeros) if position == "repeat" else (*zeros[:-1], position)
-        bad = TernaryColoring(t.fun, r=3, h=2, n=9, m=3, zero_positions=zeros)
-        with pytest.raises(InvalidArgument, match=match):
-            next(completions(bad, mode=mode, count=1))
 
 
 class TestZeroLowerBound:

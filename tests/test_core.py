@@ -1,5 +1,7 @@
+import json
 import pickle
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from signotopes import (
     is_transitive,
     link_sequence,
     loads,
+    longest_mono_paths,
     monotone_violation,
+    project,
     read_file,
     tower_coloring,
     transitive_violation,
@@ -312,6 +316,22 @@ class TestSignFunction:
         b = SignFunction(3, 4, a.colors, ternary_allowed=True)
         assert a == b and hash(a) == hash(b)
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        assert EXAMPLE_134.__eq__(dumps(EXAMPLE_134)) is NotImplemented
+        assert EXAMPLE_134 != dumps(EXAMPLE_134) and EXAMPLE_134 != None  # noqa: E711
+
+    def test_numpy_r_and_n_are_stored_as_ints(self):
+        colors = SignFunction.constant(3, 5).colors
+        c = SignFunction(np.int64(3), np.uint8(5), colors)
+        assert (type(c.r), type(c.n)) == (int, int) and c == SignFunction(3, 5, colors)
+        report = longest_mono_paths(c)
+        assert report == longest_mono_paths(SignFunction(3, 5, colors))
+        json.dumps(asdict(report))  # refuses numpy integers
+        assert type(project(c, 4).r) is int
+        for r, n in [(3.0, 5), (3, 5.0)]:
+            with pytest.raises(TypeError):
+                SignFunction(r, n, colors)
+
 
 class TestLinkSequence:
     def test_pair_example(self):
@@ -590,6 +610,8 @@ class TestFileFormat:
     @pytest.mark.parametrize(
         "text,line,col",
         [
+            ("MONO 1", 1, 1),
+            ("MONO 1\nr=3 n=4", 2, 1),
             ("MONO 2\nr=3 n=4\n-+-+\n", 1, 1),
             ("MONO 1\nr=3, n=4\n-+-+\n", 2, 1),
             ("MONO 1\nr=3 n=4\n-+-\n", 3, 4),

@@ -145,6 +145,12 @@ class TestWiring:
             for c in enumerate_monotone(3, n):
                 assert signs_from_wiring(wiring_diagram(c)) == c
 
+    def test_the_trace_only_validates_and_snapshots(self):
+        c = tower_coloring(3, 3)
+        w = wiring_diagram(c)
+        assert signs_from_wiring(w) == c
+        assert set(vars(w)) == {"n", "sweep", "trace"}  # no step list rides on the diagram
+
     def test_distinct_colorings_get_distinct_sweeps(self):
         sweeps = {wiring_diagram(c).sweep for c in enumerate_monotone(3, 5)}
         assert len(sweeps) == 62

@@ -230,6 +230,11 @@ class TestGroundSet:
             with pytest.raises(InvalidArgument):
                 ground.members_of(bad)
 
+    def test_pair_of_checks_the_level(self):
+        ground = TowerGroundSet(3, 3)
+        with pytest.raises(InvalidArgument, match="^pair_of needs a level-2 element, got level 3$"):
+            ground.pair_of(ground.elements()[0])
+
 
 class TestGamma:
     def test_figure_values(self):
@@ -316,6 +321,20 @@ class TestVerifiers:
                     continue
                 for a2, b2 in product(els, repeat=2):
                     assert ground.check_replacement_lemma(a, b, a2, b2)
+
+    def test_lemmas_refuse_level_one_and_repeated_elements(self):
+        ground = TowerGroundSet(3, 3)
+        minus, plus = ground.elements(1)
+        a, b = ground.elements()[:2]
+        for call, match in [
+            (lambda: ground.check_deletion_lemma(minus, plus, minus), "from level 2 upward"),
+            (lambda: ground.check_replacement_lemma(minus, plus, plus, minus), "from level 2 upward"),
+            (lambda: ground.check_deletion_lemma(a, b, a), "pairwise distinct"),
+            (lambda: ground.check_deletion_lemma(a, a, b), "pairwise distinct"),
+            (lambda: ground.check_replacement_lemma(a, a, b, b), "need a != b"),
+        ]:
+            with pytest.raises(InvalidArgument, match=match):
+                call()
 
     def test_replacement_equal_branch(self):
         ground = TowerGroundSet(3, 3)
@@ -619,6 +638,7 @@ class TestElementFields:
                 ([ground.gamma(els[0], els[2])], [ground.gamma(plain[0], plain[2])]),
                 (ground.gamma_iter(els[:3], 2), ground.gamma_iter(plain[:3], 2)),
                 (ground.gamma_iter(els[:3], 0), plain[:3]),
+                (ground.gamma_iter(plain[:3], np.int64(1)), ground.gamma_iter(plain[:3], 1)),
                 ([ground.sigma(els[1])], [ground.sigma(plain[1])]),
             ]:
                 assert got == want
